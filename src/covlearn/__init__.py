@@ -45,6 +45,7 @@ from .model import (
     Dictionary,
     NumericError,
     RankDeficientError,
+    atom_forms,
     atom_quadratic_forms,
     build_covariance,
     loo_quadratic_form,

@@ -18,6 +18,7 @@ from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
+    atom_forms,
     atom_quadratic_forms,
     build_covariance,
     noise_mle,
@@ -137,9 +138,8 @@ def msbl_em_step(state: CovarianceState, Y: np.ndarray, known_sigma2: float | No
 
 def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray:
     """Matched-filter spectrum a_i^H Shat a_i / ||a_i||^4 (strictly positive init)."""
-    A = dictionary.atoms
-    num = np.einsum("ij,ij->j", A.conj(), scm @ A).real
-    norms2 = np.sum(np.abs(A) ** 2, axis=0)
+    num = atom_forms(dictionary, scm[None])[0]
+    norms2 = np.sum(np.abs(dictionary.atoms) ** 2, axis=0)
     return np.maximum(num, 0.0) / norms2**2
 
 
@@ -358,7 +358,7 @@ def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SupportSet:
         raise ValueError(f"k={k} must satisfy 1 <= k < n_sensors={n} (non-empty noise subspace)")
     _, vecs = np.linalg.eigh(scm)
     noise_basis = vecs[:, : n - k]
-    proj = np.sum(np.abs(noise_basis.conj().T @ grid.atoms) ** 2, axis=0)
+    proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
     pseudospectrum = 1.0 / np.maximum(proj, 1e-300)
     _, support = hard_threshold(pseudospectrum, k, peak=True)
     return support

@@ -10,6 +10,16 @@ This module holds the model types, the negative log-likelihood and its
 gradient, the rank-one (leave-one-atom-out) identities used by the solvers,
 and the closed-form maximum-likelihood refits on a fixed support.
 
+It alone decides how A and A^H are applied. A dictionary whose atoms form a
+unit-modulus Vandermonde matrix, a_i[p] = z_i^p with |z_i| = 1 (the steering
+grid of a half-wavelength uniform linear array), is recognised from its atoms
+at construction, with no option. For such a dictionary Sigma is Hermitian
+Toeplitz, assembled from the N coefficients A gamma, and every per-atom form
+a_i^H H a_i is a trigonometric polynomial in z_i whose coefficients are the
+diagonal sums of H: covariance assembly and the per-atom forms cost
+O(N^2 + NM) instead of O(N^2 M). Every other dictionary takes the dense
+O(N^2 M) path.
+
 All functions are pure; arrays inside the frozen dataclasses are marked
 read-only so states can be shared across threads.
 """
@@ -45,6 +55,57 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Vandermonde:
+    """Index tables of a dictionary with atoms[p, i] = z_i**p and |z_i| = 1.
+
+    lags[p, q] = N-1 + q - p numbers the 2N-1 diagonals of an N x N matrix;
+    ``order`` sorts the flattened entries by lag and ``starts`` marks where
+    each lag begins, for ``np.add.reduceat``. ``powers`` stacks Re z^d over
+    Im z^d for d = 1..N-1, shape (2N-2, M), so Re(t @ z^d) is one real product.
+    """
+
+    lags: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    powers: np.ndarray
+
+
+# Largest |atoms[p, i] - z_i**p| per sensor accepted as Vandermonde: steering
+# phases pi * p * sin(theta) carry a rounding error of a few p * eps.
+_VANDERMONDE_TOL = 32 * np.finfo(np.float64).eps
+
+
+def _detect_vandermonde(atoms: np.ndarray) -> _Vandermonde | None:
+    """Index tables when atoms[p] == z**p with |z| == 1, else None.
+
+    Rows are compared one at a time against a running power of z = atoms[1],
+    so the check's temporaries are row-sized; a dictionary that fails leaves
+    at its first mismatching row (a Gaussian one at row 0).
+    """
+    n = atoms.shape[0]
+    tol = _VANDERMONDE_TOL * n
+    if n < 2 or np.max(np.abs(atoms[0] - 1.0)) > tol:
+        return None
+    z = atoms[1]
+    if np.max(np.abs(np.abs(z) - 1.0)) > tol:
+        return None
+    zp = z
+    for p in range(2, n):
+        zp = zp * z
+        if np.max(np.abs(atoms[p] - zp)) > tol:
+            return None
+    idx = np.arange(n)
+    lags = (n - 1) + idx[None, :] - idx[:, None]
+    order = np.argsort(lags, axis=None, kind="stable")
+    starts = np.searchsorted(lags.ravel()[order], np.arange(2 * n - 1))
+    powers = np.concatenate((atoms[1:].real, atoms[1:].imag))
+    tables = (lags, order, starts, powers)
+    for a in tables:
+        a.flags.writeable = False
+    return _Vandermonde(*tables)
+
+
+@dataclass(frozen=True)
 class Dictionary:
     """Known N x M complex dictionary whose columns are atoms.
 
@@ -56,10 +117,15 @@ class Dictionary:
         Optional normalization contract. "unit" asserts each column has
         unit Euclidean norm (compressed-sensing convention); "array"
         asserts ||a_i||^2 == n_sensors (sensor-array convention).
+
+    A dictionary whose atoms form a unit-modulus Vandermonde matrix (a ULA
+    steering grid) is detected here and takes the O(N^2 + NM) structured
+    path of :func:`build_covariance` and :func:`atom_forms`.
     """
 
     atoms: np.ndarray
     norm_mode: str | None = None
+    _vandermonde: _Vandermonde | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -75,6 +141,12 @@ class Dictionary:
         if self.norm_mode == "array" and not np.allclose(norms2, atoms.shape[0], atol=1e-9, rtol=0.0):
             raise ValueError("array mode requires ||a_i||^2 == n_sensors")
         object.__setattr__(self, "atoms", _readonly(atoms))
+        object.__setattr__(self, "_vandermonde", _detect_vandermonde(self.atoms))
+
+    @property
+    def is_vandermonde(self) -> bool:
+        """True when the atoms are a_i[p] = z_i^p with |z_i| = 1 (ULA steering grid)."""
+        return self._vandermonde is not None
 
     @property
     def n_sensors(self) -> int:
@@ -141,7 +213,14 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> Covariance
         raise ValueError("signal powers must be finite and nonnegative")
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError("noise variance must be positive")
-    sigma = hermitize((A * gamma) @ A.conj().T)
+    vdm = dictionary._vandermonde
+    if vdm is None:
+        sigma = hermitize((A * gamma) @ A.conj().T)
+    else:
+        # Sigma[p, q] = sum_i gamma_i z_i^(p-q): Hermitian Toeplitz in c = A gamma
+        c = A @ gamma
+        c[0] = c[0].real
+        sigma = np.concatenate((c[::-1], c[1:].conj()))[vdm.lags]
     sigma[np.diag_indices_from(sigma)] += sigma2
     try:
         theta = hermitize(np.linalg.inv(sigma))
@@ -169,14 +248,40 @@ def negative_llf(state: CovarianceState, scm: np.ndarray) -> float:
     return out
 
 
+def atom_forms(dictionary: Dictionary, Hs: np.ndarray) -> np.ndarray:
+    """Re a_i^H H a_i for every atom and every H of a stack, shape (S, M).
+
+    On a Vandermonde dictionary the form is the trigonometric polynomial
+    Re sum_d s_d z_i^d, where s_d sums the entries of H with q - p = d, so
+    the whole stack costs one (S, 2N-2) by (2N-2, M) real product after
+    O(S N^2) diagonal sums. Any other dictionary is evaluated densely,
+    one N x N by N x M product per H.
+    """
+    Hs = np.asarray(Hs, dtype=np.complex128)
+    A = dictionary.atoms
+    vdm = dictionary._vandermonde
+    if vdm is None:
+        return np.stack([np.einsum("ij,ij->j", A.conj(), H @ A).real for H in Hs])
+    n = dictionary.n_sensors
+    s = np.add.reduceat(Hs.reshape(len(Hs), -1)[:, vdm.order], vdm.starts, axis=1)
+    # lag -d pairs with conj(z^d), so its sum enters conjugated next to lag +d
+    t = s[:, n:] + s[:, n - 2 :: -1].conj()
+    return s[:, n - 1, None].real + np.concatenate((t.real, -t.imag), axis=1) @ vdm.powers
+
+
 def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
     """Per-atom quadratic forms (q, r) = (a^H Theta a, a^H Theta Shat Theta a).
 
-    Evaluated for all atoms at once through V = Theta A, so the cost is two
-    N x N by N x M products rather than M separate solves.
+    Evaluated for all atoms at once: through :func:`atom_forms` on a
+    Vandermonde dictionary, otherwise through V = Theta A, so the cost is
+    two N x N by N x M products rather than M separate solves.
     """
+    theta = state.theta
+    if state.dictionary.is_vandermonde:
+        q, r = atom_forms(state.dictionary, np.stack((theta, theta @ scm @ theta)))
+        return q, r
     A = state.dictionary.atoms
-    V = state.theta @ A
+    V = theta @ A
     q = np.einsum("ij,ij->j", A.conj(), V).real
     r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
     return q, r
@@ -217,14 +322,18 @@ def loo_quadratic_form(state: CovarianceState, i: int, b: np.ndarray) -> complex
 
 
 def _qr_full_rank(B: np.ndarray, cond_limit: float = 1e6):
-    """Reduced QR of B after verifying full column rank (cond(B) < cond_limit)."""
+    """Reduced QR of B after verifying full column rank (cond(B) < cond_limit).
+
+    The condition number is read off the small factor R, whose singular
+    values are those of B because Q has orthonormal columns.
+    """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    s = np.linalg.svd(B, compute_uv=False)
+    Q, R = np.linalg.qr(B)
+    s = np.linalg.svd(R, compute_uv=False)
     if s[-1] <= 0.0 or s[0] / s[-1] >= cond_limit:
         raise RankDeficientError("matrix does not have (numerical) full column rank")
-    Q, R = np.linalg.qr(B)
     return Q, R
 
 
@@ -237,12 +346,14 @@ def pseudo_inverse_apply(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, Q.conj().T @ np.asarray(Z, dtype=np.complex128))
 
 
-def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int) -> float:
+def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor=None) -> float:
     """Noise-variance MLE on a fixed support: tr((I - P) Shat) / (N - k).
 
     P is the orthogonal projector onto the span of the support atoms; an
     empty support gives tr(Shat)/N. The result is clamped below at
     1e-15 * tr(Shat)/N so downstream covariances stay positive definite.
+    ``factor`` is the reduced QR (Q, R) of the support atoms when the
+    caller has already computed it; otherwise it is computed here.
     """
     scm = np.asarray(scm, dtype=np.complex128)
     tr_scm = np.trace(scm).real
@@ -255,7 +366,7 @@ def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int) -> flo
     if k == 0:
         resid = tr_scm
     else:
-        Q, _ = _qr_full_rank(B)
+        Q, _ = _qr_full_rank(B) if factor is None else factor
         resid = tr_scm - np.einsum("ij,ij->", Q.conj(), scm @ Q).real
     return max(resid / (n_sensors - k), 1e-15 * tr_scm / n_sensors)
 
@@ -271,8 +382,8 @@ def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
     B = np.asarray(support_atoms, dtype=np.complex128)
     if B.ndim == 1:
         B = B[:, None]
-    sigma2 = noise_mle(scm, B, n_sensors)
     Q, R = _qr_full_rank(B)
+    sigma2 = noise_mle(scm, B, n_sensors, factor=(Q, R))
     pinv = np.linalg.solve(R, Q.conj().T)
     shift = scm - sigma2 * np.eye(n_sensors)
     G = pinv @ shift @ pinv.conj().T

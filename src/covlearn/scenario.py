@@ -354,7 +354,9 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
 
     ``methods`` is a sequence of tags or MethodSpec objects. Returns one
     MetricsRecord per (method, snr_db), in that nesting order. Results are
-    independent of ``threads``.
+    independent of ``threads``. A solve that raises a numerical error
+    (ArithmeticError, LinAlgError or ValueError) is counted as a failure of
+    its cell; any other exception is a programming error and propagates.
     """
     from .methods import resolve_methods, solve_trial
 
@@ -403,7 +405,7 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
                     outcome = solve_trial(spec, Y, dictionary, k, config.peak, config.noise_var, grid_deg)
                     cell = _evaluate_outcome(outcome, config, grid_deg, true_ctx)
                     cell = replace(cell, runtime_s=time.perf_counter() - t0)
-                except Exception:
+                except (ArithmeticError, np.linalg.LinAlgError, ValueError):
                     cell = _TrialCell(ok=False)
                 cells[(mi, si)] = cell
         return t, cells

@@ -5,6 +5,7 @@ import pytest
 from covlearn import (
     BaselineConfig,
     CovarianceState,
+    atom_forms,
     Dictionary,
     build_covariance,
     cwo_update,
@@ -25,8 +26,17 @@ from covlearn import (
     steering_matrix,
     ula_grid,
     grid_angles_deg,
+    hard_threshold,
 )
-from util import direct_nll, random_pdh, random_state, random_unit_dictionary
+from util import (
+    ULA_SHAPES,
+    dense_atom_forms,
+    direct_nll,
+    max_rel_err,
+    random_pdh,
+    random_state,
+    random_unit_dictionary,
+)
 
 SCALAR_DICT = Dictionary(np.array([[1.0 + 0j]]))
 SCALAR_SCM = np.array([[4.0 + 0j]])
@@ -217,6 +227,27 @@ class TestMusic:
         grid = ula_grid(6, 121)
         scm = random_pdh(rng, 6)
         assert music_doas(scm, grid, 2).indices == music_doas(7.3 * scm, grid, 2).indices
+
+
+class TestSteeringGridForms:
+    @pytest.mark.parametrize("n, m", ULA_SHAPES)
+    def test_matched_filter_matches_dense_oracle(self, n, m):
+        grid = ula_grid(n, m)
+        scm = random_pdh(np.random.default_rng(n * m), n)
+        expected = dense_atom_forms(grid.atoms, scm) / n**2
+        assert max_rel_err(matched_filter_powers(grid, scm), expected) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", ULA_SHAPES)
+    def test_music_projection_matches_dense_oracle(self, n, m):
+        grid = ula_grid(n, m)
+        scm = random_pdh(np.random.default_rng(n + m), n)
+        k = 1
+        noise_basis = np.linalg.eigh(scm)[1][:, : n - k]
+        expected = np.sum(np.abs(noise_basis.conj().T @ grid.atoms) ** 2, axis=0)
+        proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
+        assert max_rel_err(proj, expected) <= 1e-12
+        _, support = hard_threshold(1.0 / expected, k, peak=True)
+        assert music_doas(scm, grid, k).indices == support.indices
 
 
 class TestMleSingleSource:

@@ -7,6 +7,8 @@ from covlearn import (
     DegenerateDowndateError,
     Dictionary,
     RankDeficientError,
+    atom_forms,
+    atom_quadratic_forms,
     build_covariance,
     loo_quadratic_form,
     negative_llf,
@@ -15,8 +17,20 @@ from covlearn import (
     provisional_mle,
     pseudo_inverse_apply,
     sample_covariance,
+    steering_matrix,
+    ula_grid,
 )
-from util import direct_nll, random_pdh, random_state, random_unit_dictionary
+from covlearn.model import _qr_full_rank, hermitize
+from util import (
+    dense_atom_forms,
+    dense_covariance,
+    direct_nll,
+    max_rel_err,
+    random_pdh,
+    random_state,
+    random_unit_dictionary,
+    ULA_SHAPES,
+)
 
 
 class TestSampleCovariance:
@@ -109,6 +123,77 @@ class TestBuildCovariance:
             build_covariance(d, [0.0, 0.0], 0.0)
         with pytest.raises(ValueError):
             build_covariance(d, [0.0], 1.0)
+
+
+def _perturbed_grid(n, m):
+    atoms = np.array(ula_grid(n, m).atoms)
+    atoms[-1, m // 3] *= np.exp(1e-9j)
+    return atoms
+
+
+# Dictionaries that are not a unit-modulus Vandermonde matrix.
+DENSE_CASES = {
+    "gaussian": lambda rng: random_unit_dictionary(rng, 8, 50).atoms,
+    "unit-norm steering": lambda rng: ula_grid(8, 50).atoms / np.sqrt(8),
+    "perturbed column": lambda rng: _perturbed_grid(8, 50),
+    "one sensor": lambda rng: steering_matrix(1, np.linspace(-60.0, 60.0, 50)),
+}
+
+
+class TestVandermondePath:
+    @pytest.mark.parametrize("n, m", ULA_SHAPES)
+    def test_sigma_matches_dense_oracle(self, n, m):
+        rng = np.random.default_rng(n * m)
+        grid = ula_grid(n, m)
+        assert grid.is_vandermonde
+        gamma = rng.uniform(0.0, 2.0, m) * (rng.uniform(size=m) < 0.3)
+        st = build_covariance(grid, gamma, 0.7)
+        npt.assert_array_equal(st.sigma, st.sigma.conj().T)
+        assert max_rel_err(st.sigma, dense_covariance(grid.atoms, gamma, 0.7)) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", ULA_SHAPES)
+    def test_quadratic_forms_match_dense_oracle(self, n, m):
+        rng = np.random.default_rng(n + m)
+        grid = ula_grid(n, m)
+        st = build_covariance(grid, rng.uniform(0.0, 1.0, m) / m, 0.5)
+        scm = random_pdh(rng, n)
+        q, r = atom_quadratic_forms(st, scm)
+        assert max_rel_err(q, dense_atom_forms(grid.atoms, st.theta)) <= 1e-12
+        assert max_rel_err(r, dense_atom_forms(grid.atoms, st.theta @ scm @ st.theta)) <= 1e-12
+
+    def test_off_grid_steering_vectors_are_vandermonde(self):
+        angles = np.random.default_rng(3).uniform(-90.0, 90.0, 25)
+        d = Dictionary(steering_matrix(6, angles))
+        assert d.is_vandermonde
+        H = random_pdh(np.random.default_rng(4), 6)
+        assert max_rel_err(atom_forms(d, H[None])[0], dense_atom_forms(d.atoms, H)) <= 1e-12
+
+    def test_forms_of_non_hermitian_matrix_take_the_real_part(self):
+        rng = np.random.default_rng(5)
+        grid = ula_grid(5, 31)
+        H = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        forms = atom_forms(grid, np.stack((H, hermitize(H))))
+        assert max_rel_err(forms[0], dense_atom_forms(grid.atoms, H)) <= 1e-12
+        assert max_rel_err(forms[1], forms[0]) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_other_dictionaries_keep_the_dense_arithmetic(self, case):
+        rng = np.random.default_rng(6)
+        d = Dictionary(DENSE_CASES[case](rng))
+        assert not d.is_vandermonde
+        A = d.atoms
+        n, m = A.shape
+        gamma = rng.uniform(0.0, 1.0, m)
+        st = build_covariance(d, gamma, 0.3)
+        expected = hermitize((A * gamma) @ A.conj().T)
+        expected[np.diag_indices(n)] += 0.3
+        npt.assert_array_equal(st.sigma, expected)
+        scm = random_pdh(rng, n)
+        V = st.theta @ A
+        q, r = atom_quadratic_forms(st, scm)
+        npt.assert_array_equal(q, np.einsum("ij,ij->j", A.conj(), V).real)
+        npt.assert_array_equal(r, np.einsum("ij,ij->j", V.conj(), scm @ V).real)
+        npt.assert_array_equal(atom_forms(d, scm[None])[0], np.einsum("ij,ij->j", A.conj(), scm @ A).real)
 
 
 class TestNegativeLlf:
@@ -246,6 +331,21 @@ class TestPseudoInverseApply:
         with pytest.raises(RankDeficientError):
             pseudo_inverse_apply(B, np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("cond, deficient", [(0.99e6, False), (1.01e6, True)])
+    def test_rank_decision_follows_the_condition_number_of_b(self, cond, deficient):
+        rng = np.random.default_rng(14)
+        U, _ = np.linalg.qr(rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        B = U @ np.diag([1.0, 0.1, 1.0 / cond]) @ V.conj().T
+        if deficient:
+            with pytest.raises(RankDeficientError):
+                _qr_full_rank(B)
+        else:
+            Q, R = _qr_full_rank(B)
+            Q0, R0 = np.linalg.qr(B)
+            npt.assert_array_equal(Q, Q0)
+            npt.assert_array_equal(R, R0)
+
 
 class TestNoiseMle:
     def test_empty_support(self):
@@ -269,6 +369,12 @@ class TestNoiseMle:
     def test_support_too_large(self):
         with pytest.raises(ValueError):
             noise_mle(np.eye(3, dtype=complex), np.eye(3, dtype=complex), 3)
+
+    def test_given_factor_gives_the_same_value(self):
+        rng = np.random.default_rng(15)
+        B = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        scm = random_pdh(rng, 6)
+        assert noise_mle(scm, B, 6, factor=np.linalg.qr(B)) == noise_mle(scm, B, 6)
 
     def test_rank_deficient_support_rejected(self):
         scm = np.eye(4, dtype=complex)

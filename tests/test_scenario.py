@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlearn import methods
 from covlearn import (
     MethodSpec,
     ScenarioConfig,
@@ -257,3 +258,13 @@ class TestRunMonteCarlo:
         by = {r.method: r for r in recs}
         assert by["cl-omp"].failures == 0 and by["cl-omp"].trials == 3
         assert by["mle1"].failures == 3 and by["mle1"].trials == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, threads):
+        def broken_solve(*args, **kwargs):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(methods, "solve_trial", broken_solve)
+        cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
+        with pytest.raises(TypeError, match="shape bug"):
+            run_monte_carlo(cfg, ["somp"], threads=threads)

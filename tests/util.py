@@ -56,3 +56,24 @@ def golden_section_min(f, lo, hi, tol=1e-12, max_iter=300):
             d = a + invphi * (b - a)
             fd = f(d)
     return (a + b) / 2.0
+
+
+# (N, M) of steering grids over [-90, 90] deg, odd and even M; the two
+# endpoints are both the atom z = -1 (aliased).
+ULA_SHAPES = [(2, 7), (2, 8), (3, 41), (3, 40), (20, 1801), (20, 360)]
+
+
+def dense_covariance(atoms, gamma, sigma2):
+    """Explicit A diag(gamma) A^H + sigma2 I."""
+    A = np.asarray(atoms)
+    return A @ np.diag(gamma) @ A.conj().T + sigma2 * np.eye(A.shape[0])
+
+
+def dense_atom_forms(atoms, H):
+    """Per-atom Re a^H H a, one atom at a time."""
+    return np.array([np.vdot(a, H @ a).real for a in np.asarray(atoms).T])
+
+
+def max_rel_err(actual, expected):
+    """Largest entrywise deviation relative to the largest expected entry."""
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
