@@ -4,7 +4,8 @@ Library layout:
 
 - :mod:`covlearn.model`: covariance model, likelihood, rank-one identities
 - :mod:`covlearn.sparsity`: top-K element/peak selection
-- :mod:`covlearn.clbcd`: block-coordinate descent solver
+- :mod:`covlearn.clbcd`: cl-bcd solver; the iteration driver, problem
+  validator and result type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit
 - :mod:`covlearn.baselines`: comparison methods (IAA, SAMV2, SBL, ...)
 - :mod:`covlearn.scenario`: experiment synthesis, metrics, Monte-Carlo engine
@@ -30,15 +31,14 @@ from .baselines import (
 )
 from .clbcd import (
     ClBcdConfig,
+    SolverConfig,
     SolverResult,
-    fp_g_noise,
-    fp_gamma_update,
     relative_change,
     run_clbcd,
     run_clbcd_scm,
 )
 from .clomp import SweepResult, conditional_gamma_star, run_clomp, run_clomp_scm, sweep_errors
-from .methods import MethodSpec, TrialOutcome, list_method_tags, solve_trial
+from .methods import MethodSpec, list_method_tags, solve_trial
 from .model import (
     CovarianceState,
     DegenerateDowndateError,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clbcd import SolverResult, relative_change
+from .clbcd import SolverConfig, SolverResult, check_problem, iaa_update, iterate
 from .model import (
     CovarianceState,
     Dictionary,
@@ -48,39 +48,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    """Shared knobs for the iterative baselines.
+class BaselineConfig(SolverConfig):
+    """Knobs for the iterative baselines on top of :class:`SolverConfig`.
 
     b is the power-ratio exponent (1 for SAMV2/SBL, 1/2 for the SBL1
     variant); known_sigma2 supplies the noise variance to methods that do
     not estimate it (M-SBL, CWO).
     """
 
-    method: str = ""
-    max_iter: int = 500
-    tol: float = 0.5e-4
     b: float = 1.0
     known_sigma2: float | None = None
-    peak: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.b not in (0.5, 1.0):
             raise ValueError("ratio exponent b must be 1/2 or 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 # ---------------------------------------------------------------------------
 # single-step update rules
 # ---------------------------------------------------------------------------
-
-
-def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
-    """IAA power recursion: gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2."""
-    q, r = atom_quadratic_forms(state, scm)
-    return np.maximum(r, 0.0) / q**2
 
 
 def ratio_update(state: CovarianceState, scm: np.ndarray, b: float = 1.0) -> np.ndarray:
@@ -104,16 +91,24 @@ def samv2_noise_update(state: CovarianceState, scm: np.ndarray) -> float:
     return float(num / den)
 
 
-def cwo_update(state: CovarianceState, scm: np.ndarray, i: int) -> float:
-    """Exact coordinatewise minimizer step gamma_i <- gamma_i + max(d_i, -gamma_i)."""
-    a = state.dictionary.atom(i)
-    ta = state.theta @ a
+def _cwo_delta(theta: np.ndarray, a: np.ndarray, scm: np.ndarray, gamma_i: float):
+    """Exact coordinatewise minimizer move of one power against theta.
+
+    Returns (delta, Theta a, a^H Theta a) with delta = max(r/q^2 - 1/q, -gamma_i),
+    where q = a^H Theta a and r = a^H Theta Shat Theta a.
+    """
+    ta = theta @ a
     q = np.vdot(a, ta).real
     if q <= 0.0:
         raise NumericError("a^H Theta a must be positive for a PD model covariance")
     r = np.vdot(ta, scm @ ta).real
-    d = r / q**2 - 1.0 / q
-    return float(state.gamma[i] + max(d, -state.gamma[i]))
+    return max(r / q**2 - 1.0 / q, -gamma_i), ta, q
+
+
+def cwo_update(state: CovarianceState, scm: np.ndarray, i: int) -> float:
+    """Exact coordinatewise minimizer step gamma_i <- gamma_i + max(d_i, -gamma_i)."""
+    delta, _, _ = _cwo_delta(state.theta, state.dictionary.atom(i), scm, state.gamma[i])
+    return float(state.gamma[i] + delta)
 
 
 def _msbl_gamma_step(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
@@ -148,18 +143,6 @@ def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _check_problem(scm, dictionary, k):
-    n = dictionary.n_sensors
-    if scm.shape != (n, n):
-        raise ValueError("sample covariance shape does not match the dictionary")
-    if not 1 <= k < n:
-        raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
-    if k > dictionary.n_atoms:
-        raise ValueError(f"sparsity k={k} exceeds the number of atoms {dictionary.n_atoms}")
-    if not np.trace(scm).real > 0:
-        raise ValueError("sample covariance has no energy")
-
-
 def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None) -> SolverResult:
     """IAA spectral estimate, thresholded to a size-K support at the end.
 
@@ -169,57 +152,43 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = N
     projector-residual MLE on the final support.
     """
     config = config or BaselineConfig()
-    scm = sample_covariance(Y)
-    _check_problem(scm, dictionary, k)
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
     loading = 1e-12 * np.trace(scm).real / n
 
-    gamma = matched_filter_powers(dictionary, scm)
-    converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        state = build_covariance(dictionary, gamma, loading)
-        gamma_new = iaa_update(state, scm)
-        if gamma_new.min() < 0.0:
-            raise NumericError("power iterate went negative")
-        done = relative_change(gamma_new, gamma) < config.tol
-        gamma = gamma_new
-        if done:
-            converged = True
-            iterations = it
-            break
+    gamma, _, iterations, converged = iterate(
+        dictionary,
+        lambda state: (iaa_update(state, scm), loading),
+        matched_filter_powers(dictionary, scm),
+        loading,
+        config.max_iter,
+        config.tol,
+    )
     _, support = hard_threshold(gamma, k, config.peak)
     sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
 def _run_ratio_method(Y, dictionary, k, config, noise_rule: str) -> SolverResult:
-    scm = sample_covariance(Y)
-    _check_problem(scm, dictionary, k)
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
     sigma2_floor = 1e-15 * np.trace(scm).real / n
 
-    gamma = matched_filter_powers(dictionary, scm)
-    sigma2 = np.trace(scm).real / n
-    converged = False
-    iterations = config.max_iter
-    support = None
-    for it in range(1, config.max_iter + 1):
-        state = build_covariance(dictionary, gamma, sigma2)
-        gamma_new = ratio_update(state, scm, config.b)
-        if gamma_new.min() < 0.0:
-            raise NumericError("power iterate went negative")
+    def step(state):
+        gamma = ratio_update(state, scm, config.b)
         if noise_rule == "samv2":
-            sigma2 = max(samv2_noise_update(state, scm), sigma2_floor)
-        else:
-            _, support = hard_threshold(gamma_new, k, config.peak)
-            sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
-        done = relative_change(gamma_new, gamma) < config.tol
-        gamma = gamma_new
-        if done:
-            converged = True
-            iterations = it
-            break
+            return gamma, max(samv2_noise_update(state, scm), sigma2_floor)
+        _, support = hard_threshold(gamma, k, config.peak)
+        return gamma, noise_mle(scm, dictionary.take(support.indices), n)
+
+    gamma, sigma2, iterations, converged = iterate(
+        dictionary,
+        step,
+        matched_filter_powers(dictionary, scm),
+        np.trace(scm).real / n,
+        config.max_iter,
+        config.tol,
+    )
     _, support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
@@ -248,22 +217,17 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solve
     """
     if config.known_sigma2 is None or not config.known_sigma2 > 0:
         raise ValueError("msbl requires a positive known_sigma2")
-    scm = sample_covariance(Y)
-    _check_problem(scm, dictionary, k)
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     sigma2 = float(config.known_sigma2)
 
-    gamma = matched_filter_powers(dictionary, scm)
-    converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        state = build_covariance(dictionary, gamma, sigma2)
-        gamma_new = _msbl_gamma_step(state, scm)
-        done = relative_change(gamma_new, gamma) < config.tol
-        gamma = gamma_new
-        if done:
-            converged = True
-            iterations = it
-            break
+    gamma, _, iterations, converged = iterate(
+        dictionary,
+        lambda state: (_msbl_gamma_step(state, scm), sigma2),
+        matched_filter_powers(dictionary, scm),
+        sigma2,
+        config.max_iter,
+        config.tol,
+    )
     _, support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
@@ -278,37 +242,25 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solver
     """
     if config.known_sigma2 is None or not config.known_sigma2 > 0:
         raise ValueError("cwo requires a positive known_sigma2")
-    scm = sample_covariance(Y)
-    _check_problem(scm, dictionary, k)
-    n = dictionary.n_sensors
-    m = dictionary.n_atoms
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     sigma2 = float(config.known_sigma2)
     A = dictionary.atoms
 
-    gamma = np.zeros(m)
-    converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        state = build_covariance(dictionary, gamma, sigma2)
+    def sweep(state):
+        gamma = np.array(state.gamma)
         theta = np.array(state.theta)
-        start = gamma.copy()
-        for i in range(m):
-            a = A[:, i]
-            ta = theta @ a
-            q = np.vdot(a, ta).real
-            if q <= 0.0:
-                raise NumericError("a^H Theta a must be positive for a PD model covariance")
-            r = np.vdot(ta, scm @ ta).real
-            delta = max(r / q**2 - 1.0 / q, -gamma[i])
+        for i in range(dictionary.n_atoms):
+            delta, ta, q = _cwo_delta(theta, A[:, i], scm, gamma[i])
             if delta != 0.0:
                 gamma[i] += delta
                 theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
         if gamma.min() < 0.0:
             gamma = np.maximum(gamma, 0.0)  # roundoff from exact -gamma_i steps
-        if relative_change(gamma, start) < config.tol:
-            converged = True
-            iterations = it
-            break
+        return gamma, sigma2
+
+    gamma, _, iterations, converged = iterate(
+        dictionary, sweep, np.zeros(dictionary.n_atoms), sigma2, config.max_iter, config.tol
+    )
     _, support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
@@ -347,15 +299,11 @@ def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SupportSet:
     """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
 
     The noise subspace is spanned by the eigenvectors of the N-K smallest
-    sample-covariance eigenvalues; requires K < N so that subspace is
-    non-empty.
+    sample-covariance eigenvalues; :func:`check_problem` requires K < N, so
+    that subspace is non-empty, and a sample covariance with energy.
     """
-    scm = np.asarray(scm, dtype=np.complex128)
+    scm = check_problem(scm, grid, k)
     n = grid.n_sensors
-    if scm.shape != (n, n):
-        raise ValueError("sample covariance shape does not match the grid")
-    if not 1 <= k < n:
-        raise ValueError(f"k={k} must satisfy 1 <= k < n_sensors={n} (non-empty noise subspace)")
     _, vecs = np.linalg.eigh(scm)
     noise_basis = vecs[:, : n - k]
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]

@@ -1,7 +1,9 @@
-"""Block-coordinate descent solver for K-sparse covariance learning.
+"""Covariance-learning power iteration with a support noise refit, and the
+iteration driver, problem validator and result type every solver shares.
 
-Alternates a fixed-point sweep over all signal powers (computed from the
-frozen inverse covariance of the previous outer iteration) with the
+cl-bcd starts from the noise-only model and alternates IAA's power
+recursion gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2 over
+all atoms (against the inverse covariance of the previous iterate) with the
 closed-form noise-variance refit on the current top-K support, until the
 power iterates stop moving in relative sup-norm.
 """
@@ -26,9 +28,11 @@ from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
     "ClBcdConfig",
+    "SolverConfig",
     "SolverResult",
-    "fp_gamma_update",
-    "fp_g_noise",
+    "check_problem",
+    "iaa_update",
+    "iterate",
     "relative_change",
     "run_clbcd",
     "run_clbcd_scm",
@@ -36,104 +40,81 @@ __all__ = [
 ]
 
 
-UPDATE_RULES = ("power", "descent")
-
-
 @dataclass(frozen=True)
-class ClBcdConfig:
-    """Solver knobs.
+class SolverConfig:
+    """Knobs shared by every iterative solver.
 
-    update_rule selects the fixed-point power sweep (see
-    :func:`fp_gamma_update`): "power" keeps every coordinate strictly
-    positive and is stable on highly coherent dictionaries (dense steering
-    grids); "descent" takes exact conditional-minimizer steps per
-    coordinate, which is only safe when atoms are nearly orthogonal:
-    simultaneous full steps on a cluster of coherent atoms overshoot
-    collectively and can cycle.
-
-    prune_threshold > 0 permanently removes atoms whose power falls below
-    it (useful for very large dictionaries); 0 disables pruning.
-    track_nll records the negative log-likelihood after every outer
-    iteration in the result.
+    max_iter caps the iterations; the iteration stops once the powers move
+    less than tol in relative sup-norm. peak selects top-K local peaks
+    instead of top-K entries for the reported support.
     """
 
     max_iter: int = 500
     tol: float = 0.5e-4
     peak: bool = False
-    prune_threshold: float = 0.0
-    update_rule: str = "power"
-    track_nll: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+
+
+@dataclass(frozen=True)
+class ClBcdConfig(SolverConfig):
+    """cl-bcd knobs on top of :class:`SolverConfig`.
+
+    prune_threshold > 0 permanently removes atoms whose power falls below
+    it (useful for very large dictionaries); 0 disables pruning.
+    track_nll records the negative log-likelihood after every iteration in
+    the result.
+    """
+
+    prune_threshold: float = 0.0
+    track_nll: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.prune_threshold < 0:
             raise ValueError("prune_threshold must be nonnegative")
-        if self.update_rule not in UPDATE_RULES:
-            raise ValueError(f"update_rule must be one of {UPDATE_RULES}")
 
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Outcome of a solver run: support, power/noise estimates, telemetry."""
+    """Outcome of one method on one problem: estimates plus telemetry.
 
-    support: SupportSet
-    gamma: np.ndarray
+    Grid methods report a support and, where they estimate them, the powers
+    gamma over the whole dictionary. The off-grid single-source searcher
+    reports its directions in theta_deg and their powers in powers instead.
+    """
+
+    support: SupportSet | None
+    gamma: np.ndarray | None
     sigma2: float
     iterations: int
     converged: bool
     nll_trace: tuple | None = None
+    theta_deg: tuple | None = None
+    powers: np.ndarray | None = None
 
 
-def fp_gamma_update(state: CovarianceState, scm: np.ndarray, rule: str = "descent") -> np.ndarray:
-    """One fixed-point sweep of all signal powers against a frozen Theta.
+def check_problem(scm, dictionary: Dictionary, k: int) -> np.ndarray:
+    """Validate a K-sparse fit of ``scm`` over ``dictionary``; return scm as complex.
 
-    With q_i = a_i^H Theta a_i and r_i = a_i^H Theta Shat Theta a_i the
-    "descent" rule is the two-case form
-
-        gamma_i + (r_i/q_i^2 - 1/q_i)  clamped at 0,   if gamma_i <  1/q_i
-        r_i/q_i^2,                                     if gamma_i >= 1/q_i
-
-    i.e. an exact conditional-minimizer move (with adaptive step size
-    1/q_i^2 along the negative gradient) on coordinates below the
-    leave-one-out bound 1/q_i, and the plain power estimate above it.
-
-    The "power" rule is the additive positive-part form
-
-        r_i/q_i^2 + (gamma_i - 1/q_i)_+
-
-    whose output is strictly positive whenever Shat is nonsingular along
-    Theta a_i; no coordinate is ever clamped to zero, which keeps the
-    sweep stable when many coherent atoms update simultaneously from the
-    same frozen Theta. Both rules are elementwise nonnegative and agree
-    on coordinates at or above the leave-one-out bound.
+    Raises ValueError unless scm is N x N for the dictionary's N sensors,
+    1 <= k < N, k does not exceed the number of atoms, and tr(scm) > 0.
     """
-    if rule not in UPDATE_RULES:
-        raise ValueError(f"rule must be one of {UPDATE_RULES}")
-    q, r = atom_quadratic_forms(state, scm)
-    if np.any(q <= 0.0):
-        raise NumericError("a^H Theta a must be positive for a PD model covariance")
-    power = np.maximum(r, 0.0) / q**2
-    if rule == "power":
-        return power + np.maximum(state.gamma - 1.0 / q, 0.0)
-    descent = state.gamma + power - 1.0 / q
-    return np.where(state.gamma < 1.0 / q, np.maximum(descent, 0.0), power)
-
-
-def fp_g_noise(state: CovarianceState, scm: np.ndarray) -> float:
-    """Raw fixed-point value for the noise variance (diagnostic only).
-
-    tr(Theta (Shat - A Gamma A^H) Theta) / tr(Theta^2). Not used to update
-    sigma2: for overcomplete dictionaries it routinely goes negative, which
-    is why the solver refits sigma2 on the support instead.
-    """
-    theta = state.theta
-    signal_cov = state.sigma - state.sigma2 * np.eye(state.sigma.shape[0])
-    num = np.einsum("ij,ji->", theta @ (scm - signal_cov), theta).real
-    den = np.einsum("ij,ji->", theta, theta).real
-    return float(num / den)
+    n = dictionary.n_sensors
+    scm = np.asarray(scm, dtype=np.complex128)
+    if scm.shape != (n, n):
+        raise ValueError("sample covariance shape does not match the dictionary")
+    if not 1 <= k < n:
+        raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
+    if k > dictionary.n_atoms:
+        raise ValueError(f"sparsity k={k} exceeds the number of atoms {dictionary.n_atoms}")
+    if not np.trace(scm).real > 0:
+        raise ValueError("sample covariance has no energy")
+    return scm
 
 
 def relative_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -144,6 +125,39 @@ def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old)) / scale)
 
 
+def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
+    """IAA power recursion: gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2."""
+    q, r = atom_quadratic_forms(state, scm)
+    return np.maximum(r, 0.0) / q**2
+
+
+def iterate(dictionary: Dictionary, step, gamma0, sigma2_0: float, max_iter: int, tol: float):
+    """Fixed-point iteration of (gamma, sigma2) shared by every iterative solver.
+
+    Each iteration builds the model covariance at the current iterate and
+    calls ``step(state) -> (gamma_new, sigma2_new)``; it stops once
+    :func:`relative_change` of the powers falls below tol. Returns
+    (gamma, sigma2, iterations, converged); at the cap the last iterate
+    comes back with iterations = max_iter and converged = False.
+
+    Raises NumericError if a step returns a negative power.
+    """
+    gamma, sigma2 = gamma0, sigma2_0
+    for it in range(1, max_iter + 1):
+        # Keep the state bound until the next one is built: freeing it inside
+        # the iteration shifted glibc's heap trimming and nearly doubled the
+        # page faults of a Gaussian N=32, M=256 run.
+        state = build_covariance(dictionary, gamma, sigma2)
+        gamma_new, sigma2 = step(state)
+        if gamma_new.min() < 0.0:
+            raise NumericError("power iterate went negative")
+        done = relative_change(gamma_new, gamma) < tol
+        gamma = gamma_new
+        if done:
+            return gamma, sigma2, it, True
+    return gamma, sigma2, max_iter, False
+
+
 def run_clbcd_scm(
     scm: np.ndarray,
     dictionary: Dictionary,
@@ -152,48 +166,31 @@ def run_clbcd_scm(
 ) -> SolverResult:
     """Run the solver directly from a sample (or population) covariance."""
     config = config or ClBcdConfig()
+    scm = check_problem(scm, dictionary, k)
     n = dictionary.n_sensors
     m = dictionary.n_atoms
-    scm = np.asarray(scm, dtype=np.complex128)
-    if scm.shape != (n, n):
-        raise ValueError("sample covariance shape does not match the dictionary")
-    if not 1 <= k < n:
-        raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
-    if k > m:
-        raise ValueError(f"sparsity k={k} exceeds the number of atoms {m}")
-    if not np.trace(scm).real > 0:
-        raise ValueError("sample covariance has no energy")
-
-    # noise-only start: gamma = 0, Theta = (n / tr(Shat)) I
-    state = build_covariance(dictionary, np.zeros(m), np.trace(scm).real / n)
     pruned = np.zeros(m, dtype=bool)
     nll_trace: list[float] | None = [] if config.track_nll else None
-
-    gamma = state.gamma
-    sigma2 = state.sigma2
     support = None
-    converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        gamma = fp_gamma_update(state, scm, rule=config.update_rule)
+
+    def step(state):
+        nonlocal support
+        gamma = iaa_update(state, scm)
         if config.prune_threshold > 0.0:
             gamma[pruned] = 0.0
-            pruned |= gamma < config.prune_threshold
+            pruned[:] |= gamma < config.prune_threshold
             gamma[pruned] = 0.0
-        if gamma.min() < 0.0:
-            raise NumericError("power iterate went negative")
         _, support = hard_threshold(gamma, k, config.peak)
         sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
-        if relative_change(gamma, state.gamma) < config.tol:
-            converged = True
-            iterations = it
-            if nll_trace is not None:
-                nll_trace.append(negative_llf(build_covariance(dictionary, gamma, sigma2), scm))
-            break
-        state = build_covariance(dictionary, gamma, sigma2)
         if nll_trace is not None:
-            nll_trace.append(negative_llf(state, scm))
+            nll_trace.append(negative_llf(build_covariance(dictionary, gamma, sigma2), scm))
+        return gamma, sigma2
 
+    # noise-only start: gamma = 0, Theta = (n / tr(Shat)) I; the last step's
+    # support is the support of the returned powers
+    gamma, sigma2, iterations, converged = iterate(
+        dictionary, step, np.zeros(m), np.trace(scm).real / n, config.max_iter, config.tol
+    )
     return SolverResult(
         support=support,
         gamma=gamma,

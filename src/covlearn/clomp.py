@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clbcd import SolverResult
+from .clbcd import SolverResult, check_problem
 from .model import (
     CovarianceState,
     Dictionary,
@@ -74,8 +74,6 @@ def sweep_errors(state: CovarianceState, scm: np.ndarray, excluded=()) -> SweepR
     returned (q_i = a_i^H Theta a_i).
     """
     q, r = atom_quadratic_forms(state, scm)
-    if np.any(q <= 0.0):
-        raise NumericError("a^H Theta a must be positive for a PD model covariance")
     gamma = np.maximum((r - q) / q**2, 0.0)
     u = gamma * q
     errors = np.log1p(u) - u
@@ -93,17 +91,9 @@ def run_clomp_scm(
     sigma2_floor: float | None = None,
 ) -> SolverResult:
     """Greedy pursuit directly from a sample (or population) covariance."""
+    scm = check_problem(scm, dictionary, k)
     n = dictionary.n_sensors
     m = dictionary.n_atoms
-    scm = np.asarray(scm, dtype=np.complex128)
-    if scm.shape != (n, n):
-        raise ValueError("sample covariance shape does not match the dictionary")
-    if not 1 <= k < n:
-        raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
-    if k > m:
-        raise ValueError(f"sparsity k={k} exceeds the number of atoms {m}")
-    if not np.trace(scm).real > 0:
-        raise ValueError("sample covariance has no energy")
 
     # noise-only start: Sigma = (tr(Shat)/n) I, empty support
     state = build_covariance(dictionary, np.zeros(m), np.trace(scm).real / n)

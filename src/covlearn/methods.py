@@ -12,11 +12,10 @@ import numpy as np
 
 from . import baselines
 from .baselines import BaselineConfig
-from .clbcd import ClBcdConfig, run_clbcd
+from .clbcd import ClBcdConfig, SolverResult, run_clbcd
 from .clomp import run_clomp
 from .model import Dictionary, noise_mle, provisional_mle, pseudo_inverse_apply, sample_covariance
 from .scenario import grid_angles_deg, steering_matrix
-from .sparsity import SupportSet
 
 FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
 
@@ -55,18 +54,6 @@ class MethodSpec:
             )
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """What one method produced on one trial."""
-
-    support: SupportSet | None
-    gamma: np.ndarray | None
-    sigma2: float | None
-    iterations: int
-    theta_deg: tuple | None = None
-    powers: np.ndarray | None = None
-
-
 def list_method_tags() -> tuple:
     return METHOD_TAGS
 
@@ -84,7 +71,6 @@ def resolve_methods(methods) -> tuple:
 def _baseline_config(spec: MethodSpec, peak: bool, noise_var: float, b: float | None = None) -> BaselineConfig:
     known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
     return BaselineConfig(
-        method=spec.tag,
         max_iter=spec.max_iter,
         tol=spec.tol,
         b=b if b is not None else (spec.b if spec.b is not None else 1.0),
@@ -101,7 +87,7 @@ def solve_trial(
     peak: bool,
     noise_var: float,
     grid_deg: np.ndarray | None = None,
-) -> TrialOutcome:
+) -> SolverResult:
     """Run one method on one batch of snapshots."""
     tag = spec.tag
 
@@ -109,12 +95,10 @@ def solve_trial(
         cfg = ClBcdConfig(
             max_iter=spec.max_iter, tol=spec.tol, peak=peak, prune_threshold=spec.prune_threshold
         )
-        res = run_clbcd(Y, dictionary, k, cfg)
-        return TrialOutcome(res.support, res.gamma, res.sigma2, res.iterations)
+        return run_clbcd(Y, dictionary, k, cfg)
 
     if tag == "cl-omp":
-        res = run_clomp(Y, dictionary, k)
-        return TrialOutcome(res.support, res.gamma, res.sigma2, res.iterations)
+        return run_clomp(Y, dictionary, k)
 
     if tag in ("iaa", "samv2", "sbl", "sbl1", "msbl", "cwo"):
         forced_b = {"samv2": 1.0, "sbl1": 0.5}.get(tag)
@@ -127,8 +111,7 @@ def solve_trial(
             "msbl": baselines.run_msbl,
             "cwo": baselines.run_cwo,
         }[tag]
-        res = runner(Y, dictionary, k, cfg)
-        return TrialOutcome(res.support, res.gamma, res.sigma2, res.iterations)
+        return runner(Y, dictionary, k, cfg)
 
     if tag == "somp":
         support = baselines.somp(Y, dictionary, k)
@@ -137,14 +120,14 @@ def solve_trial(
         gamma = np.zeros(dictionary.n_atoms)
         gamma[list(support.indices)] = np.mean(np.abs(rows) ** 2, axis=1)
         sigma2 = noise_mle(sample_covariance(Y), sub, dictionary.n_sensors)
-        return TrialOutcome(support, gamma, sigma2, iterations=k)
+        return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
     if tag == "music":
         scm = sample_covariance(Y)
         support = baselines.music_doas(scm, dictionary, k)
         evals = np.linalg.eigvalsh(scm)
         sigma2 = float(np.mean(evals[: dictionary.n_sensors - k]))
-        return TrialOutcome(support, None, sigma2, iterations=1)
+        return SolverResult(support, None, sigma2, iterations=1, converged=True)
 
     if tag == "mle1":
         if k != 1:
@@ -153,11 +136,12 @@ def solve_trial(
         theta = baselines.mle_single_source(scm, grid_angles_deg(FINE_GRID_POINTS))
         atom = steering_matrix(dictionary.n_sensors, [theta])
         gamma_src, sigma2 = provisional_mle(scm, atom, dictionary.n_sensors)
-        return TrialOutcome(
+        return SolverResult(
             support=None,
             gamma=None,
             sigma2=sigma2,
             iterations=1,
+            converged=True,
             theta_deg=(theta,),
             powers=gamma_src,
         )

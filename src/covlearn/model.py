@@ -275,15 +275,20 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
     Evaluated for all atoms at once: through :func:`atom_forms` on a
     Vandermonde dictionary, otherwise through V = Theta A, so the cost is
     two N x N by N x M products rather than M separate solves.
+
+    Raises NumericError if some q_i <= 0, which a positive definite Theta
+    rules out.
     """
     theta = state.theta
     if state.dictionary.is_vandermonde:
         q, r = atom_forms(state.dictionary, np.stack((theta, theta @ scm @ theta)))
-        return q, r
-    A = state.dictionary.atoms
-    V = theta @ A
-    q = np.einsum("ij,ij->j", A.conj(), V).real
-    r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
+    else:
+        A = state.dictionary.atoms
+        V = theta @ A
+        q = np.einsum("ij,ij->j", A.conj(), V).real
+        r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
+    if q.min() <= 0.0:
+        raise NumericError("a^H Theta a must be positive for a PD model covariance")
     return q, r
 
 
@@ -330,6 +335,8 @@ def _qr_full_rank(B: np.ndarray, cond_limit: float = 1e6):
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if B.shape[1] > B.shape[0]:
+        raise RankDeficientError("matrix has more columns than rows")
     Q, R = np.linalg.qr(B)
     s = np.linalg.svd(R, compute_uv=False)
     if s[-1] <= 0.0 or s[0] / s[-1] >= cond_limit:

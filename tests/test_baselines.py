@@ -60,14 +60,20 @@ class TestIaaUpdate:
         npt.assert_allclose(iaa_update(st, SCALAR_SCM), [4.0])
 
     def test_model_consistent_equals_loo_bound(self):
-        # at Shat == Sigma the update lands on 1/q, the same value the
-        # fixed-point rule takes on its power branch
+        # at Shat == Sigma the update lands on the leave-one-out bound 1/q
         rng = np.random.default_rng(40)
         st = random_state(rng, 5, 8)
         q = np.einsum(
             "ij,ij->j", st.dictionary.atoms.conj(), st.theta @ st.dictionary.atoms
         ).real
         npt.assert_allclose(iaa_update(st, st.sigma), 1.0 / q, rtol=1e-10)
+
+
+    def test_nonnegative_output(self):
+        rng = np.random.default_rng(21)
+        st = random_state(rng, 4, 7)
+        tiny_scm = 1e-6 * np.eye(4, dtype=complex)
+        assert iaa_update(st, tiny_scm).min() >= 0.0
 
 
 class TestRatioUpdate:
@@ -124,6 +130,17 @@ class TestCwoUpdate:
     def test_scalar_fixed_point(self):
         st = build_covariance(SCALAR_DICT, [3.0], 1.0)
         assert cwo_update(st, SCALAR_SCM, 0) == pytest.approx(3.0)
+
+    def test_scalar_step(self):
+        st = build_covariance(SCALAR_DICT, [2.0], 1.0)
+        # Theta = 1/3: r/q^2 = 4 and 1/q = 3, so gamma moves by +1
+        assert cwo_update(st, SCALAR_SCM, 0) == pytest.approx(3.0)
+
+    def test_model_consistent_scm_is_stationary(self):
+        rng = np.random.default_rng(20)
+        st = random_state(rng, 5, 8)
+        steps = [cwo_update(st, st.sigma, i) for i in range(8)]
+        npt.assert_allclose(steps, st.gamma, rtol=1e-10)
 
     def test_single_step_never_increases_nll(self):
         rng = np.random.default_rng(44)
@@ -211,6 +228,11 @@ class TestMusic:
         grid = ula_grid(4, 41)
         with pytest.raises(ValueError):
             music_doas(np.eye(4, dtype=complex), grid, 4)
+
+    def test_zero_energy_rejected(self):
+        # every eigenvector spans the noise subspace: no peak means anything
+        with pytest.raises(ValueError):
+            music_doas(np.zeros((4, 4), dtype=complex), ula_grid(4, 41), 1)
 
     def test_two_sources_population(self):
         n, m = 10, 361

@@ -4,93 +4,35 @@ import pytest
 
 from covlearn import (
     ClBcdConfig,
-    CovarianceState,
     Dictionary,
+    NumericError,
     build_covariance,
-    fp_g_noise,
-    fp_gamma_update,
     iaa_update,
+    noise_mle,
     relative_change,
     run_clbcd,
     run_clbcd_scm,
     sample_covariance,
 )
-from util import random_state, random_unit_dictionary
+from covlearn.clbcd import iterate
+from util import random_unit_dictionary
+
 
 SCALAR_DICT = Dictionary(np.array([[1.0 + 0j]]))
 SCALAR_SCM = np.array([[4.0 + 0j]])
 
 
 class TestFpGammaUpdate:
-    def test_scalar_descent_step(self):
-        st = build_covariance(SCALAR_DICT, [2.0], 1.0)
-        # Theta=1/3, r/q^2=4, 1/q=3 > gamma -> gamma + (4 - 3)
-        npt.assert_allclose(fp_gamma_update(st, SCALAR_SCM, rule="descent"), [3.0])
-
-    def test_scalar_fixed_point(self):
-        st = build_covariance(SCALAR_DICT, [3.0], 1.0)
-        npt.assert_allclose(fp_gamma_update(st, SCALAR_SCM, rule="descent"), [3.0])
-
-    def test_model_consistent_scm_is_stationary(self):
-        rng = np.random.default_rng(20)
-        st = random_state(rng, 5, 8)
-        npt.assert_allclose(fp_gamma_update(st, st.sigma, rule="descent"), st.gamma, rtol=1e-10)
-
-    def test_nonnegative_output(self):
-        rng = np.random.default_rng(21)
-        st = random_state(rng, 4, 7)
-        tiny_scm = 1e-6 * np.eye(4, dtype=complex)
-        for rule in ("descent", "power"):
-            assert fp_gamma_update(st, tiny_scm, rule=rule).min() >= 0.0
+    """cl-bcd's per-atom power step, iaa_update, on the scalar model."""
 
     def test_power_rule_scalar(self):
         st = build_covariance(SCALAR_DICT, [2.0], 1.0)
-        # (gamma - 1/q)_+ = 0, so the update is the plain power estimate
-        npt.assert_allclose(fp_gamma_update(st, SCALAR_SCM, rule="power"), [4.0])
+        # r/q^2 on one unit atom is Shat itself, whatever the current power
+        npt.assert_allclose(iaa_update(st, SCALAR_SCM), [4.0])
 
-    def test_reduces_to_iaa_above_loo_bound(self):
-        # force gamma_i >= 1/q_i with deliberately inconsistent caches
-        rng = np.random.default_rng(22)
-        base = random_state(rng, 5, 8)
-        big = np.array(base.gamma) + 10.0 / np.einsum(
-            "ij,ij->j", base.dictionary.atoms.conj(), base.theta @ base.dictionary.atoms
-        ).real
-        st = CovarianceState(base.dictionary, big, base.sigma2, base.sigma, base.theta)
-        scm = sample_covariance(
-            rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-        )
-        npt.assert_allclose(
-            fp_gamma_update(st, scm, rule="descent"), iaa_update(st, scm), rtol=1e-12
-        )
-
-    def test_unknown_rule(self):
-        st = build_covariance(SCALAR_DICT, [1.0], 1.0)
-        with pytest.raises(ValueError):
-            fp_gamma_update(st, SCALAR_SCM, rule="other")
-
-    def test_nonpositive_quadratic_form_guard(self):
-        from covlearn import NumericError
-
-        broken = CovarianceState(
-            dictionary=SCALAR_DICT,
-            gamma=np.array([1.0]),
-            sigma2=1.0,
-            sigma=np.array([[2.0 + 0j]]),
-            theta=np.array([[0.0 + 0j]]),  # inconsistent caches force q = 0
-        )
-        with pytest.raises(NumericError):
-            fp_gamma_update(broken, SCALAR_SCM)
-
-
-class TestFpGNoise:
-    def test_scalar_values(self):
-        npt.assert_allclose(fp_g_noise(build_covariance(SCALAR_DICT, [3.0], 1.0), SCALAR_SCM), 1.0)
-        npt.assert_allclose(fp_g_noise(build_covariance(SCALAR_DICT, [5.0], 1.0), SCALAR_SCM), -1.0)
-
-    def test_exact_at_model_consistent_scm(self):
-        rng = np.random.default_rng(23)
-        st = random_state(rng, 6, 9)
-        npt.assert_allclose(fp_g_noise(st, st.sigma), st.sigma2, rtol=1e-10)
+    def test_scalar_fixed_point(self):
+        st = build_covariance(SCALAR_DICT, [4.0], 1.0)
+        npt.assert_allclose(iaa_update(st, SCALAR_SCM), [4.0])
 
 
 class TestRelativeChange:
@@ -99,6 +41,24 @@ class TestRelativeChange:
 
     def test_sup_norm_ratio(self):
         npt.assert_allclose(relative_change(np.array([2.0, 4.0]), np.array([2.0, 3.0])), 0.25)
+
+
+class TestIterate:
+    D = Dictionary(np.eye(2, dtype=complex))
+
+    def test_stops_at_the_first_small_step(self):
+        # gamma halves its distance to (1, 1): relative steps 1, 1/3, 1/7, 1/15
+        def step(state):
+            return (state.gamma + 1.0) / 2.0, state.sigma2
+
+        gamma, sigma2, iterations, converged = iterate(self.D, step, np.zeros(2), 0.5, 50, 0.1)
+        assert (iterations, converged, sigma2) == (4, True, 0.5)
+        npt.assert_array_equal(gamma, [0.9375, 0.9375])
+        assert iterate(self.D, step, np.zeros(2), 0.5, 3, 0.1)[2:] == (3, False)
+
+    def test_negative_power_raises(self):
+        with pytest.raises(NumericError):
+            iterate(self.D, lambda state: (np.array([1.0, -1.0]), 1.0), np.zeros(2), 1.0, 5, 0.1)
 
 
 class TestRunClBcd:
@@ -119,18 +79,31 @@ class TestRunClBcd:
             hits += res.support.indices == (true,)
         assert hits / trials >= 0.99
 
-    @pytest.mark.parametrize("rule", ["power", "descent"])
-    def test_population_covariance_recovery(self, rule):
+    def test_population_covariance_recovery(self):
         rng = np.random.default_rng(24)
         A = random_unit_dictionary(rng, 12, 36)
         gamma = np.zeros(36)
         true = (4, 17, 30)
         gamma[list(true)] = [5.0, 4.0, 3.0]
         pop = build_covariance(A, gamma, 1.0).sigma
-        res = run_clbcd_scm(pop, A, 3, ClBcdConfig(update_rule=rule))
+        res = run_clbcd_scm(pop, A, 3)
         assert res.support.same_atoms(true)
         assert res.sigma2 > 0
         assert res.gamma.min() >= 0
+
+    def test_power_step_equals_iaa_update(self):
+        # each iteration's powers are IAA's r/q^2 against the model of the
+        # previous iterate, whose noise variance is that iterate's support refit
+        rng = np.random.default_rng(22)
+        A = random_unit_dictionary(rng, 6, 15)
+        Y = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+        scm = sample_covariance(Y)
+        state = build_covariance(A, np.zeros(15), np.trace(scm).real / 6)
+        for it in (1, 2, 3):
+            res = run_clbcd(Y, A, 2, ClBcdConfig(max_iter=it, tol=1e-14))
+            npt.assert_array_equal(res.gamma, iaa_update(state, scm))
+            assert res.sigma2 == noise_mle(scm, A.take(res.support.indices), 6)
+            state = build_covariance(A, res.gamma, res.sigma2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
@@ -185,7 +158,6 @@ class TestRunClBcd:
         rng = np.random.default_rng(29)
         A = random_unit_dictionary(rng, 8, 20)
         Y = 0.1 * (rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6)))
-        for rule in ("power", "descent"):
-            res = run_clbcd(Y, A, 3, ClBcdConfig(update_rule=rule))
-            assert res.gamma.min() >= 0.0
-            assert res.sigma2 > 0.0
+        res = run_clbcd(Y, A, 3)
+        assert res.gamma.min() >= 0.0
+        assert res.sigma2 > 0.0

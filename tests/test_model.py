@@ -6,6 +6,7 @@ from covlearn import (
     CovarianceState,
     DegenerateDowndateError,
     Dictionary,
+    NumericError,
     RankDeficientError,
     atom_forms,
     atom_quadratic_forms,
@@ -310,6 +311,59 @@ class TestLooQuadraticForm:
             loo_quadratic_form(broken, 0, np.array([1.0 + 0j]))
 
 
+def _loo_bound_states(case):
+    """Model covariances from build_covariance for the LOO-bound invariant."""
+    rng = np.random.default_rng(["gaussian", "strong", "coherent", "ula", "ula-adjacent"].index(case))
+    for _ in range(20):
+        if case == "gaussian":
+            yield random_state(rng, int(rng.integers(2, 9)), int(rng.integers(9, 30)))
+        elif case == "strong":
+            # three sources 30 to 80 dB above the noise
+            A = random_unit_dictionary(rng, 8, 24)
+            gamma = np.zeros(24)
+            gamma[rng.choice(24, 3, replace=False)] = 10.0 ** rng.uniform(3.0, 8.0, 3)
+            yield build_covariance(A, gamma, 1e-3)
+        elif case == "coherent":
+            # two strong atoms whose columns differ by about 1e-4
+            atoms = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+            atoms[:, 1] = atoms[:, 0] + 1e-4 * rng.standard_normal(6)
+            gamma = rng.uniform(0.0, 1.0, 10)
+            gamma[:2] = 1e4
+            yield build_covariance(Dictionary(atoms), gamma, 1e-2)
+        elif case == "ula":
+            yield build_covariance(ula_grid(8, 181), rng.uniform(0.0, 1.0, 181), 0.1)
+        else:
+            # adjacent 0.1-degree atoms of the benchmark grid, both strong
+            gamma = np.zeros(1801)
+            i = int(rng.integers(1800))
+            gamma[[i, i + 1]] = 10.0 ** rng.uniform(2.0, 6.0, 2)
+            yield build_covariance(ula_grid(20, 1801), gamma, 10.0 ** rng.uniform(-3.0, 0.0))
+
+
+class TestAtomQuadraticForms:
+    @pytest.mark.parametrize("case", ["gaussian", "strong", "coherent", "ula", "ula-adjacent"])
+    def test_power_never_exceeds_loo_bound(self, case):
+        # 1/q_i = gamma_i + 1/(a_i^H Sigma_{-i}^-1 a_i) > gamma_i (criterion 3's
+        # reciprocal identity), so gamma_i q_i < 1 up to the roundoff of q,
+        # which is eps * cond(Sigma) relative
+        eps = np.finfo(np.float64).eps
+        for st in _loo_bound_states(case):
+            q, _ = atom_quadratic_forms(st, st.sigma)
+            slack = 4 * st.dictionary.n_sensors * eps * np.linalg.cond(st.sigma)
+            assert np.max(st.gamma * q) <= 1.0 + slack
+
+    def test_nonpositive_quadratic_form_guard(self):
+        broken = CovarianceState(
+            dictionary=Dictionary(np.array([[1.0 + 0j]])),
+            gamma=np.array([1.0]),
+            sigma2=1.0,
+            sigma=np.array([[2.0 + 0j]]),
+            theta=np.array([[0.0 + 0j]]),  # inconsistent caches force q = 0
+        )
+        with pytest.raises(NumericError):
+            atom_quadratic_forms(broken, np.array([[4.0 + 0j]]))
+
+
 class TestPseudoInverseApply:
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(9)
@@ -330,6 +384,14 @@ class TestPseudoInverseApply:
         B = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficientError):
             pseudo_inverse_apply(B, np.eye(4, dtype=complex))
+
+    def test_more_columns_than_rows_rejected(self):
+        rng = np.random.default_rng(16)
+        B = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        with pytest.raises(RankDeficientError):
+            pseudo_inverse_apply(B, np.eye(2, dtype=complex))
+        with pytest.raises(RankDeficientError):
+            provisional_mle(np.eye(2, dtype=complex), B, 2)
 
     @pytest.mark.parametrize("cond, deficient", [(0.99e6, False), (1.01e6, True)])
     def test_rank_decision_follows_the_condition_number_of_b(self, cond, deficient):
