@@ -55,6 +55,7 @@ from .model import (
     provisional_mle,
     pseudo_inverse_apply,
     sample_covariance,
+    support_atom_forms,
 )
 from .scenario import (
     MetricsRecord,

@@ -275,12 +275,13 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
 
     Selects the atom maximizing ||a_i^H R||_2 / ||a_i||_2 against the
     current residual, refits all selected rows by least squares, K times.
+    The snapshots are validated like every other solver's input
+    (:func:`check_problem` on their sample covariance), so all-zero snapshots
+    raise ValueError.
     """
+    check_problem(sample_covariance(Y), dictionary, k)
     Y = np.asarray(Y, dtype=np.complex128)
     A = dictionary.atoms
-    n, m = A.shape
-    if not 1 <= k <= min(n, m):
-        raise ValueError(f"sparsity k={k} must be in [1, min(n_sensors, n_atoms)]")
     norms = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
 
     chosen: list[int] = []

@@ -5,6 +5,12 @@ atom, the exact drop in the conditional negative log-likelihood achievable
 by activating that atom alone; the best atom is added and the powers plus
 noise variance are refit in closed form on the grown support. Selected
 atoms are excluded from later sweeps, so no atom is ever chosen twice.
+
+The sweeps never build the model covariance: the model has at most K nonzero
+powers, so :func:`covlearn.model.support_atom_forms` evaluates the per-atom
+forms from the support's Gram rows, one row pair appended per chosen atom.
+A solve costs O(N^2 M + KNM) on a dense dictionary (O(N^2 + KNM) on a
+steering grid) instead of K dense form passes and K + 1 covariance inverses.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from .model import (
     Dictionary,
     NumericError,
     atom_quadratic_forms,
-    build_covariance,
     provisional_mle,
     sample_covariance,
+    support_atom_forms,
 )
 from .sparsity import SupportSet
 
@@ -63,7 +69,12 @@ def conditional_gamma_star(state: CovarianceState, scm: np.ndarray, i: int) -> f
     if q <= 0.0:
         raise NumericError("a^H Theta a must be positive for a PD model covariance")
     r = np.vdot(ta, scm @ ta).real
-    return float(max((r - q) / q**2, 0.0))
+    return float(_power_star(q, r))
+
+
+def _power_star(q, r):
+    """Conditionally optimal power max((r - q) / q^2, 0) of an atom with zero power."""
+    return np.maximum((r - q) / q**2, 0.0)
 
 
 def sweep_errors(state: CovarianceState, scm: np.ndarray, excluded=()) -> SweepResult:
@@ -73,8 +84,12 @@ def sweep_errors(state: CovarianceState, scm: np.ndarray, excluded=()) -> SweepR
     likelihood change epsilon_i = log(1 + gamma_i q_i) - gamma_i q_i are
     returned (q_i = a_i^H Theta a_i).
     """
-    q, r = atom_quadratic_forms(state, scm)
-    gamma = np.maximum((r - q) / q**2, 0.0)
+    return _sweep(*atom_quadratic_forms(state, scm), excluded)
+
+
+def _sweep(q: np.ndarray, r: np.ndarray, excluded) -> SweepResult:
+    """The sweep of :func:`sweep_errors` from the per-atom forms (q, r)."""
+    gamma = _power_star(q, r)
     u = gamma * q
     errors = np.log1p(u) - u
     idx = list(excluded.indices if isinstance(excluded, SupportSet) else excluded)
@@ -93,27 +108,26 @@ def run_clomp_scm(
     """Greedy pursuit directly from a sample (or population) covariance."""
     scm = check_problem(scm, dictionary, k)
     n = dictionary.n_sensors
-    m = dictionary.n_atoms
 
     # noise-only start: Sigma = (tr(Shat)/n) I, empty support
-    state = build_covariance(dictionary, np.zeros(m), np.trace(scm).real / n)
     chosen: list[int] = []
-    gamma = np.zeros(m)
-    sigma2 = state.sigma2
+    gamma_sub = np.zeros(0)
+    sigma2 = float(np.trace(scm).real / n)
+    rows = None
 
     for _ in range(k):
-        sweep = sweep_errors(state, scm, chosen)
+        q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows)
+        sweep = _sweep(q, r, chosen)
         if not np.any(np.isfinite(sweep.errors)):
             raise ValueError("no candidate atoms remain for the sweep")
         best = int(np.argmin(sweep.errors))  # lowest index wins ties
         chosen.append(best)
         gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
-        gamma = np.zeros(m)
-        gamma[chosen] = gamma_sub
-        state = build_covariance(dictionary, gamma, sigma2)
         if sigma2_floor is not None and sigma2 < sigma2_floor:
             break
 
+    gamma = np.zeros(dictionary.n_atoms)
+    gamma[chosen] = gamma_sub
     return SolverResult(
         support=SupportSet(tuple(chosen)),
         gamma=gamma,

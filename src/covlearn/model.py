@@ -20,6 +20,11 @@ diagonal sums of H: covariance assembly and the per-atom forms cost
 O(N^2 + NM) instead of O(N^2 M). Every other dictionary takes the dense
 O(N^2 M) path.
 
+A model whose powers sit on a small support of j atoms, B = A_support, has
+per-atom forms that need no N x N matrix: :func:`support_atom_forms` reads
+them off the support's Gram rows B^H A and B^H Shat A through the Woodbury
+identity, at O(NM) per support atom and O(j^2 M) per evaluation.
+
 All functions are pure; arrays inside the frozen dataclasses are marked
 read-only so states can be shared across threads.
 """
@@ -126,6 +131,7 @@ class Dictionary:
     atoms: np.ndarray
     norm_mode: str | None = None
     _vandermonde: _Vandermonde | None = field(init=False, repr=False, compare=False)
+    _norms2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -141,6 +147,7 @@ class Dictionary:
         if self.norm_mode == "array" and not np.allclose(norms2, atoms.shape[0], atol=1e-9, rtol=0.0):
             raise ValueError("array mode requires ||a_i||^2 == n_sensors")
         object.__setattr__(self, "atoms", _readonly(atoms))
+        object.__setattr__(self, "_norms2", _readonly(norms2))
         object.__setattr__(self, "_vandermonde", _detect_vandermonde(self.atoms))
 
     @property
@@ -194,6 +201,19 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
     return hermitize(Y @ Y.conj().T / Y.shape[1])
 
 
+def _check_model(gamma, n_powers: int, sigma2: float) -> np.ndarray:
+    """gamma as float64 after checking it has n_powers entries, all finite and
+    nonnegative, and that sigma2 is finite and positive (else ValueError)."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if gamma.shape != (n_powers,):
+        raise ValueError("gamma must have one entry per atom")
+    if not np.all(np.isfinite(gamma)) or np.any(gamma < 0.0):
+        raise ValueError("signal powers must be finite and nonnegative")
+    if not (np.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValueError("noise variance must be positive")
+    return gamma
+
+
 def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> CovarianceState:
     """Assemble Sigma = sum_i gamma_i a_i a_i^H + sigma2 I and cache its inverse.
 
@@ -205,14 +225,8 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> Covariance
         If the factorization of Sigma fails (cannot happen for sigma2 > 0
         with finite atoms, but guarded).
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
+    gamma = _check_model(gamma, dictionary.n_atoms, sigma2)
     A = dictionary.atoms
-    if gamma.shape != (dictionary.n_atoms,):
-        raise ValueError("gamma must have one entry per atom")
-    if not np.all(np.isfinite(gamma)) or np.any(gamma < 0.0):
-        raise ValueError("signal powers must be finite and nonnegative")
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError("noise variance must be positive")
     vdm = dictionary._vandermonde
     if vdm is None:
         sigma = hermitize((A * gamma) @ A.conj().T)
@@ -287,9 +301,65 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
         V = theta @ A
         q = np.einsum("ij,ij->j", A.conj(), V).real
         r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
+    return _check_positive(q), r
+
+
+def _check_positive(q: np.ndarray) -> np.ndarray:
     if q.min() <= 0.0:
         raise NumericError("a^H Theta a must be positive for a PD model covariance")
-    return q, r
+    return q
+
+
+def support_atom_forms(
+    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2: float, rows=None
+):
+    """Per-atom (q, r) of Sigma = sigma2 I + B diag(gamma) B^H, B = A_support, from Gram rows.
+
+    With D = diag(sqrt(gamma)) the Woodbury identity gives
+    Theta = (I - B C B^H) / sigma2 for C = D (sigma2 I + D B^H B D)^-1 D. So
+    with p_i = B^H a_i, h_i = B^H Shat a_i and c_i = C p_i:
+
+        q_i = a_i^H Theta a_i = (||a_i||^2 - Re p_i^H c_i) / sigma2
+        r_i = a_i^H Theta Shat Theta a_i
+            = (a_i^H Shat a_i - 2 Re c_i^H h_i + Re c_i^H B^H Shat B c_i) / sigma2^2
+
+    gamma lists the support powers in the order of ``support``. The Gram rows
+    P = B^H A and H = B^H Shat A are j x M for j support atoms, so once they
+    exist an evaluation costs O(j^2 M) and forms no N x N matrix. ``rows`` is
+    the third value a previous call returned for the same dictionary and scm
+    and a prefix of this support: its rows are kept and one row pair is
+    appended per new atom, at O(NM). Without it, the call also evaluates
+    a_i^H Shat a_i through :func:`atom_forms` (O(N^2 M) on a dense dictionary,
+    O(N^2 + NM) on a Vandermonde one); ||a_i||^2 is cached by the dictionary.
+
+    Returns (q, r, rows). Raises NumericError if some q_i <= 0, and
+    ValueError for invalid powers or a ``rows`` whose support is not a prefix.
+    """
+    support = tuple(int(i) for i in support)
+    gamma = _check_model(gamma, len(support), sigma2)
+    scm = np.asarray(scm, dtype=np.complex128)
+    A = dictionary.atoms
+    if rows is None:
+        empty = np.empty((0, A.shape[1]), dtype=np.complex128)
+        rows = ((), dictionary._norms2, atom_forms(dictionary, scm[None])[0], empty, empty)
+    known, sq, s, P, H = rows
+    if support[: len(known)] != known:
+        raise ValueError("rows were computed for a support that is not a prefix of this one")
+    if len(support) > len(known):
+        B = dictionary.take(support[len(known) :])
+        P = np.concatenate((P, B.conj().T @ A))
+        H = np.concatenate((H, (scm @ B).conj().T @ A))
+        rows = (support, sq, s, P, H)
+    d = np.sqrt(gamma)[:, None]
+    idx = list(support)
+    G = d * P[:, idx] * d.T
+    G[np.diag_indices_from(G)] += sigma2
+    # C is j x j: invert it and apply it to the j x M rows by one product
+    CP = (d * np.linalg.inv(G) * d.T) @ P
+    q = (sq - (P.conj() * CP).real.sum(axis=0)) / sigma2
+    # Re c^H (B^H Shat B c - 2 h), one elementwise pass over the rows
+    r = (s + (CP.conj() * (H[:, idx] @ CP - 2.0 * H)).real.sum(axis=0)) / sigma2**2
+    return _check_positive(q), r, rows
 
 
 def nll_gradient(state: CovarianceState, scm: np.ndarray):

@@ -211,6 +211,10 @@ class TestSomp:
         sup = somp(Q @ X, d, 2)
         assert sup.same_atoms({2, 6})
 
+    def test_all_zero_snapshots_rejected(self):
+        with pytest.raises(ValueError, match="no energy"):
+            somp(np.zeros((6, 10), dtype=complex), ula_grid(6, 91), 2)
+
 
 class TestMusic:
     def test_exact_single_source(self):

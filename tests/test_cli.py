@@ -128,9 +128,12 @@ class TestRunExperiment:
 
     def test_timings_flag_populates_runtime(self, tmp_path):
         spec = parse_spec(write(tmp_path, MINI))
-        run_experiment(spec, tmp_path / "timed", threads=1, timings=True)
-        rows = (tmp_path / "timed" / "results.csv").read_text().strip().splitlines()[1:]
-        assert all(row.rsplit(",", 1)[1] != "" for row in rows)
+        for threads in (1, 2):
+            out = tmp_path / f"timed{threads}"
+            run_experiment(spec, out, threads=threads, timings=True)
+            rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+            assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
+            assert json.loads((out / "meta.json").read_text())["runtime_clock"] == "thread_time"
 
     def test_csv_only_emit(self, tmp_path):
         spec = parse_spec(write(tmp_path, MINI + "emit = csv\n"))

@@ -8,9 +8,19 @@ from covlearn import (
     conditional_gamma_star,
     run_clomp,
     run_clomp_scm,
+    sample_covariance,
+    steering_matrix,
     sweep_errors,
+    ula_grid,
 )
-from util import direct_nll, golden_section_min, random_pdh, random_state, random_unit_dictionary
+from util import (
+    dense_clomp,
+    direct_nll,
+    golden_section_min,
+    random_pdh,
+    random_state,
+    random_unit_dictionary,
+)
 
 
 class TestConditionalGammaStar:
@@ -154,3 +164,48 @@ class TestRunClomp:
         res = run_clomp(Y, A, 4)
         assert res.gamma.min() >= 0.0
         assert res.sigma2 > 0.0
+
+
+def _snapshots(rng, atoms, powers, n_snapshots):
+    n, k = atoms.shape
+    X = rng.standard_normal((k, n_snapshots)) + 1j * rng.standard_normal((k, n_snapshots))
+    E = rng.standard_normal((n, n_snapshots)) + 1j * rng.standard_normal((n, n_snapshots))
+    return (atoms * np.sqrt(powers / 2)) @ X + E / np.sqrt(2)
+
+
+def _parity_problems(kind):
+    """Seeded (scm, dictionary, k) triples: noisy snapshots of k sources."""
+    rng = np.random.default_rng(["gaussian", "ula", "few-snapshots"].index(kind))
+    for _ in range(24):
+        if kind == "gaussian":
+            n, m = (32, 256) if rng.uniform() < 0.5 else (12, 40)
+            d = random_unit_dictionary(rng, n, m)
+            k = int(rng.integers(2, 5))
+            src = d.take(rng.choice(m, k, replace=False))
+            n_snapshots = int(rng.integers(n // 2, 2 * n))
+        elif kind == "ula":
+            d = ula_grid(20, 1801)
+            k = 2
+            first = rng.uniform(-60.0, 60.0)
+            # from 0.3 degrees (three grid steps) up to well resolved
+            src = steering_matrix(20, [first, first + rng.choice([0.3, 1.0, 7.0])])
+            n_snapshots = 125
+        else:
+            d = random_unit_dictionary(rng, 8, 30)
+            k = int(rng.integers(1, 7))
+            src = d.take(rng.choice(30, min(k, 3), replace=False))
+            n_snapshots = int(rng.integers(1, 4))
+        powers = 10.0 ** rng.uniform(0.1, 4.0, src.shape[1])
+        yield sample_covariance(_snapshots(rng, src, powers, n_snapshots)), d, k
+
+
+class TestGramRowSweeps:
+    @pytest.mark.parametrize("kind", ["gaussian", "ula", "few-snapshots"])
+    def test_same_result_as_the_dense_greedy_loop(self, kind):
+        # the refit is shared, so equal supports give bitwise-equal powers
+        for scm, d, k in _parity_problems(kind):
+            support, gamma, sigma2 = dense_clomp(scm, d, k)
+            res = run_clomp_scm(scm, d, k)
+            assert res.support.indices == support
+            assert res.gamma.tobytes() == gamma.tobytes()
+            assert res.sigma2 == sigma2

@@ -19,6 +19,7 @@ from covlearn import (
     pseudo_inverse_apply,
     sample_covariance,
     steering_matrix,
+    support_atom_forms,
     ula_grid,
 )
 from covlearn.model import _qr_full_rank, hermitize
@@ -362,6 +363,74 @@ class TestAtomQuadraticForms:
         )
         with pytest.raises(NumericError):
             atom_quadratic_forms(broken, np.array([[4.0 + 0j]]))
+
+
+def _support_model(case):
+    """(dictionary, support, support powers, sigma2, scm) for the Gram-row forms."""
+    rng = np.random.default_rng(["gaussian", "ula-adjacent", "60dB", "clipped"].index(case))
+    sigma2 = 0.8
+    if case == "ula-adjacent":
+        d = ula_grid(20, 1801)
+        support = (900, 901, 1400)  # two adjacent 0.1-degree atoms
+        gamma = np.array([5.0, 3.0, 1.0])
+    else:
+        d = random_unit_dictionary(rng, 32, 256)
+        support = tuple(int(i) for i in rng.choice(256, 4, replace=False))
+        gamma = rng.uniform(0.5, 3.0, 4)
+        if case == "60dB":
+            # cond(Sigma) ~ 1e7: the two dense references below already
+            # disagree with each other by about 5e-11 here
+            gamma = np.full(4, 1e6 * sigma2)
+        elif case == "clipped":
+            gamma[1] = 0.0
+    X = rng.standard_normal((d.n_sensors, 40)) + 1j * rng.standard_normal((d.n_sensors, 40))
+    return d, support, gamma, sigma2, sample_covariance(X)
+
+
+class TestSupportAtomForms:
+    @pytest.mark.parametrize("case", ["gaussian", "ula-adjacent", "60dB", "clipped"])
+    def test_match_the_dense_model(self, case):
+        d, support, gamma_sub, sigma2, scm = _support_model(case)
+        gamma = np.zeros(d.n_atoms)
+        gamma[list(support)] = gamma_sub
+        q, r, _ = support_atom_forms(d, scm, support, gamma_sub, sigma2)
+        q_lib, r_lib = atom_quadratic_forms(build_covariance(d, gamma, sigma2), scm)
+        theta = np.linalg.inv(dense_covariance(d.atoms, gamma, sigma2))
+        cases = (
+            (q, q_lib, dense_atom_forms(d.atoms, theta)),
+            (r, r_lib, dense_atom_forms(d.atoms, theta @ scm @ theta)),
+        )
+        for actual, lib, oracle in cases:
+            assert max_rel_err(actual, lib) <= 1e-10
+            assert max_rel_err(actual, oracle) <= 1e-10
+
+    def test_empty_support_is_the_noise_only_model(self):
+        d, _, _, _, scm = _support_model("gaussian")
+        q, r, _ = support_atom_forms(d, scm, (), np.zeros(0), 2.0)
+        npt.assert_allclose(q, dense_atom_forms(d.atoms, np.eye(32)) / 2.0, rtol=1e-13)
+        npt.assert_allclose(r, dense_atom_forms(d.atoms, scm) / 4.0, rtol=1e-12)
+
+    def test_rows_grown_one_atom_at_a_time(self):
+        d, support, gamma_sub, sigma2, scm = _support_model("gaussian")
+        rows = None
+        for j in range(len(support) + 1):
+            q, r, rows = support_atom_forms(d, scm, support[:j], gamma_sub[:j], sigma2, rows)
+            q0, r0, _ = support_atom_forms(d, scm, support[:j], gamma_sub[:j], sigma2)
+            npt.assert_allclose(q, q0, rtol=1e-12)
+            npt.assert_allclose(r, r0, rtol=1e-12)
+        assert rows[0] == support and rows[3].shape == rows[4].shape == (4, 256)
+
+    def test_invalid_arguments(self):
+        d, support, gamma_sub, sigma2, scm = _support_model("gaussian")
+        _, _, rows = support_atom_forms(d, scm, support[:2], gamma_sub[:2], sigma2)
+        with pytest.raises(ValueError, match="prefix"):
+            support_atom_forms(d, scm, support[1:3], gamma_sub[:2], sigma2, rows)
+        with pytest.raises(ValueError):
+            support_atom_forms(d, scm, support, gamma_sub[:2], sigma2)
+        with pytest.raises(ValueError):
+            support_atom_forms(d, scm, support, -gamma_sub, sigma2)
+        with pytest.raises(ValueError):
+            support_atom_forms(d, scm, support, gamma_sub, 0.0)
 
 
 class TestPseudoInverseApply:

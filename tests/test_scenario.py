@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covlearn import methods
+from covlearn import methods, scenario
 from covlearn import (
     MethodSpec,
     ScenarioConfig,
@@ -258,6 +258,15 @@ class TestRunMonteCarlo:
         by = {r.method: r for r in recs}
         assert by["cl-omp"].failures == 0 and by["cl-omp"].trials == 3
         assert by["mle1"].failures == 3 and by["mle1"].trials == 0
+
+    def test_all_zero_snapshots_are_counted_failures(self, monkeypatch):
+        # zero waveforms and zero noise give Y = 0 in every trial
+        monkeypatch.setattr(scenario, "_complex_gaussian", lambda rng, shape: np.zeros(shape, complex))
+        cfg = ScenarioConfig(
+            "ula-doa", 6, 91, 10, 2, (10.0,), true_doas_deg=(-20.0, 30.0), seed=3, trials=3
+        )
+        (rec,) = run_monte_carlo(cfg, ["somp"])
+        assert rec.failures == 3 and rec.trials == 0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, threads):

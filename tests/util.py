@@ -7,7 +7,7 @@ tests cross-check the implementation rather than echo it.
 
 import numpy as np
 
-from covlearn import Dictionary, build_covariance
+from covlearn import Dictionary, build_covariance, provisional_mle, sweep_errors
 
 
 def random_unit_dictionary(rng, n, m):
@@ -77,3 +77,23 @@ def dense_atom_forms(atoms, H):
 def max_rel_err(actual, expected):
     """Largest entrywise deviation relative to the largest expected entry."""
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+def dense_clomp(scm, dictionary, k):
+    """cl-omp's greedy loop on dense model covariances: (support, gamma, sigma2).
+
+    Builds Sigma and its inverse after every refit and sweeps all atoms with
+    the dense per-atom forms of that state; the library evaluates the same
+    sweeps from the support's Gram rows instead.
+    """
+    n, m = dictionary.n_sensors, dictionary.n_atoms
+    state = build_covariance(dictionary, np.zeros(m), np.trace(scm).real / n)
+    chosen = []
+    for _ in range(k):
+        sweep = sweep_errors(state, scm, chosen)
+        chosen.append(int(np.argmin(sweep.errors)))
+        gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
+        gamma = np.zeros(m)
+        gamma[chosen] = gamma_sub
+        state = build_covariance(dictionary, gamma, sigma2)
+    return tuple(chosen), gamma, sigma2
