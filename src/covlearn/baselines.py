@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clbcd import SolverConfig, SolverResult, check_problem, iaa_update, iterate
+from .clbcd import (
+    SolverConfig,
+    SolverResult,
+    _support_noise_refit,
+    check_problem,
+    iaa_update,
+    iterate,
+)
 from .model import (
     CovarianceState,
     Dictionary,
@@ -134,8 +141,7 @@ def msbl_em_step(state: CovarianceState, Y: np.ndarray, known_sigma2: float | No
 def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray:
     """Matched-filter spectrum a_i^H Shat a_i / ||a_i||^4 (strictly positive init)."""
     num = atom_forms(dictionary, scm[None])[0]
-    norms2 = np.sum(np.abs(dictionary.atoms) ** 2, axis=0)
-    return np.maximum(num, 0.0) / norms2**2
+    return np.maximum(num, 0.0) / dictionary._norms2**2
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +179,14 @@ def _run_ratio_method(Y, dictionary, k, config, noise_rule: str) -> SolverResult
     scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
     sigma2_floor = 1e-15 * np.trace(scm).real / n
+    refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
         gamma = ratio_update(state, scm, config.b)
         if noise_rule == "samv2":
             return gamma, max(samv2_noise_update(state, scm), sigma2_floor)
         _, support = hard_threshold(gamma, k, config.peak)
-        return gamma, noise_mle(scm, dictionary.take(support.indices), n)
+        return gamma, refit(support)
 
     gamma, sigma2, iterations, converged = iterate(
         dictionary,
@@ -270,19 +277,21 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solver
 # ---------------------------------------------------------------------------
 
 
-def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
+def somp(Y, dictionary: Dictionary, k: int, *, _scm=None) -> SupportSet:
     """Simultaneous OMP: greedy residual-correlation selection with LS refits.
 
     Selects the atom maximizing ||a_i^H R||_2 / ||a_i||_2 against the
     current residual, refits all selected rows by least squares, K times.
     The snapshots are validated like every other solver's input
     (:func:`check_problem` on their sample covariance), so all-zero snapshots
-    raise ValueError.
+    raise ValueError. ``_scm`` is not part of the interface: it lets the
+    methods layer, which needs the sample covariance of Y as well, form it
+    once.
     """
-    check_problem(sample_covariance(Y), dictionary, k)
+    check_problem(sample_covariance(Y) if _scm is None else _scm, dictionary, k)
     Y = np.asarray(Y, dtype=np.complex128)
     A = dictionary.atoms
-    norms = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
+    norms = np.sqrt(dictionary._norms2)
 
     chosen: list[int] = []
     residual = Y

@@ -119,10 +119,31 @@ def check_problem(scm, dictionary: Dictionary, k: int) -> np.ndarray:
 
 def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     """Sup-norm relative step ||new - old||_inf / ||new||_inf (0 if new == 0)."""
-    scale = np.max(np.abs(new))
+    scale = max(new.max(), -new.min())
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(new - old)) / scale)
+    step = new - old
+    return float(np.abs(step, out=step).max() / scale)
+
+
+def _support_noise_refit(scm: np.ndarray, dictionary: Dictionary):
+    """:func:`noise_mle` on a support, memoised by the support's indices.
+
+    noise_mle is a pure function of scm and the support, and the top-K
+    support of successive iterates rarely changes, so one solve refits each
+    distinct support once. Create one per solve: the memo holds that solve's
+    scm and dictionary.
+    """
+    n = dictionary.n_sensors
+    memo = {}
+
+    def refit(support: SupportSet) -> float:
+        sigma2 = memo.get(support.indices)
+        if sigma2 is None:
+            sigma2 = memo[support.indices] = noise_mle(scm, dictionary.take(support.indices), n)
+        return sigma2
+
+    return refit
 
 
 def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
@@ -172,6 +193,7 @@ def run_clbcd_scm(
     pruned = np.zeros(m, dtype=bool)
     nll_trace: list[float] | None = [] if config.track_nll else None
     support = None
+    refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
         nonlocal support
@@ -181,7 +203,7 @@ def run_clbcd_scm(
             pruned[:] |= gamma < config.prune_threshold
             gamma[pruned] = 0.0
         _, support = hard_threshold(gamma, k, config.peak)
-        sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
+        sigma2 = refit(support)
         if nll_trace is not None:
             nll_trace.append(negative_llf(build_covariance(dictionary, gamma, sigma2), scm))
         return gamma, sigma2

@@ -14,7 +14,7 @@ from . import baselines
 from .baselines import BaselineConfig
 from .clbcd import ClBcdConfig, SolverResult, run_clbcd
 from .clomp import run_clomp
-from .model import Dictionary, noise_mle, provisional_mle, pseudo_inverse_apply, sample_covariance
+from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle, sample_covariance
 from .scenario import grid_angles_deg, steering_matrix
 
 FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
@@ -114,12 +114,15 @@ def solve_trial(
         return runner(Y, dictionary, k, cfg)
 
     if tag == "somp":
-        support = baselines.somp(Y, dictionary, k)
+        scm = sample_covariance(Y)
+        support = baselines.somp(Y, dictionary, k, _scm=scm)
         sub = dictionary.take(support.indices)
-        rows = pseudo_inverse_apply(sub, np.asarray(Y, dtype=np.complex128))
+        # one factor of the final support serves the row refit and the noise refit
+        Q, R = _qr_full_rank(sub)
+        rows = np.linalg.solve(R, Q.conj().T @ np.asarray(Y, dtype=np.complex128))
         gamma = np.zeros(dictionary.n_atoms)
         gamma[list(support.indices)] = np.mean(np.abs(rows) ** 2, axis=1)
-        sigma2 = noise_mle(sample_covariance(Y), sub, dictionary.n_sensors)
+        sigma2 = noise_mle(scm, sub, dictionary.n_sensors, factor=(Q, R))
         return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
     if tag == "music":

@@ -49,8 +49,16 @@ class RankDeficientError(np.linalg.LinAlgError):
 
 
 def hermitize(Z: np.ndarray) -> np.ndarray:
-    """Symmetrize a square matrix after floating-point accumulation."""
-    return (Z + Z.conj().T) / 2.0
+    """Symmetrize a square floating-point matrix after accumulation."""
+    H = Z + Z.conj().T
+    H /= 2.0
+    return H
+
+
+def _add_to_diagonal(M: np.ndarray, v: float) -> None:
+    """M += v I in place, through a strided view of M's diagonal (any layout)."""
+    diagonal = np.einsum("ii->i", M)
+    diagonal += v
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -125,13 +133,15 @@ class Dictionary:
 
     A dictionary whose atoms form a unit-modulus Vandermonde matrix (a ULA
     steering grid) is detected here and takes the O(N^2 + NM) structured
-    path of :func:`build_covariance` and :func:`atom_forms`.
+    path of :func:`build_covariance` and :func:`atom_forms`. Any other
+    dictionary caches its conjugated atoms for the dense path.
     """
 
     atoms: np.ndarray
     norm_mode: str | None = None
     _vandermonde: _Vandermonde | None = field(init=False, repr=False, compare=False)
     _norms2: np.ndarray = field(init=False, repr=False, compare=False)
+    _atoms_conj: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -149,6 +159,13 @@ class Dictionary:
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "_norms2", _readonly(norms2))
         object.__setattr__(self, "_vandermonde", _detect_vandermonde(self.atoms))
+        # The dense path reads conj(A) in every assembly and form pass; the
+        # Vandermonde path never does, so only a dense dictionary keeps it.
+        conj = None
+        if self._vandermonde is None:
+            conj = self.atoms.conj()
+            conj.flags.writeable = False
+        object.__setattr__(self, "_atoms_conj", conj)
 
     @property
     def is_vandermonde(self) -> bool:
@@ -207,7 +224,8 @@ def _check_model(gamma, n_powers: int, sigma2: float) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (n_powers,):
         raise ValueError("gamma must have one entry per atom")
-    if not np.all(np.isfinite(gamma)) or np.any(gamma < 0.0):
+    # a NaN makes min() NaN, and every comparison with NaN is False
+    if gamma.size and not (gamma.min() >= 0.0 and gamma.max() < np.inf):
         raise ValueError("signal powers must be finite and nonnegative")
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError("noise variance must be positive")
@@ -229,23 +247,26 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> Covariance
     A = dictionary.atoms
     vdm = dictionary._vandermonde
     if vdm is None:
-        sigma = hermitize((A * gamma) @ A.conj().T)
+        sigma = hermitize((A * gamma) @ dictionary._atoms_conj.T)
     else:
         # Sigma[p, q] = sum_i gamma_i z_i^(p-q): Hermitian Toeplitz in c = A gamma
         c = A @ gamma
         c[0] = c[0].real
         sigma = np.concatenate((c[::-1], c[1:].conj()))[vdm.lags]
-    sigma[np.diag_indices_from(sigma)] += sigma2
+    _add_to_diagonal(sigma, sigma2)
     try:
         theta = hermitize(np.linalg.inv(sigma))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - sigma2 > 0 prevents this
         raise NumericError("model covariance is numerically singular") from exc
+    # sigma and theta are fresh arrays no one else holds: freeze them in place
+    sigma.flags.writeable = False
+    theta.flags.writeable = False
     return CovarianceState(
         dictionary=dictionary,
         gamma=_readonly(gamma),
         sigma2=float(sigma2),
-        sigma=_readonly(sigma),
-        theta=_readonly(theta),
+        sigma=sigma,
+        theta=theta,
     )
 
 
@@ -275,7 +296,7 @@ def atom_forms(dictionary: Dictionary, Hs: np.ndarray) -> np.ndarray:
     A = dictionary.atoms
     vdm = dictionary._vandermonde
     if vdm is None:
-        return np.stack([np.einsum("ij,ij->j", A.conj(), H @ A).real for H in Hs])
+        return np.stack([np.einsum("ij,ij->j", dictionary._atoms_conj, H @ A).real for H in Hs])
     n = dictionary.n_sensors
     s = np.add.reduceat(Hs.reshape(len(Hs), -1)[:, vdm.order], vdm.starts, axis=1)
     # lag -d pairs with conj(z^d), so its sum enters conjugated next to lag +d
@@ -295,11 +316,13 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
     """
     theta = state.theta
     if state.dictionary.is_vandermonde:
-        q, r = atom_forms(state.dictionary, np.stack((theta, theta @ scm @ theta)))
+        Hs = np.empty((2, *theta.shape), dtype=np.complex128)
+        Hs[0] = theta
+        np.matmul(theta @ scm, theta, out=Hs[1])
+        q, r = atom_forms(state.dictionary, Hs)
     else:
-        A = state.dictionary.atoms
-        V = theta @ A
-        q = np.einsum("ij,ij->j", A.conj(), V).real
+        V = theta @ state.dictionary.atoms
+        q = np.einsum("ij,ij->j", state.dictionary._atoms_conj, V).real
         r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
     return _check_positive(q), r
 
@@ -353,7 +376,7 @@ def support_atom_forms(
     d = np.sqrt(gamma)[:, None]
     idx = list(support)
     G = d * P[:, idx] * d.T
-    G[np.diag_indices_from(G)] += sigma2
+    _add_to_diagonal(G, sigma2)
     # C is j x j: invert it and apply it to the j x M rows by one product
     CP = (d * np.linalg.inv(G) * d.T) @ P
     q = (sq - (P.conj() * CP).real.sum(axis=0)) / sigma2

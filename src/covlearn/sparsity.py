@@ -23,8 +23,8 @@ class SupportSet:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        idx = tuple(map(int, self.indices))
+        if idx and min(idx) < 0:
             raise ValueError("atom indices must be nonnegative")
         if len(set(idx)) != len(idx):
             raise ValueError("atom indices must be distinct")
@@ -58,15 +58,28 @@ def peak_mask(values: np.ndarray) -> np.ndarray:
     The strict-left/weak-right rule picks the first index of any plateau.
     """
     v = np.asarray(values, dtype=np.float64)
-    prev = np.concatenate(([-np.inf], v[:-1]))
-    nxt = np.concatenate((v[1:], [-np.inf]))
-    return (v > prev) & (v >= nxt)
+    mask = np.empty(v.shape, dtype=bool)
+    if v.size:
+        np.greater(v[1:], v[:-1], out=mask[1:])
+        mask[0] = v[0] > -np.inf
+        # v[-1] >= -inf holds unless v[-1] is NaN, and then v[-1] > v[-2] failed
+        mask[:-1] &= v[:-1] >= v[1:]
+    return mask
 
 
-def _largest_first(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Candidate indices ordered by descending value, lowest index on ties."""
-    order = np.argsort(-values[candidates], kind="stable")
-    return candidates[order]
+def _top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k largest values, lowest index on ties.
+
+    The k-th largest value comes from a partition, O(M), instead of a sort.
+    Every value at or above it is kept; when ties at it overfill the k
+    slots, the highest-index ties are dropped.
+    """
+    kth = np.partition(values, values.size - k)[values.size - k]
+    chosen = (values >= kth).nonzero()[0]
+    if chosen.size > k:
+        ties = (values[chosen] == kth).nonzero()[0]
+        chosen = np.delete(chosen, ties[ties.size - (chosen.size - k) :])
+    return chosen
 
 
 def hard_threshold(gamma, k: int, peak: bool = False):
@@ -93,24 +106,25 @@ def hard_threshold(gamma, k: int, peak: bool = False):
     g = np.asarray(gamma, dtype=np.float64)
     if g.ndim != 1:
         raise ValueError("power vector must be 1-D")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("power vector entries must be finite")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > g.size:
         raise ValueError(f"k={k} exceeds the vector length {g.size}")
 
-    all_idx = np.arange(g.size)
     if peak:
-        peaks = _largest_first(g, all_idx[peak_mask(g)])
-        chosen = list(peaks[:k])
-        if len(chosen) < k:
-            rest = np.setdiff1d(all_idx, peaks, assume_unique=True)
-            chosen.extend(_largest_first(g, rest)[: k - len(chosen)])
-        support_idx = np.sort(np.asarray(chosen, dtype=int))
+        mask = peak_mask(g)
+        peaks = mask.nonzero()[0]
+        if peaks.size >= k:
+            support_idx = peaks[_top_k(g[peaks], k)]
+        else:
+            rest = (~mask).nonzero()[0]
+            fill = rest[_top_k(g[rest], k - peaks.size)]
+            support_idx = np.sort(np.concatenate((peaks, fill)))
     else:
-        support_idx = np.sort(_largest_first(g, all_idx)[:k])
+        support_idx = _top_k(g, k)
 
     out = np.zeros_like(g)
     out[support_idx] = g[support_idx]
-    return out, SupportSet(tuple(support_idx))
+    return out, SupportSet(tuple(support_idx.tolist()))

@@ -28,6 +28,7 @@ from covlearn import (
     grid_angles_deg,
     hard_threshold,
 )
+from covlearn import baselines, methods, model
 from util import (
     ULA_SHAPES,
     dense_atom_forms,
@@ -36,6 +37,7 @@ from util import (
     random_pdh,
     random_state,
     random_unit_dictionary,
+    somp_refit,
 )
 
 SCALAR_DICT = Dictionary(np.array([[1.0 + 0j]]))
@@ -214,6 +216,30 @@ class TestSomp:
     def test_all_zero_snapshots_rejected(self):
         with pytest.raises(ValueError, match="no energy"):
             somp(np.zeros((6, 10), dtype=complex), ula_grid(6, 91), 2)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_method_refit_forms_one_sample_covariance(self, monkeypatch, grid):
+        # rows and noise variance equal separate refits bitwise, though the
+        # method forms the sample covariance once and factors the support once
+        formed = []
+
+        def counting(Y):
+            formed.append(None)
+            return model.sample_covariance(Y)
+
+        monkeypatch.setattr(methods, "sample_covariance", counting)
+        monkeypatch.setattr(baselines, "sample_covariance", counting)
+        for seed in range(5):
+            rng = np.random.default_rng((48, seed))
+            d = ula_grid(8, 91) if grid else random_unit_dictionary(rng, 16, 64)
+            Y = rng.standard_normal((d.n_sensors, 12)) + 1j * rng.standard_normal((d.n_sensors, 12))
+            formed.clear()
+            res = methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, False, 1.0)
+            assert len(formed) == 1
+            assert res.support == somp(Y, d, 3)
+            gamma, sigma2 = somp_refit(Y, d, res.support.indices)
+            assert res.gamma.tobytes() == gamma.tobytes()
+            assert res.sigma2 == sigma2
 
 
 class TestMusic:

@@ -3,19 +3,25 @@ import numpy.testing as npt
 import pytest
 
 from covlearn import (
+    BaselineConfig,
     ClBcdConfig,
     Dictionary,
     NumericError,
     build_covariance,
+    gaussian_dictionary,
     iaa_update,
     noise_mle,
     relative_change,
     run_clbcd,
     run_clbcd_scm,
+    run_sbl,
     sample_covariance,
+    steering_matrix,
+    ula_grid,
 )
+from covlearn import clbcd
 from covlearn.clbcd import iterate
-from util import random_unit_dictionary
+from util import random_unit_dictionary, refit_every_iteration
 
 
 SCALAR_DICT = Dictionary(np.array([[1.0 + 0j]]))
@@ -161,3 +167,56 @@ class TestRunClBcd:
         res = run_clbcd(Y, A, 3)
         assert res.gamma.min() >= 0.0
         assert res.sigma2 > 0.0
+
+
+def _refit_problem(kind, seed):
+    """(dictionary, snapshots, k, peak): K sources in white noise."""
+    rng = np.random.default_rng((31, seed))
+    if kind == "gaussian":
+        d, k, snapshots = gaussian_dictionary(32, 256, (32, seed)), 4, 32
+        atoms = d.take(rng.choice(256, k, replace=False))
+    else:
+        d, k, snapshots = ula_grid(20, 1801), 2, 125
+        atoms = steering_matrix(20, rng.uniform(-60.0, 60.0, k))
+    amp = 10 ** (rng.uniform(-5.0, 10.0) / 20)
+    X = amp * (rng.standard_normal((k, snapshots)) + 1j * rng.standard_normal((k, snapshots)))
+    E = rng.standard_normal((d.n_sensors, snapshots)) + 1j * rng.standard_normal((d.n_sensors, snapshots))
+    return d, atoms @ X + E, k, kind == "ula"
+
+
+REFIT_PROBLEMS = [("gaussian", s) for s in range(4)] + [("ula", s) for s in range(2)]
+
+
+class TestSupportNoiseRefit:
+    """cl-bcd and sbl refit the noise variance once per distinct top-K support."""
+
+    @pytest.mark.parametrize("method", ["cl-bcd", 1.0, 0.5])
+    def test_one_refit_per_distinct_support(self, monkeypatch, method):
+        calls = iterations = 0
+        for kind, seed in REFIT_PROBLEMS:
+            d, Y, k, peak = _refit_problem(kind, seed)
+            scm = sample_covariance(Y)
+            max_iter = 500 if method == "cl-bcd" else 100
+            support, gamma, sigma2, its, supports = refit_every_iteration(
+                scm, d, k, peak, method, max_iter=max_iter
+            )
+            counted = []
+
+            def counting(*args, **kwargs):
+                counted.append(None)
+                return noise_mle(*args, **kwargs)
+
+            monkeypatch.setattr(clbcd, "noise_mle", counting)
+            if method == "cl-bcd":
+                res = run_clbcd(Y, d, k, ClBcdConfig(peak=peak))
+            else:
+                res = run_sbl(Y, d, k, BaselineConfig(b=method, peak=peak, max_iter=max_iter))
+            monkeypatch.undo()
+            assert len(counted) == len(set(supports))
+            assert res.support == support
+            assert res.gamma.tobytes() == gamma.tobytes()
+            assert res.sigma2 == sigma2
+            assert res.iterations == its
+            calls += len(counted)
+            iterations += its
+        assert calls < iterations

@@ -90,6 +90,14 @@ class TestDictionary:
         with pytest.raises(ValueError):
             d.atoms[0, 0] = 5.0
 
+    def test_dense_dictionary_caches_frozen_conjugate(self):
+        rng = np.random.default_rng(8)
+        d = random_unit_dictionary(rng, 5, 12)
+        npt.assert_array_equal(d._atoms_conj, d.atoms.conj())
+        assert not d._atoms_conj.flags.writeable
+        # the Vandermonde path never reads it, so a steering grid keeps none
+        assert ula_grid(5, 31)._atoms_conj is None
+
     def test_atom_and_take(self):
         d = Dictionary(np.arange(6, dtype=complex).reshape(2, 3))
         npt.assert_array_equal(d.atom(1), [1.0, 4.0])
@@ -125,6 +133,30 @@ class TestBuildCovariance:
             build_covariance(d, [0.0, 0.0], 0.0)
         with pytest.raises(ValueError):
             build_covariance(d, [0.0], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_non_finite_or_negative_powers_rejected(self, bad):
+        dense = Dictionary(np.eye(3, dtype=complex))
+        for d in (dense, ula_grid(3, 3)):
+            for at in range(3):
+                gamma = np.ones(3)
+                gamma[at] = bad
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    build_covariance(d, gamma, 1.0)
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    support_atom_forms(d, np.eye(3), (0, 1, 2), gamma, 1.0)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_state_arrays_are_read_only(self, grid):
+        rng = np.random.default_rng(9)
+        d = ula_grid(6, 40) if grid else random_unit_dictionary(rng, 6, 40)
+        gamma = rng.uniform(0.0, 1.0, 40)
+        st = build_covariance(d, gamma, 0.5)
+        for a in (st.gamma, st.sigma, st.theta):
+            assert not a.flags.writeable
+        # the state's powers are a copy: the caller's array stays writable
+        gamma[0] = 2.0
+        assert st.gamma[0] != 2.0
 
 
 def _perturbed_grid(n, m):

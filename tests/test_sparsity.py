@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covlearn import SupportSet, hard_threshold, peak_mask
+from util import sorting_hard_threshold
 
 
 class TestSupportSet:
@@ -47,6 +48,15 @@ class TestHardThresholdElements:
         with pytest.raises(ValueError):
             hard_threshold([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("peak", [False, True])
+    def test_rejects_non_finite_entries(self, bad, peak):
+        for at in (0, 2, 4):
+            g = np.array([1.0, 3.0, 2.0, 5.0, 0.5])
+            g[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                hard_threshold(g, 2, peak=peak)
+
 
 class TestHardThresholdPeaks:
     def test_shadowed_neighbor(self):
@@ -71,6 +81,30 @@ class TestHardThresholdPeaks:
     def test_flat_vector_degenerate(self):
         out, sup = hard_threshold(np.zeros(4), 2, peak=True)
         assert sup.indices == (0, 1)
+
+
+def _oracle_vectors():
+    rng = np.random.default_rng(41)
+    yield "all-zero", np.zeros(9)
+    for m in (1, 2, 7, 40):
+        yield f"random-{m}", rng.random(m)
+        yield f"coarse-{m}", rng.integers(0, 3, m).astype(float)
+        # runs of equal values: plateaus and tied peaks
+        yield f"plateau-{m}", np.repeat(rng.integers(0, 4, m), rng.integers(1, 4, m))[:m].astype(float)
+    yield "signed-zeros", np.array([0.0, -0.0, 1.0, -0.0, 1.0, 0.0])
+
+
+class TestHardThresholdMatchesSortingOracle:
+    """The partition-based selection picks what a full stable sort picks."""
+
+    @pytest.mark.parametrize("name, g", list(_oracle_vectors()))
+    @pytest.mark.parametrize("peak", [False, True])
+    def test_every_k(self, name, g, peak):
+        for k in range(1, g.size + 1):
+            out, sup = hard_threshold(g, k, peak=peak)
+            out_ref, sup_ref = sorting_hard_threshold(g, k, peak)
+            assert sup.indices == sup_ref, (name, k)
+            assert out.tobytes() == out_ref.tobytes()
 
 
 coarse_values = st.integers(min_value=0, max_value=10**6)

@@ -7,7 +7,20 @@ tests cross-check the implementation rather than echo it.
 
 import numpy as np
 
-from covlearn import Dictionary, build_covariance, provisional_mle, sweep_errors
+from covlearn import (
+    Dictionary,
+    SupportSet,
+    build_covariance,
+    iaa_update,
+    matched_filter_powers,
+    noise_mle,
+    provisional_mle,
+    pseudo_inverse_apply,
+    ratio_update,
+    sample_covariance,
+    sweep_errors,
+)
+from covlearn.clbcd import iterate
 
 
 def random_unit_dictionary(rng, n, m):
@@ -97,3 +110,73 @@ def dense_clomp(scm, dictionary, k):
         gamma[chosen] = gamma_sub
         state = build_covariance(dictionary, gamma, sigma2)
     return tuple(chosen), gamma, sigma2
+
+
+def sorting_hard_threshold(gamma, k, peak=False):
+    """hard_threshold by a full stable sort: (thresholded, support indices).
+
+    Local peaks come from shifted copies with -inf at both ends; candidates
+    are ordered by descending value, lowest index first on ties, and a
+    shortfall of peaks is filled from the largest non-peak entries.
+    """
+    g = np.asarray(gamma, dtype=np.float64)
+    idx = np.arange(g.size)
+
+    def largest_first(candidates):
+        return candidates[np.argsort(-g[candidates], kind="stable")]
+
+    if peak:
+        prev = np.concatenate(([-np.inf], g[:-1]))
+        nxt = np.concatenate((g[1:], [-np.inf]))
+        peaks = largest_first(idx[(g > prev) & (g >= nxt)])
+        chosen = list(peaks[:k])
+        if len(chosen) < k:
+            rest = np.setdiff1d(idx, peaks, assume_unique=True)
+            chosen.extend(largest_first(rest)[: k - len(chosen)])
+        support = np.sort(np.asarray(chosen, dtype=int))
+    else:
+        support = np.sort(largest_first(idx)[:k])
+    out = np.zeros_like(g)
+    out[support] = g[support]
+    return out, tuple(int(i) for i in support)
+
+
+def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.5e-4):
+    """cl-bcd (method "cl-bcd") or sbl (method 1.0 or 0.5, the ratio exponent)
+    with ``noise_mle`` run on the top-K support in every iteration.
+
+    Returns (support, gamma, sigma2, iterations, supports), where supports
+    lists the support of every iteration's refit.
+    """
+    n = dictionary.n_sensors
+    supports = []
+
+    def step(state):
+        if method == "cl-bcd":
+            gamma = iaa_update(state, scm)
+        else:
+            gamma = ratio_update(state, scm, method)
+        _, indices = sorting_hard_threshold(gamma, k, peak)
+        supports.append(indices)
+        return gamma, noise_mle(scm, dictionary.take(indices), n)
+
+    if method == "cl-bcd":
+        gamma0, sigma2_0 = np.zeros(dictionary.n_atoms), np.trace(scm).real / n
+    else:
+        gamma0, sigma2_0 = matched_filter_powers(dictionary, scm), np.trace(scm).real / n
+    gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, sigma2_0, max_iter, tol)
+    support = supports[-1] if method == "cl-bcd" else sorting_hard_threshold(gamma, k, peak)[1]
+    return SupportSet(support), gamma, sigma2, iterations, supports
+
+
+def somp_refit(Y, dictionary, support):
+    """somp's row powers and noise refit on a given support: (gamma, sigma2).
+
+    The rows and the noise variance each factor the support separately, and
+    the sample covariance is formed here.
+    """
+    sub = dictionary.take(support)
+    rows = pseudo_inverse_apply(sub, np.asarray(Y, dtype=np.complex128))
+    gamma = np.zeros(dictionary.n_atoms)
+    gamma[list(support)] = np.mean(np.abs(rows) ** 2, axis=1)
+    return gamma, noise_mle(sample_covariance(Y), sub, dictionary.n_sensors)
