@@ -18,7 +18,7 @@ from .baselines import (
     iaa_update,
     matched_filter_powers,
     mle_single_source,
-    msbl_em_step,
+    msbl_update,
     music_doas,
     ratio_update,
     run_cwo,
@@ -35,9 +35,8 @@ from .clbcd import (
     SolverResult,
     relative_change,
     run_clbcd,
-    run_clbcd_scm,
 )
-from .clomp import SweepResult, conditional_gamma_star, run_clomp, run_clomp_scm, sweep_errors
+from .clomp import SweepResult, conditional_gamma_star, run_clomp, sweep_errors
 from .methods import MethodSpec, list_method_tags, solve_trial
 from .model import (
     CovarianceState,

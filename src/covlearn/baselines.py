@@ -9,7 +9,7 @@ iterative runners share the sup-norm relative stopping rule and the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
     NumericError,
     atom_forms,
     atom_quadratic_forms,
-    build_covariance,
     noise_mle,
     pseudo_inverse_apply,
     sample_covariance,
@@ -41,7 +40,7 @@ __all__ = [
     "ratio_update",
     "samv2_noise_update",
     "cwo_update",
-    "msbl_em_step",
+    "msbl_update",
     "matched_filter_powers",
     "run_iaa",
     "run_samv2",
@@ -58,18 +57,11 @@ __all__ = [
 class BaselineConfig(SolverConfig):
     """Knobs for the iterative baselines on top of :class:`SolverConfig`.
 
-    b is the power-ratio exponent (1 for SAMV2/SBL, 1/2 for the SBL1
-    variant); known_sigma2 supplies the noise variance to methods that do
-    not estimate it (M-SBL, CWO).
+    known_sigma2 supplies the noise variance to methods that do not
+    estimate it (M-SBL, CWO).
     """
 
-    b: float = 1.0
     known_sigma2: float | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.b not in (0.5, 1.0):
-            raise ValueError("ratio exponent b must be 1/2 or 1")
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +110,16 @@ def cwo_update(state: CovarianceState, scm: np.ndarray, i: int) -> float:
     return float(state.gamma[i] + delta)
 
 
-def _msbl_gamma_step(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
-    # E/M step collapsed through the sample covariance:
-    # new gamma_i = gamma_i^2 r_i + gamma_i (1 - gamma_i q_i)
+def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
+    """One M-SBL EM step on the signal powers at the state's noise variance.
+
+    The posterior source moments against Sigma = A Gamma A^H + sigma2 I
+    collapse through the sample covariance to
+    gamma_i <- gamma_i^2 r_i + gamma_i (1 - gamma_i q_i). Zero powers remain zero.
+    """
     q, r = atom_quadratic_forms(state, scm)
     g = state.gamma
     return np.maximum(g * g * r + g * (1.0 - g * q), 0.0)
-
-
-def msbl_em_step(state: CovarianceState, Y: np.ndarray, known_sigma2: float | None = None) -> np.ndarray:
-    """One M-SBL EM step on the signal powers (noise variance held fixed).
-
-    Posterior source moments are formed against Sigma = A Gamma A^H +
-    sigma2 I with sigma2 = known_sigma2 (state is rebuilt if it was cached
-    at a different noise level). Zero powers remain zero.
-    """
-    if known_sigma2 is not None and not np.isclose(known_sigma2, state.sigma2):
-        state = build_covariance(state.dictionary, state.gamma, known_sigma2)
-    return _msbl_gamma_step(state, sample_covariance(Y))
 
 
 def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray:
@@ -175,16 +159,16 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = N
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
-def _run_ratio_method(Y, dictionary, k, config, noise_rule: str) -> SolverResult:
+def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> SolverResult:
     scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
-    sigma2_floor = 1e-15 * np.trace(scm).real / n
+    noise_floor = 1e-15 * np.trace(scm).real / n
     refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
-        gamma = ratio_update(state, scm, config.b)
+        gamma = ratio_update(state, scm, b)
         if noise_rule == "samv2":
-            return gamma, max(samv2_noise_update(state, scm), sigma2_floor)
+            return gamma, max(samv2_noise_update(state, scm), noise_floor)
         _, support = hard_threshold(gamma, k, config.peak)
         return gamma, refit(support)
 
@@ -202,18 +186,18 @@ def _run_ratio_method(Y, dictionary, k, config, noise_rule: str) -> SolverResult
 
 def run_samv2(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None) -> SolverResult:
     """Power-ratio update (b=1) paired with the trace-ratio noise rule."""
-    config = replace(config or BaselineConfig(), b=1.0)
-    return _run_ratio_method(Y, dictionary, k, config, noise_rule="samv2")
+    return _run_ratio_method(Y, dictionary, k, config or BaselineConfig(), "samv2", b=1.0)
 
 
-def run_sbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None) -> SolverResult:
-    """Power-ratio update paired with the support-projector noise refit.
+def run_sbl(
+    Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None, b: float = 1.0
+) -> SolverResult:
+    """Power-ratio update with exponent b paired with the support-projector noise refit.
 
-    b = 1 gives the standard variant; pass a config with b = 0.5 for the
-    square-root flavor.
+    b = 1 gives the standard variant and b = 1/2 the square-root flavor
+    (the ``sbl1`` tag); :func:`ratio_update` rejects any other exponent.
     """
-    config = config or BaselineConfig()
-    return _run_ratio_method(Y, dictionary, k, config, noise_rule="support")
+    return _run_ratio_method(Y, dictionary, k, config or BaselineConfig(), "support", b)
 
 
 def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> SolverResult:
@@ -229,7 +213,7 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solve
 
     gamma, _, iterations, converged = iterate(
         dictionary,
-        lambda state: (_msbl_gamma_step(state, scm), sigma2),
+        lambda state: (msbl_update(state, scm), sigma2),
         matched_filter_powers(dictionary, scm),
         sigma2,
         config.max_iter,

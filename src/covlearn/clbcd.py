@@ -35,7 +35,6 @@ __all__ = [
     "iterate",
     "relative_change",
     "run_clbcd",
-    "run_clbcd_scm",
     "noise_mle",
 ]
 
@@ -64,19 +63,11 @@ class SolverConfig:
 class ClBcdConfig(SolverConfig):
     """cl-bcd knobs on top of :class:`SolverConfig`.
 
-    prune_threshold > 0 permanently removes atoms whose power falls below
-    it (useful for very large dictionaries); 0 disables pruning.
     track_nll records the negative log-likelihood after every iteration in
     the result.
     """
 
-    prune_threshold: float = 0.0
     track_nll: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -179,18 +170,17 @@ def iterate(dictionary: Dictionary, step, gamma0, sigma2_0: float, max_iter: int
     return gamma, sigma2, max_iter, False
 
 
-def run_clbcd_scm(
-    scm: np.ndarray,
+def run_clbcd(
+    Y: np.ndarray,
     dictionary: Dictionary,
     k: int,
     config: ClBcdConfig | None = None,
 ) -> SolverResult:
-    """Run the solver directly from a sample (or population) covariance."""
+    """Recover a K-sparse power vector and its support from snapshots Y."""
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     config = config or ClBcdConfig()
-    scm = check_problem(scm, dictionary, k)
     n = dictionary.n_sensors
     m = dictionary.n_atoms
-    pruned = np.zeros(m, dtype=bool)
     nll_trace: list[float] | None = [] if config.track_nll else None
     support = None
     refit = _support_noise_refit(scm, dictionary)
@@ -198,10 +188,6 @@ def run_clbcd_scm(
     def step(state):
         nonlocal support
         gamma = iaa_update(state, scm)
-        if config.prune_threshold > 0.0:
-            gamma[pruned] = 0.0
-            pruned[:] |= gamma < config.prune_threshold
-            gamma[pruned] = 0.0
         _, support = hard_threshold(gamma, k, config.peak)
         sigma2 = refit(support)
         if nll_trace is not None:
@@ -221,13 +207,3 @@ def run_clbcd_scm(
         converged=converged,
         nll_trace=tuple(nll_trace) if nll_trace is not None else None,
     )
-
-
-def run_clbcd(
-    Y: np.ndarray,
-    dictionary: Dictionary,
-    k: int,
-    config: ClBcdConfig | None = None,
-) -> SolverResult:
-    """Recover a K-sparse power vector and its support from snapshots Y."""
-    return run_clbcd_scm(sample_covariance(Y), dictionary, k, config)

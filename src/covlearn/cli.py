@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, MethodSpec
+from .methods import METHOD_DESCRIPTIONS, METHOD_FIELDS, METHOD_TAGS, MethodSpec, check_methods
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
 try:  # pragma: no cover - metadata lookup
@@ -69,9 +69,7 @@ _REQUIRED_KEYS = ("kind", "n", "m", "l", "k", "snr_db", "methods")
 _OVERRIDE_FIELDS = {
     "max_iter": int,
     "tol": float,
-    "b": float,
     "known_sigma2": float,
-    "prune_threshold": float,
 }
 
 
@@ -156,6 +154,12 @@ def parse_spec(path) -> ExperimentSpec:
                     f"{where}: unknown override field {fieldname!r}; "
                     f"supported: {', '.join(_OVERRIDE_FIELDS)}"
                 )
+            if fieldname not in METHOD_FIELDS[tag]:
+                readable = ", ".join(METHOD_FIELDS[tag]) or "none"
+                raise SpecError(
+                    f"{where}: method {tag!r} does not read {fieldname!r}; "
+                    f"it reads: {readable}"
+                )
             overrides.setdefault(tag, {})[fieldname] = _parse_value(
                 _OVERRIDE_FIELDS[fieldname], value, where
             )
@@ -210,6 +214,10 @@ def parse_spec(path) -> ExperimentSpec:
     if overrides:
         stray = ", ".join(sorted(overrides))
         raise SpecError(f"{path}: overrides for methods not in the run: {stray}")
+    try:
+        check_methods(methods, scenario.kind, scenario.k)
+    except ValueError as exc:
+        raise SpecError(f"{path}:{entries['methods'][1]}: key 'methods': {exc}") from exc
 
     return ExperimentSpec(
         scenario=scenario,

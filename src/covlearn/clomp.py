@@ -37,7 +37,6 @@ __all__ = [
     "sweep_errors",
     "provisional_mle",
     "run_clomp",
-    "run_clomp_scm",
 ]
 
 
@@ -99,14 +98,9 @@ def _sweep(q: np.ndarray, r: np.ndarray, excluded) -> SweepResult:
     return SweepResult(gamma_candidates=gamma, errors=errors)
 
 
-def run_clomp_scm(
-    scm: np.ndarray,
-    dictionary: Dictionary,
-    k: int,
-    sigma2_floor: float | None = None,
-) -> SolverResult:
-    """Greedy pursuit directly from a sample (or population) covariance."""
-    scm = check_problem(scm, dictionary, k)
+def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
+    """Recover a K-sparse support from snapshots Y by greedy pursuit."""
+    scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
 
     # noise-only start: Sigma = (tr(Shat)/n) I, empty support
@@ -123,8 +117,6 @@ def run_clomp_scm(
         best = int(np.argmin(sweep.errors))  # lowest index wins ties
         chosen.append(best)
         gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
-        if sigma2_floor is not None and sigma2 < sigma2_floor:
-            break
 
     gamma = np.zeros(dictionary.n_atoms)
     gamma[chosen] = gamma_sub
@@ -132,16 +124,6 @@ def run_clomp_scm(
         support=SupportSet(tuple(chosen)),
         gamma=gamma,
         sigma2=sigma2,
-        iterations=len(chosen),
+        iterations=k,
         converged=True,
     )
-
-
-def run_clomp(
-    Y: np.ndarray,
-    dictionary: Dictionary,
-    k: int,
-    sigma2_floor: float | None = None,
-) -> SolverResult:
-    """Recover a K-sparse support from snapshots Y by greedy pursuit."""
-    return run_clomp_scm(sample_covariance(Y), dictionary, k, sigma2_floor)

@@ -7,6 +7,7 @@ method sees identical data and reports comparable telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,22 @@ METHOD_DESCRIPTIONS = {
 
 METHOD_TAGS = tuple(METHOD_DESCRIPTIONS)
 
+# The MethodSpec fields each tag reads; the others never reach its solver.
+_ITERATIVE = ("max_iter", "tol")
+METHOD_FIELDS = {
+    "cl-bcd": _ITERATIVE,
+    "cl-omp": (),
+    "iaa": _ITERATIVE,
+    "samv2": _ITERATIVE,
+    "sbl": _ITERATIVE,
+    "sbl1": _ITERATIVE,
+    "msbl": (*_ITERATIVE, "known_sigma2"),
+    "cwo": (*_ITERATIVE, "known_sigma2"),
+    "somp": (),
+    "music": (),
+    "mle1": (),
+}
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -43,9 +60,7 @@ class MethodSpec:
     tag: str
     max_iter: int = 500
     tol: float = 0.5e-4
-    b: float | None = None
     known_sigma2: float | None = None
-    prune_threshold: float = 0.0
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
@@ -68,15 +83,15 @@ def resolve_methods(methods) -> tuple:
     return tuple(specs)
 
 
-def _baseline_config(spec: MethodSpec, peak: bool, noise_var: float, b: float | None = None) -> BaselineConfig:
-    known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
-    return BaselineConfig(
-        max_iter=spec.max_iter,
-        tol=spec.tol,
-        b=b if b is not None else (spec.b if spec.b is not None else 1.0),
-        known_sigma2=known,
-        peak=peak,
-    )
+def check_methods(specs, kind: str, k: int) -> None:
+    """Reject methods that cannot solve a ``kind`` scenario with k sources.
+
+    Raises ValueError before any trial runs, so a mismatched method is a
+    config error rather than a column of failed trials. Only mle1 is
+    restricted: it searches one direction on the steering grid.
+    """
+    if any(spec.tag == "mle1" for spec in specs) and (kind != "ula-doa" or k != 1):
+        raise ValueError(f"mle1 needs kind = ula-doa and k = 1, got kind = {kind} and k = {k}")
 
 
 def solve_trial(
@@ -92,22 +107,20 @@ def solve_trial(
     tag = spec.tag
 
     if tag == "cl-bcd":
-        cfg = ClBcdConfig(
-            max_iter=spec.max_iter, tol=spec.tol, peak=peak, prune_threshold=spec.prune_threshold
-        )
+        cfg = ClBcdConfig(max_iter=spec.max_iter, tol=spec.tol, peak=peak)
         return run_clbcd(Y, dictionary, k, cfg)
 
     if tag == "cl-omp":
         return run_clomp(Y, dictionary, k)
 
     if tag in ("iaa", "samv2", "sbl", "sbl1", "msbl", "cwo"):
-        forced_b = {"samv2": 1.0, "sbl1": 0.5}.get(tag)
-        cfg = _baseline_config(spec, peak, noise_var, b=forced_b)
+        known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
+        cfg = BaselineConfig(max_iter=spec.max_iter, tol=spec.tol, known_sigma2=known, peak=peak)
         runner = {
             "iaa": baselines.run_iaa,
             "samv2": baselines.run_samv2,
             "sbl": baselines.run_sbl,
-            "sbl1": baselines.run_sbl,
+            "sbl1": partial(baselines.run_sbl, b=0.5),
             "msbl": baselines.run_msbl,
             "cwo": baselines.run_cwo,
         }[tag]
@@ -128,8 +141,11 @@ def solve_trial(
     if tag == "music":
         scm = sample_covariance(Y)
         support = baselines.music_doas(scm, dictionary, k)
+        n = dictionary.n_sensors
+        # with L <= k snapshots the noise eigenvalues are zero up to rounding;
+        # clamp like noise_mle so the estimate stays positive
         evals = np.linalg.eigvalsh(scm)
-        sigma2 = float(np.mean(evals[: dictionary.n_sensors - k]))
+        sigma2 = max(float(np.mean(evals[: n - k])), 1e-15 * np.trace(scm).real / n)
         return SolverResult(support, None, sigma2, iterations=1, converged=True)
 
     if tag == "mle1":

@@ -357,10 +357,13 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     independent of ``threads``. A solve that raises a numerical error
     (ArithmeticError, LinAlgError or ValueError) is counted as a failure of
     its cell; any other exception is a programming error and propagates.
+    A method that cannot solve the scenario (see
+    :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
     """
-    from .methods import resolve_methods, solve_trial
+    from .methods import check_methods, resolve_methods, solve_trial
 
     specs = resolve_methods(methods)
+    check_methods(specs, config.kind, config.k)
     n, m, k = config.n_sensors, config.n_atoms, config.k
     L = config.n_snapshots
 

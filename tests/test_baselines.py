@@ -12,7 +12,7 @@ from covlearn import (
     iaa_update,
     matched_filter_powers,
     mle_single_source,
-    msbl_em_step,
+    msbl_update,
     music_doas,
     negative_llf,
     ratio_update,
@@ -21,6 +21,7 @@ from covlearn import (
     run_msbl,
     run_samv2,
     run_sbl,
+    sample_covariance,
     samv2_noise_update,
     somp,
     steering_matrix,
@@ -162,8 +163,7 @@ class TestCwoUpdate:
 class TestMsblEmStep:
     def test_scalar_step_and_nll_decrease(self):
         st = build_covariance(SCALAR_DICT, [1.0], 1.0)
-        Y = np.array([[2.0 + 0j]])  # SCM = [4]
-        out = msbl_em_step(st, Y, 1.0)
+        out = msbl_update(st, np.array([[4.0 + 0j]]))
         npt.assert_allclose(out, [1.5])
         before = negative_llf(st, np.array([[4.0 + 0j]]))
         after = negative_llf(build_covariance(SCALAR_DICT, out, 1.0), np.array([[4.0 + 0j]]))
@@ -177,7 +177,7 @@ class TestMsblEmStep:
         gamma = np.array([0.0, 1.0, 0.0, 2.0, 0.3, 0.0, 0.9, 0.0])
         st = build_covariance(A, gamma, 0.7)
         Y = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-        out = msbl_em_step(st, Y, 0.7)
+        out = msbl_update(st, sample_covariance(Y))
         assert np.all(out[gamma == 0.0] == 0.0)
         assert out.min() >= 0.0
 
@@ -191,7 +191,7 @@ class TestMsblEmStep:
             st = build_covariance(A, gamma, sigma2)
             Y = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
             scm = Y @ Y.conj().T / 9
-            out = msbl_em_step(st, Y, sigma2)
+            out = msbl_update(st, scm)
             before = direct_nll(st.sigma, scm)
             after = direct_nll(build_covariance(A, out, sigma2).sigma, scm)
             assert after <= before + 1e-10
@@ -349,13 +349,13 @@ class TestRunners:
             (run_samv2, {}),
             (run_sbl, {}),
             (run_sbl, {"b": 0.5}),
-            (run_msbl, {"known_sigma2": 1.0}),
-            (run_cwo, {"known_sigma2": 1.0}),
+            (run_msbl, {"config": BaselineConfig(known_sigma2=1.0)}),
+            (run_cwo, {"config": BaselineConfig(known_sigma2=1.0)}),
         ],
     )
     def test_high_snr_support_recovery(self, easy_problem, runner, kwargs):
         A, Y, true = easy_problem
-        res = runner(Y, A, 3, BaselineConfig(**kwargs))
+        res = runner(Y, A, 3, **kwargs)
         assert res.support.same_atoms(true)
         assert res.gamma.min() >= 0.0
         assert res.sigma2 > 0.0
@@ -369,9 +369,10 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_cwo(Y, A, 2, BaselineConfig())
 
-    def test_config_validation(self):
+    def test_config_validation(self, easy_problem):
+        A, Y, _ = easy_problem
         with pytest.raises(ValueError):
-            BaselineConfig(b=0.7)
+            run_sbl(Y, A, 3, b=0.7)
         with pytest.raises(ValueError):
             BaselineConfig(max_iter=0)
 

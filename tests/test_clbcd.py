@@ -13,7 +13,6 @@ from covlearn import (
     noise_mle,
     relative_change,
     run_clbcd,
-    run_clbcd_scm,
     run_sbl,
     sample_covariance,
     steering_matrix,
@@ -21,7 +20,7 @@ from covlearn import (
 )
 from covlearn import clbcd
 from covlearn.clbcd import iterate
-from util import random_unit_dictionary, refit_every_iteration
+from util import population_snapshots, random_unit_dictionary, refit_every_iteration
 
 
 SCALAR_DICT = Dictionary(np.array([[1.0 + 0j]]))
@@ -92,7 +91,7 @@ class TestRunClBcd:
         true = (4, 17, 30)
         gamma[list(true)] = [5.0, 4.0, 3.0]
         pop = build_covariance(A, gamma, 1.0).sigma
-        res = run_clbcd_scm(pop, A, 3)
+        res = run_clbcd(population_snapshots(pop), A, 3)
         assert res.support.same_atoms(true)
         assert res.sigma2 > 0
         assert res.gamma.min() >= 0
@@ -150,16 +149,6 @@ class TestRunClBcd:
         assert res.nll_trace is not None and len(res.nll_trace) == res.iterations
         assert all(np.isfinite(v) for v in res.nll_trace)
 
-    def test_pruning_keeps_easy_recovery(self):
-        rng = np.random.default_rng(28)
-        A = random_unit_dictionary(rng, 10, 30)
-        gamma = np.zeros(30)
-        gamma[[3, 21]] = [6.0, 5.0]
-        pop = build_covariance(A, gamma, 1.0).sigma
-        base = run_clbcd_scm(pop, A, 2)
-        pruned = run_clbcd_scm(pop, A, 2, ClBcdConfig(prune_threshold=1e-12))
-        assert pruned.support.same_atoms(base.support)
-
     def test_all_iterates_nonnegative_with_positive_noise(self):
         rng = np.random.default_rng(29)
         A = random_unit_dictionary(rng, 8, 20)
@@ -210,7 +199,7 @@ class TestSupportNoiseRefit:
             if method == "cl-bcd":
                 res = run_clbcd(Y, d, k, ClBcdConfig(peak=peak))
             else:
-                res = run_sbl(Y, d, k, BaselineConfig(b=method, peak=peak, max_iter=max_iter))
+                res = run_sbl(Y, d, k, BaselineConfig(peak=peak, max_iter=max_iter), b=method)
             monkeypatch.undo()
             assert len(counted) == len(set(supports))
             assert res.support == support

@@ -20,6 +20,17 @@ seed = 21
 trials = 6
 """
 
+DOA = """\
+kind = ula-doa
+n = 12
+m = 361
+l = 20
+k = 1
+snr_db = 0
+true_doas_deg = -24.8
+trials = 2
+"""
+
 
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -68,11 +79,35 @@ class TestParseSpec:
             parse_spec(write(tmp_path, bad))
 
     def test_method_override_applies(self, tmp_path):
-        cfg = MINI + "method.cl-omp.max_iter = 7\n"
+        cfg = MINI.replace("cl-omp, somp", "cl-bcd, somp") + "method.cl-bcd.max_iter = 7\n"
         spec = parse_spec(write(tmp_path, cfg))
         by = {m.tag: m for m in spec.methods}
-        assert by["cl-omp"].max_iter == 7
+        assert by["cl-bcd"].max_iter == 7
         assert by["somp"].max_iter == 500
+
+    @pytest.mark.parametrize(
+        "tag,field",
+        [("music", "max_iter"), ("cl-omp", "tol"), ("somp", "known_sigma2"), ("iaa", "known_sigma2")],
+    )
+    def test_override_the_method_never_reads_rejected(self, tmp_path, tag, field):
+        cfg = MINI.replace("cl-omp, somp", tag) + f"method.{tag}.{field} = 3\n"
+        with pytest.raises(SpecError, match=rf":11: key 'method.{tag}.{field}': .*does not read"):
+            parse_spec(write(tmp_path, cfg))
+
+    @pytest.mark.parametrize("field", ["b", "prune_threshold"])
+    def test_deleted_override_fields_rejected(self, tmp_path, field):
+        cfg = MINI.replace("cl-omp, somp", "sbl, cl-bcd") + f"method.sbl.{field} = 0.5\n"
+        with pytest.raises(SpecError, match=f"unknown override field '{field}'"):
+            parse_spec(write(tmp_path, cfg))
+
+    def test_mle1_outside_its_scenario_rejected(self, tmp_path):
+        ssr = MINI.replace("k = 2", "k = 1").replace("cl-omp, somp", "cl-omp, mle1")
+        with pytest.raises(SpecError, match=r":8: key 'methods': mle1 needs kind = ula-doa"):
+            parse_spec(write(tmp_path, ssr))
+        doa = DOA.replace("k = 1", "k = 2").replace("-24.8", "-24.8, 10.2") + "methods = mle1\n"
+        with pytest.raises(SpecError, match="k = 2"):
+            parse_spec(write(tmp_path, doa, "doa.cfg"))
+        assert parse_spec(write(tmp_path, DOA + "methods = mle1\n", "ok.cfg")).methods
 
     def test_override_for_absent_method_rejected(self, tmp_path):
         cfg = MINI + "method.iaa.tol = 1e-3\n"
@@ -85,18 +120,7 @@ class TestParseSpec:
         assert parse_spec(write(tmp_path, MINI, "d.cfg")).output_dir == "results"
 
     def test_doa_spec_round_trip(self, tmp_path):
-        cfg = """\
-kind = ula-doa
-n = 12
-m = 361
-l = 20
-k = 1
-snr_db = 0
-true_doas_deg = -24.8
-methods = cl-omp
-trials = 2
-"""
-        spec = parse_spec(write(tmp_path, cfg))
+        spec = parse_spec(write(tmp_path, DOA + "methods = cl-omp\n"))
         assert spec.scenario.peak is True
         assert spec.scenario.true_doas_deg == (-24.8,)
 
@@ -169,6 +193,12 @@ class TestMain:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["seed"] == 99
         assert meta["scenario"]["trials"] == 3
+
+    def test_run_mle1_on_ssr_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINI.replace("k = 2", "k = 1").replace("somp", "mle1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "mle1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_run_trials_zero_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MINI)

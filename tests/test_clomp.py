@@ -7,7 +7,6 @@ from covlearn import (
     build_covariance,
     conditional_gamma_star,
     run_clomp,
-    run_clomp_scm,
     sample_covariance,
     steering_matrix,
     sweep_errors,
@@ -17,6 +16,7 @@ from util import (
     dense_clomp,
     direct_nll,
     golden_section_min,
+    population_snapshots,
     random_pdh,
     random_state,
     random_unit_dictionary,
@@ -110,7 +110,7 @@ class TestRunClomp:
         gamma = np.zeros(40)
         gamma[list(true)] = [6.0, 4.0, 3.0]
         pop = build_covariance(A, gamma, 1.0).sigma
-        res = run_clomp_scm(pop, A, 3)
+        res = run_clomp(population_snapshots(pop), A, 3)
         assert res.support.same_atoms(true)
         assert res.iterations == 3
         assert res.converged
@@ -118,7 +118,7 @@ class TestRunClomp:
     def test_diagonal_case_selection_order(self):
         d = Dictionary(np.eye(4, dtype=complex), norm_mode="unit")
         scm = np.diag([9.0, 1.0, 4.0, 1.0]).astype(complex)
-        res = run_clomp_scm(scm, d, 2)
+        res = run_clomp(population_snapshots(scm), d, 2)
         assert res.support.indices == (0, 2)  # strongest diagonal first
 
     def test_no_atom_selected_twice(self):
@@ -134,28 +134,18 @@ class TestRunClomp:
         gamma = np.zeros(25)
         gamma[[2, 11]] = [5.0, 3.0]
         pop = build_covariance(A, gamma, 1.0).sigma
-        res = run_clomp_scm(pop, A, 2)
+        res = run_clomp(population_snapshots(pop), A, 2)
         state = build_covariance(A, res.gamma, res.sigma2)
         sweep = sweep_errors(state, pop)  # nothing excluded on purpose
         for i in res.support.indices:
             assert sweep.gamma_candidates[i] <= 1e-6 * res.gamma.max()
-
-    def test_sigma2_floor_stops_early(self):
-        rng = np.random.default_rng(38)
-        A = random_unit_dictionary(rng, 10, 25)
-        gamma = np.zeros(25)
-        gamma[[2, 11, 20]] = [5.0, 4.0, 3.0]
-        pop = build_covariance(A, gamma, 1e-6).sigma
-        res = run_clomp_scm(pop, A, 3, sigma2_floor=0.5)
-        assert res.iterations < 3
-        assert res.sigma2 < 0.5
 
     def test_invalid_inputs(self):
         d = Dictionary(np.eye(3, dtype=complex))
         with pytest.raises(ValueError):
             run_clomp(np.eye(3, dtype=complex), d, 3)
         with pytest.raises(ValueError):
-            run_clomp_scm(np.zeros((3, 3), dtype=complex), d, 1)
+            run_clomp(np.zeros((3, 3), dtype=complex), d, 1)
 
     def test_gamma_nonneg_sigma_positive(self):
         rng = np.random.default_rng(39)
@@ -174,7 +164,7 @@ def _snapshots(rng, atoms, powers, n_snapshots):
 
 
 def _parity_problems(kind):
-    """Seeded (scm, dictionary, k) triples: noisy snapshots of k sources."""
+    """Seeded (snapshots, dictionary, k) triples: noisy snapshots of k sources."""
     rng = np.random.default_rng(["gaussian", "ula", "few-snapshots"].index(kind))
     for _ in range(24):
         if kind == "gaussian":
@@ -196,16 +186,16 @@ def _parity_problems(kind):
             src = d.take(rng.choice(30, min(k, 3), replace=False))
             n_snapshots = int(rng.integers(1, 4))
         powers = 10.0 ** rng.uniform(0.1, 4.0, src.shape[1])
-        yield sample_covariance(_snapshots(rng, src, powers, n_snapshots)), d, k
+        yield _snapshots(rng, src, powers, n_snapshots), d, k
 
 
 class TestGramRowSweeps:
     @pytest.mark.parametrize("kind", ["gaussian", "ula", "few-snapshots"])
     def test_same_result_as_the_dense_greedy_loop(self, kind):
         # the refit is shared, so equal supports give bitwise-equal powers
-        for scm, d, k in _parity_problems(kind):
-            support, gamma, sigma2 = dense_clomp(scm, d, k)
-            res = run_clomp_scm(scm, d, k)
+        for Y, d, k in _parity_problems(kind):
+            support, gamma, sigma2 = dense_clomp(sample_covariance(Y), d, k)
+            res = run_clomp(Y, d, k)
             assert res.support.indices == support
             assert res.gamma.tobytes() == gamma.tobytes()
             assert res.sigma2 == sigma2

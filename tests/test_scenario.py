@@ -241,8 +241,12 @@ class TestRunMonteCarlo:
         assert by["mle1"].per is None  # no grid support
         assert by["mle1"].rmse_theta_deg is not None
 
-    def test_failures_counted_not_raised(self):
-        # mle1 rejects k=2, so every trial fails for it while others succeed
+    def test_failures_counted_not_raised(self, monkeypatch):
+        # MUSIC's eigendecomposition fails in every trial while cl-omp succeeds
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(methods.baselines, "music_doas", no_convergence)
         cfg = ScenarioConfig(
             "ula-doa",
             12,
@@ -254,10 +258,20 @@ class TestRunMonteCarlo:
             seed=5,
             trials=3,
         )
-        recs = run_monte_carlo(cfg, ["cl-omp", "mle1"])
+        recs = run_monte_carlo(cfg, ["cl-omp", "music"])
         by = {r.method: r for r in recs}
         assert by["cl-omp"].failures == 0 and by["cl-omp"].trials == 3
-        assert by["mle1"].failures == 3 and by["mle1"].trials == 0
+        assert by["music"].failures == 3 and by["music"].trials == 0
+
+    @pytest.mark.parametrize("kind,k", [("ula-doa", 2), ("gaussian-ssr", 1)])
+    def test_mle1_outside_its_scenario_raises_before_any_trial(self, monkeypatch, kind, k):
+        calls = []
+        monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
+        doas = (-24.8, 10.2)[:k] if kind == "ula-doa" else None
+        cfg = ScenarioConfig(kind, 12, 361, 20, k, (6.0,), true_doas_deg=doas, seed=5, trials=3)
+        with pytest.raises(ValueError, match="mle1 needs kind = ula-doa and k = 1"):
+            run_monte_carlo(cfg, ["cl-omp", "mle1"])
+        assert calls == []
 
     def test_all_zero_snapshots_are_counted_failures(self, monkeypatch):
         # zero waveforms and zero noise give Y = 0 in every trial

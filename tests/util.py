@@ -28,6 +28,13 @@ def random_unit_dictionary(rng, n, m):
     return Dictionary(atoms / np.linalg.norm(atoms, axis=0), norm_mode="unit")
 
 
+def population_snapshots(sigma):
+    """Snapshots Y = sqrt(N) chol(Sigma), N x N, whose sample covariance is
+    Sigma up to rounding."""
+    n = sigma.shape[0]
+    return np.sqrt(n) * np.linalg.cholesky(sigma)
+
+
 def random_pdh(rng, n, ridge=0.1):
     """Random positive definite Hermitian matrix."""
     W = (rng.standard_normal((n, n + 2)) + 1j * rng.standard_normal((n, n + 2))) / np.sqrt(2)
