@@ -31,7 +31,7 @@ from .model import (
     pseudo_inverse_apply,
     sample_covariance,
 )
-from .scenario import steering_matrix
+from .scenario import grid_angles_deg, ula_grid
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
@@ -58,10 +58,15 @@ class BaselineConfig(SolverConfig):
     """Knobs for the iterative baselines on top of :class:`SolverConfig`.
 
     known_sigma2 supplies the noise variance to methods that do not
-    estimate it (M-SBL, CWO).
+    estimate it (M-SBL, CWO); when given it must be positive.
     """
 
     known_sigma2: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.known_sigma2 is not None and not self.known_sigma2 > 0:
+            raise ValueError("known_sigma2 must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,8 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solve
     The final power spectrum is pruned to its K largest entries (or peaks)
     to produce the reported support.
     """
-    if config.known_sigma2 is None or not config.known_sigma2 > 0:
-        raise ValueError("msbl requires a positive known_sigma2")
+    if config.known_sigma2 is None:
+        raise ValueError("msbl requires a known_sigma2")
     scm = check_problem(sample_covariance(Y), dictionary, k)
     sigma2 = float(config.known_sigma2)
 
@@ -231,8 +236,8 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solver
     re-factorized once per sweep. Stops when a full sweep no longer moves
     the powers.
     """
-    if config.known_sigma2 is None or not config.known_sigma2 > 0:
-        raise ValueError("cwo requires a positive known_sigma2")
+    if config.known_sigma2 is None:
+        raise ValueError("cwo requires a known_sigma2")
     scm = check_problem(sample_covariance(Y), dictionary, k)
     sigma2 = float(config.known_sigma2)
     A = dictionary.atoms
@@ -289,32 +294,34 @@ def somp(Y, dictionary: Dictionary, k: int, *, _scm=None) -> SupportSet:
     return SupportSet(tuple(chosen))
 
 
-def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SupportSet:
+def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SolverResult:
     """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
 
     The noise subspace is spanned by the eigenvectors of the N-K smallest
     sample-covariance eigenvalues; :func:`check_problem` requires K < N, so
-    that subspace is non-empty, and a sample covariance with energy.
+    that subspace is non-empty, and a sample covariance with energy. The
+    reported sigma2 is the mean of those eigenvalues, clamped like
+    :func:`noise_mle` so it stays positive when L <= K leaves them at zero
+    up to rounding. One eigendecomposition counts as one iteration.
     """
     scm = check_problem(scm, grid, k)
     n = grid.n_sensors
-    _, vecs = np.linalg.eigh(scm)
+    evals, vecs = np.linalg.eigh(scm)
     noise_basis = vecs[:, : n - k]
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
     pseudospectrum = 1.0 / np.maximum(proj, 1e-300)
     _, support = hard_threshold(pseudospectrum, k, peak=True)
-    return support
+    sigma2 = max(float(np.mean(evals[: n - k])), 1e-15 * np.trace(scm).real / n)
+    return SolverResult(support, None, sigma2, iterations=1, converged=True)
 
 
-def mle_single_source(scm: np.ndarray, fine_grid_deg: np.ndarray) -> float:
-    """Single-source ML direction: argmax of a(theta)^H Shat a(theta) on a grid.
+def mle_single_source(scm: np.ndarray, n_points: int) -> float:
+    """Single-source ML direction: argmax of a(theta)^H Shat a(theta) over
+    the uniform n_points angle grid of :func:`grid_angles_deg`.
 
-    Ties resolve to the lowest grid index.
+    The powers are read through :func:`atom_forms` on the shared
+    ``ula_grid(N, n_points)``. Ties resolve to the lowest grid index.
     """
     scm = np.asarray(scm, dtype=np.complex128)
-    angles = np.asarray(fine_grid_deg, dtype=np.float64)
-    if angles.ndim != 1 or angles.size < 1:
-        raise ValueError("fine grid must be a non-empty 1-D angle list")
-    A = steering_matrix(scm.shape[0], angles)
-    power = np.einsum("ij,ij->j", A.conj(), scm @ A).real
-    return float(angles[int(np.argmax(power))])
+    power = atom_forms(ula_grid(scm.shape[0], n_points), scm[None])[0]
+    return float(grid_angles_deg(n_points)[int(np.argmax(power))])

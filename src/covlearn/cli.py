@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from .baselines import BaselineConfig
 from .methods import METHOD_DESCRIPTIONS, METHOD_FIELDS, METHOD_TAGS, MethodSpec, check_methods
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
@@ -53,9 +55,6 @@ _SCALAR_KEYS = {
     "seed": int,
     "trials": int,
     "peak": bool,
-    "max_iter": int,
-    "tol": float,
-    "known_sigma2": float,
     "output_dir": str,
 }
 _LIST_KEYS = {
@@ -66,7 +65,8 @@ _LIST_KEYS = {
     "emit": str,
 }
 _REQUIRED_KEYS = ("kind", "n", "m", "l", "k", "snr_db", "methods")
-_OVERRIDE_FIELDS = {
+# solver knobs: set for every method at top level, or per method as method.<tag>.<field>
+_SOLVER_KNOBS = {
     "max_iter": int,
     "tol": float,
     "known_sigma2": float,
@@ -101,6 +101,17 @@ def _parse_value(kind, raw, where):
         raise SpecError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
 
 
+def _parse_solver_knob(fieldname, raw, where):
+    """Parse a max_iter, tol or known_sigma2 value and apply the solvers'
+    own check to it, so a value every trial would reject is a config error."""
+    value = _parse_value(_SOLVER_KNOBS[fieldname], raw, where)
+    try:
+        BaselineConfig(**{fieldname: value})
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
+    return value
+
+
 def parse_spec(path) -> ExperimentSpec:
     """Parse and validate a config file into an ExperimentSpec.
 
@@ -133,7 +144,9 @@ def parse_spec(path) -> ExperimentSpec:
     overrides: dict[str, dict] = {}
     for key, (value, ln) in entries.items():
         where = f"{path}:{ln}: key {key!r}"
-        if key in _SCALAR_KEYS:
+        if key in _SOLVER_KNOBS:
+            scalars[key] = _parse_solver_knob(key, value, where)
+        elif key in _SCALAR_KEYS:
             scalars[key] = _parse_value(_SCALAR_KEYS[key], value, where)
         elif key in _LIST_KEYS:
             items = [v.strip() for v in value.split(",") if v.strip()]
@@ -149,10 +162,10 @@ def parse_spec(path) -> ExperimentSpec:
                 raise SpecError(
                     f"{where}: unknown method tag {tag!r}; supported: {', '.join(METHOD_TAGS)}"
                 )
-            if fieldname not in _OVERRIDE_FIELDS:
+            if fieldname not in _SOLVER_KNOBS:
                 raise SpecError(
                     f"{where}: unknown override field {fieldname!r}; "
-                    f"supported: {', '.join(_OVERRIDE_FIELDS)}"
+                    f"supported: {', '.join(_SOLVER_KNOBS)}"
                 )
             if fieldname not in METHOD_FIELDS[tag]:
                 readable = ", ".join(METHOD_FIELDS[tag]) or "none"
@@ -160,9 +173,7 @@ def parse_spec(path) -> ExperimentSpec:
                     f"{where}: method {tag!r} does not read {fieldname!r}; "
                     f"it reads: {readable}"
                 )
-            overrides.setdefault(tag, {})[fieldname] = _parse_value(
-                _OVERRIDE_FIELDS[fieldname], value, where
-            )
+            overrides.setdefault(tag, {})[fieldname] = _parse_solver_knob(fieldname, value, where)
         else:
             raise SpecError(f"{where}: unknown key")
 
@@ -309,7 +320,10 @@ def _default_threads() -> int:
     return 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="covlearn", description="covariance-learning sparse recovery benchmarks"
     )

@@ -16,7 +16,7 @@ from .baselines import BaselineConfig
 from .clbcd import ClBcdConfig, SolverResult, run_clbcd
 from .clomp import run_clomp
 from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle, sample_covariance
-from .scenario import grid_angles_deg, steering_matrix
+from .scenario import steering_matrix
 
 FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
 
@@ -55,7 +55,11 @@ METHOD_FIELDS = {
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method tag plus per-method solver overrides."""
+    """A method tag plus per-method solver overrides.
+
+    max_iter, tol and known_sigma2 pass :class:`BaselineConfig`'s checks at
+    construction, so a value every solve would reject fails before any trial.
+    """
 
     tag: str
     max_iter: int = 500
@@ -67,6 +71,7 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method tag {self.tag!r}; supported: {', '.join(METHOD_TAGS)}"
             )
+        BaselineConfig(max_iter=self.max_iter, tol=self.tol, known_sigma2=self.known_sigma2)
 
 
 def list_method_tags() -> tuple:
@@ -139,20 +144,13 @@ def solve_trial(
         return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
     if tag == "music":
-        scm = sample_covariance(Y)
-        support = baselines.music_doas(scm, dictionary, k)
-        n = dictionary.n_sensors
-        # with L <= k snapshots the noise eigenvalues are zero up to rounding;
-        # clamp like noise_mle so the estimate stays positive
-        evals = np.linalg.eigvalsh(scm)
-        sigma2 = max(float(np.mean(evals[: n - k])), 1e-15 * np.trace(scm).real / n)
-        return SolverResult(support, None, sigma2, iterations=1, converged=True)
+        return baselines.music_doas(sample_covariance(Y), dictionary, k)
 
     if tag == "mle1":
         if k != 1:
             raise ValueError("mle1 handles exactly one source")
         scm = sample_covariance(Y)
-        theta = baselines.mle_single_source(scm, grid_angles_deg(FINE_GRID_POINTS))
+        theta = baselines.mle_single_source(scm, FINE_GRID_POINTS)
         atom = steering_matrix(dictionary.n_sensors, [theta])
         gamma_src, sigma2 = provisional_mle(scm, atom, dictionary.n_sensors)
         return SolverResult(

@@ -13,6 +13,7 @@ order or thread count.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -56,8 +57,16 @@ def grid_angles_deg(n_points: int) -> np.ndarray:
     return np.linspace(-90.0, 90.0, n_points)
 
 
-def ula_grid(n_sensors: int, n_points: int) -> Dictionary:
-    """Steering-vector dictionary over the uniform angle grid."""
+@functools.lru_cache(maxsize=8)
+def ula_grid(n_sensors: int, n_points: int, /) -> Dictionary:
+    """Steering-vector dictionary over the uniform angle grid.
+
+    Built once per (n_sensors, n_points) and process: every call with the
+    same pair returns the same shared object (the arguments are
+    positional-only, so each pair has one memo key). A Dictionary is frozen
+    and all its arrays are read-only, so sharing it across calls and
+    threads is safe. The memo holds the eight most recently used grids.
+    """
     return Dictionary(steering_matrix(n_sensors, grid_angles_deg(n_points)), norm_mode="array")
 
 

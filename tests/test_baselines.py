@@ -29,10 +29,11 @@ from covlearn import (
     grid_angles_deg,
     hard_threshold,
 )
-from covlearn import baselines, methods, model
+from covlearn import baselines, methods, model, scenario
 from util import (
     ULA_SHAPES,
     dense_atom_forms,
+    dense_mle_single_source,
     direct_nll,
     max_rel_err,
     random_pdh,
@@ -250,9 +251,12 @@ class TestMusic:
         idx = 60
         a = grid.atom(idx)
         scm = np.outer(a, a.conj()) + 0.1 * np.eye(n)
-        sup = music_doas(scm, grid, 1)
-        assert sup.indices == (idx,)
+        res = music_doas(scm, grid, 1)
+        assert res.support.indices == (idx,)
         assert deg[idx] == pytest.approx(-30.0)
+        # the N-1 noise eigenvalues are all 0.1
+        assert res.sigma2 == pytest.approx(0.1)
+        assert (res.gamma, res.iterations, res.converged) == (None, 1, True)
 
     def test_k_equal_n_rejected(self):
         grid = ula_grid(4, 41)
@@ -270,7 +274,7 @@ class TestMusic:
         a1 = steering_matrix(n, [-20.0])[:, 0]
         a2 = steering_matrix(n, [15.0])[:, 0]
         scm = 2 * np.outer(a1, a1.conj()) + np.outer(a2, a2.conj()) + 0.5 * np.eye(n)
-        sup = music_doas(scm, grid, 2)
+        sup = music_doas(scm, grid, 2).support
         found = sorted(grid_angles_deg(m)[list(sup.indices)])
         npt.assert_allclose(found, [-20.0, 15.0], atol=1e-9)
 
@@ -278,7 +282,10 @@ class TestMusic:
         rng = np.random.default_rng(48)
         grid = ula_grid(6, 121)
         scm = random_pdh(rng, 6)
-        assert music_doas(scm, grid, 2).indices == music_doas(7.3 * scm, grid, 2).indices
+        assert (
+            music_doas(scm, grid, 2).support.indices
+            == music_doas(7.3 * scm, grid, 2).support.indices
+        )
 
 
 class TestSteeringGridForms:
@@ -299,7 +306,7 @@ class TestSteeringGridForms:
         proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
         assert max_rel_err(proj, expected) <= 1e-12
         _, support = hard_threshold(1.0 / expected, k, peak=True)
-        assert music_doas(scm, grid, k).indices == support.indices
+        assert music_doas(scm, grid, k).support.indices == support.indices
 
 
 class TestMleSingleSource:
@@ -307,13 +314,11 @@ class TestMleSingleSource:
         n = 12
         theta0 = -24.987
         a = steering_matrix(n, [theta0])[:, 0]
-        fine = grid_angles_deg(18001)
-        got = mle_single_source(np.outer(a, a.conj()), fine)
+        got = mle_single_source(np.outer(a, a.conj()), 18001)
         assert abs(got - theta0) <= 0.005 + 1e-12
 
     def test_identity_tie_takes_lowest_grid_angle(self):
-        fine = grid_angles_deg(181)
-        assert mle_single_source(np.eye(6, dtype=complex), fine) == -90.0
+        assert mle_single_source(np.eye(6, dtype=complex), 181) == -90.0
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(49)
@@ -325,7 +330,39 @@ class TestMleSingleSource:
             val = np.vdot(a, scm @ a).real
             if val > best_val:
                 best, best_val = th, val
-        assert mle_single_source(scm, fine) == pytest.approx(best)
+        assert mle_single_source(scm, 361) == pytest.approx(best)
+
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    def test_structured_scan_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(53 + n)
+        fine = grid_angles_deg(18001)
+        for _ in range(70):
+            # one source at a random angle and power over white noise, 10 snapshots
+            source = np.sqrt(rng.uniform(0.5, 20.0)) * steering_matrix(n, [rng.uniform(-89, 89)])
+            noise = rng.standard_normal((n, 10)) + 1j * rng.standard_normal((n, 10))
+            Y = source @ rng.standard_normal((1, 10)) + noise
+            scm = sample_covariance(Y)
+            assert mle_single_source(scm, 18001) == dense_mle_single_source(scm, fine)
+
+    def test_fine_grid_is_built_once(self, monkeypatch):
+        ula_grid.cache_clear()
+        grid = ula_grid(7, 91)
+        built = []
+        real = scenario.steering_matrix
+
+        def counting(n, angles):
+            built.append(len(angles))
+            return real(n, angles)
+
+        monkeypatch.setattr(scenario, "steering_matrix", counting)
+        rng = np.random.default_rng(54)
+        Y = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        thetas = [
+            methods.solve_trial(methods.MethodSpec("mle1"), Y, grid, 1, True, 1.0).theta_deg
+            for _ in range(2)
+        ]
+        assert thetas[0] == thetas[1]
+        assert built == [methods.FINE_GRID_POINTS]
 
 
 @pytest.fixture(scope="module")

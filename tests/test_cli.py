@@ -100,6 +100,25 @@ class TestParseSpec:
         with pytest.raises(SpecError, match=f"unknown override field '{field}'"):
             parse_spec(write(tmp_path, cfg))
 
+    @pytest.mark.parametrize(
+        "line,key,message",
+        [
+            ("max_iter = 0", "max_iter", "max_iter must be at least 1"),
+            ("tol = 0", "tol", "tol must be positive"),
+            ("known_sigma2 = 0", "known_sigma2", "known_sigma2 must be positive"),
+            (
+                "method.msbl.known_sigma2 = -1",
+                "method.msbl.known_sigma2",
+                "known_sigma2 must be positive",
+            ),
+            ("method.cl-bcd.tol = -1e-3", "method.cl-bcd.tol", "tol must be positive"),
+        ],
+    )
+    def test_value_every_trial_rejects_is_a_spec_error(self, tmp_path, line, key, message):
+        cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl") + line + "\n"
+        with pytest.raises(SpecError, match=rf":11: key '{key}': {message}"):
+            parse_spec(write(tmp_path, cfg))
+
     def test_mle1_outside_its_scenario_rejected(self, tmp_path):
         ssr = MINI.replace("k = 2", "k = 1").replace("cl-omp, somp", "cl-omp, mle1")
         with pytest.raises(SpecError, match=r":8: key 'methods': mle1 needs kind = ula-doa"):
@@ -199,6 +218,25 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "mle1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_run_max_iter_zero_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINI.replace("cl-omp, somp", "cl-bcd, msbl") + "max_iter = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "key 'max_iter'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_runs_in_one_process_are_byte_identical(self, tmp_path):
+        # the steering grid and the parser are shared between the calls
+        cfg = write(tmp_path, DOA.replace("k = 1", "k = 2").replace("-24.8", "-24.8, 10.2")
+                    + "methods = cl-omp, cl-bcd, iaa, music\n")
+        outputs = []
+        for run in range(2):
+            for threads in ("1", "2"):
+                out = tmp_path / f"r{run}-t{threads}"
+                argv = ["run", "--config", str(cfg), "--out", str(out), "--threads", threads]
+                assert main(argv) == 0
+                outputs.append((out / "results.csv").read_bytes())
+        assert len(set(outputs)) == 1
 
     def test_run_trials_zero_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MINI)

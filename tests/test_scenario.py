@@ -16,6 +16,7 @@ from covlearn import (
     power_nmse,
     run_monte_carlo,
     steering_matrix,
+    ula_grid,
     ula_steering,
 )
 
@@ -68,6 +69,25 @@ class TestUlaSteering:
         deg = grid_angles_deg(1801)
         assert deg[0] == -90.0 and deg[-1] == 90.0
         npt.assert_allclose(np.diff(deg), 0.1)
+
+
+class TestUlaGrid:
+    def test_memoized_per_shape(self):
+        grid = ula_grid(7, 61)
+        assert ula_grid(7, 61) is grid
+        assert ula_grid(7, 62) is not grid
+        assert ula_grid(8, 61) is not grid
+        assert ula_grid(8, 61).n_sensors == 8
+
+    def test_shared_grid_is_read_only(self):
+        grid = ula_grid(7, 61)
+        vdm = grid._vandermonde
+        arrays = [grid.atoms, grid._norms2, vdm.lags, vdm.order, vdm.starts, vdm.powers]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+        with pytest.raises(AttributeError):
+            grid.atoms = np.zeros((7, 61), complex)
 
 
 class TestGenerateSnapshots:
@@ -271,6 +291,17 @@ class TestRunMonteCarlo:
         cfg = ScenarioConfig(kind, 12, 361, 20, k, (6.0,), true_doas_deg=doas, seed=5, trials=3)
         with pytest.raises(ValueError, match="mle1 needs kind = ula-doa and k = 1"):
             run_monte_carlo(cfg, ["cl-omp", "mle1"])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "override", [{"max_iter": 0}, {"tol": 0.0}, {"known_sigma2": -1.0}]
+    )
+    def test_value_every_trial_rejects_raises_before_any_trial(self, monkeypatch, override):
+        calls = []
+        monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
+        cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
+        with pytest.raises(ValueError, match="must be"):
+            run_monte_carlo(cfg, ["cl-omp", MethodSpec("msbl", **override)])
         assert calls == []
 
     def test_all_zero_snapshots_are_counted_failures(self, monkeypatch):

@@ -18,6 +18,7 @@ from covlearn import (
     pseudo_inverse_apply,
     ratio_update,
     sample_covariance,
+    steering_matrix,
     sweep_errors,
 )
 from covlearn.clbcd import iterate
@@ -187,3 +188,12 @@ def somp_refit(Y, dictionary, support):
     gamma = np.zeros(dictionary.n_atoms)
     gamma[list(support)] = np.mean(np.abs(rows) ** 2, axis=1)
     return gamma, noise_mle(sample_covariance(Y), sub, dictionary.n_sensors)
+
+
+def dense_mle_single_source(scm, angles_deg):
+    """Single-source ML angle by the dense scan: every steering vector is
+    built and a^H Shat a summed explicitly; lowest grid index on ties."""
+    angles = np.asarray(angles_deg, dtype=np.float64)
+    A = steering_matrix(scm.shape[0], angles)
+    power = np.einsum("ij,ij->j", A.conj(), scm @ A).real
+    return float(angles[int(np.argmax(power))])
