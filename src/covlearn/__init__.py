@@ -5,7 +5,7 @@ Library layout:
 - :mod:`covlearn.model`: covariance model, likelihood, rank-one identities
 - :mod:`covlearn.sparsity`: top-K element/peak selection
 - :mod:`covlearn.clbcd`: cl-bcd solver; the iteration driver, problem
-  validator and result type shared by every solver
+  validator, config and result type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit
 - :mod:`covlearn.baselines`: comparison methods (IAA, SAMV2, SBL, ...)
 - :mod:`covlearn.scenario`: experiment synthesis, metrics, Monte-Carlo engine
@@ -13,7 +13,6 @@ Library layout:
 """
 
 from .baselines import (
-    BaselineConfig,
     cwo_update,
     iaa_update,
     matched_filter_powers,
@@ -37,7 +36,7 @@ from .clbcd import (
     run_clbcd,
 )
 from .clomp import SweepResult, conditional_gamma_star, run_clomp, sweep_errors
-from .methods import MethodSpec, list_method_tags, solve_trial
+from .methods import MethodSpec, solve_trial
 from .model import (
     CovarianceState,
     DegenerateDowndateError,

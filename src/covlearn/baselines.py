@@ -3,13 +3,11 @@
 Iterative spectral estimators (IAA, SAMV2, SBL power-ratio variants, cyclic
 coordinatewise optimization, M-SBL expectation-maximization), the classic
 greedy SOMP, grid MUSIC, and the exhaustive single-source grid MLE. All
-iterative runners share the sup-norm relative stopping rule and the same
-500-iteration default cap as the main solvers.
+iterative runners share the sup-norm relative stopping rule and take the
+same :class:`SolverConfig` as the main solvers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .scenario import grid_angles_deg, ula_grid
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
-    "BaselineConfig",
     "iaa_update",
     "ratio_update",
     "samv2_noise_update",
@@ -51,22 +48,6 @@ __all__ = [
     "music_doas",
     "mle_single_source",
 ]
-
-
-@dataclass(frozen=True)
-class BaselineConfig(SolverConfig):
-    """Knobs for the iterative baselines on top of :class:`SolverConfig`.
-
-    known_sigma2 supplies the noise variance to methods that do not
-    estimate it (M-SBL, CWO); when given it must be positive.
-    """
-
-    known_sigma2: float | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.known_sigma2 is not None and not self.known_sigma2 > 0:
-            raise ValueError("known_sigma2 must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +119,7 @@ def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None) -> SolverResult:
+def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
     """IAA spectral estimate, thresholded to a size-K support at the end.
 
     The maintained model covariance is A Gamma A^H plus a fixed diagonal
@@ -146,7 +127,7 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = N
     carries no explicit noise term). The reported sigma2 is the
     projector-residual MLE on the final support.
     """
-    config = config or BaselineConfig()
+    config = config or SolverConfig()
     scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
     loading = 1e-12 * np.trace(scm).real / n
@@ -159,7 +140,7 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = N
         config.max_iter,
         config.tol,
     )
-    _, support = hard_threshold(gamma, k, config.peak)
+    support = hard_threshold(gamma, k, config.peak)
     sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
@@ -174,7 +155,7 @@ def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> So
         gamma = ratio_update(state, scm, b)
         if noise_rule == "samv2":
             return gamma, max(samv2_noise_update(state, scm), noise_floor)
-        _, support = hard_threshold(gamma, k, config.peak)
+        support = hard_threshold(gamma, k, config.peak)
         return gamma, refit(support)
 
     gamma, sigma2, iterations, converged = iterate(
@@ -185,27 +166,27 @@ def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> So
         config.max_iter,
         config.tol,
     )
-    _, support = hard_threshold(gamma, k, config.peak)
+    support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
-def run_samv2(Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None) -> SolverResult:
+def run_samv2(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
     """Power-ratio update (b=1) paired with the trace-ratio noise rule."""
-    return _run_ratio_method(Y, dictionary, k, config or BaselineConfig(), "samv2", b=1.0)
+    return _run_ratio_method(Y, dictionary, k, config or SolverConfig(), "samv2", b=1.0)
 
 
 def run_sbl(
-    Y, dictionary: Dictionary, k: int, config: BaselineConfig | None = None, b: float = 1.0
+    Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None, b: float = 1.0
 ) -> SolverResult:
     """Power-ratio update with exponent b paired with the support-projector noise refit.
 
     b = 1 gives the standard variant and b = 1/2 the square-root flavor
     (the ``sbl1`` tag); :func:`ratio_update` rejects any other exponent.
     """
-    return _run_ratio_method(Y, dictionary, k, config or BaselineConfig(), "support", b)
+    return _run_ratio_method(Y, dictionary, k, config or SolverConfig(), "support", b)
 
 
-def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> SolverResult:
+def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
     """EM iteration on the signal powers with a known noise variance.
 
     The final power spectrum is pruned to its K largest entries (or peaks)
@@ -224,11 +205,11 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solve
         config.max_iter,
         config.tol,
     )
-    _, support = hard_threshold(gamma, k, config.peak)
+    support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
-def run_cwo(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> SolverResult:
+def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
     """Cyclic coordinatewise descent on the powers with known noise variance.
 
     Each coordinate takes its exact conditional minimizer (clamped at
@@ -257,7 +238,7 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: BaselineConfig) -> Solver
     gamma, _, iterations, converged = iterate(
         dictionary, sweep, np.zeros(dictionary.n_atoms), sigma2, config.max_iter, config.tol
     )
-    _, support = hard_threshold(gamma, k, config.peak)
+    support = hard_threshold(gamma, k, config.peak)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
@@ -310,7 +291,7 @@ def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SolverResult:
     noise_basis = vecs[:, : n - k]
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
     pseudospectrum = 1.0 / np.maximum(proj, 1e-300)
-    _, support = hard_threshold(pseudospectrum, k, peak=True)
+    support = hard_threshold(pseudospectrum, k, peak=True)
     sigma2 = max(float(np.mean(evals[: n - k])), 1e-15 * np.trace(scm).real / n)
     return SolverResult(support, None, sigma2, iterations=1, converged=True)
 

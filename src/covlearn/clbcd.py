@@ -20,7 +20,6 @@ from .model import (
     NumericError,
     atom_quadratic_forms,
     build_covariance,
-    negative_llf,
     noise_mle,
     sample_covariance,
 )
@@ -41,33 +40,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every iterative solver.
+    """Settings of every iterative solver, cl-bcd and the baselines alike.
 
     max_iter caps the iterations; the iteration stops once the powers move
     less than tol in relative sup-norm. peak selects top-K local peaks
-    instead of top-K entries for the reported support.
+    instead of top-K entries for the reported support. known_sigma2
+    supplies the noise variance to the methods that do not estimate it
+    (M-SBL, CWO); when given it must be positive.
     """
 
     max_iter: int = 500
     tol: float = 0.5e-4
     peak: bool = False
+    known_sigma2: float | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.known_sigma2 is not None and not self.known_sigma2 > 0:
+            raise ValueError("known_sigma2 must be positive")
 
 
-@dataclass(frozen=True)
-class ClBcdConfig(SolverConfig):
-    """cl-bcd knobs on top of :class:`SolverConfig`.
-
-    track_nll records the negative log-likelihood after every iteration in
-    the result.
-    """
-
-    track_nll: bool = False
+ClBcdConfig = SolverConfig  # a second name, kept for the callers that use it
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,6 @@ class SolverResult:
     sigma2: float
     iterations: int
     converged: bool
-    nll_trace: tuple | None = None
     theta_deg: tuple | None = None
     powers: np.ndarray | None = None
 
@@ -174,36 +169,25 @@ def run_clbcd(
     Y: np.ndarray,
     dictionary: Dictionary,
     k: int,
-    config: ClBcdConfig | None = None,
+    config: SolverConfig | None = None,
 ) -> SolverResult:
     """Recover a K-sparse power vector and its support from snapshots Y."""
     scm = check_problem(sample_covariance(Y), dictionary, k)
-    config = config or ClBcdConfig()
+    config = config or SolverConfig()
     n = dictionary.n_sensors
     m = dictionary.n_atoms
-    nll_trace: list[float] | None = [] if config.track_nll else None
     support = None
     refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
         nonlocal support
         gamma = iaa_update(state, scm)
-        _, support = hard_threshold(gamma, k, config.peak)
-        sigma2 = refit(support)
-        if nll_trace is not None:
-            nll_trace.append(negative_llf(build_covariance(dictionary, gamma, sigma2), scm))
-        return gamma, sigma2
+        support = hard_threshold(gamma, k, config.peak)
+        return gamma, refit(support)
 
     # noise-only start: gamma = 0, Theta = (n / tr(Shat)) I; the last step's
     # support is the support of the returned powers
     gamma, sigma2, iterations, converged = iterate(
         dictionary, step, np.zeros(m), np.trace(scm).real / n, config.max_iter, config.tol
     )
-    return SolverResult(
-        support=support,
-        gamma=gamma,
-        sigma2=sigma2,
-        iterations=iterations,
-        converged=converged,
-        nll_trace=tuple(nll_trace) if nll_trace is not None else None,
-    )
+    return SolverResult(support, gamma, sigma2, iterations, converged)

@@ -14,13 +14,12 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .baselines import BaselineConfig
+from .clbcd import SolverConfig
 from .methods import METHOD_DESCRIPTIONS, METHOD_FIELDS, METHOD_TAGS, MethodSpec, check_methods
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
@@ -102,11 +101,12 @@ def _parse_value(kind, raw, where):
 
 
 def _parse_solver_knob(fieldname, raw, where):
-    """Parse a max_iter, tol or known_sigma2 value and apply the solvers'
-    own check to it, so a value every trial would reject is a config error."""
+    """Parse a max_iter, tol or known_sigma2 value and apply
+    :class:`SolverConfig`'s check to it, so a value every trial would
+    reject is a config error."""
     value = _parse_value(_SOLVER_KNOBS[fieldname], raw, where)
     try:
-        BaselineConfig(**{fieldname: value})
+        SolverConfig(**{fieldname: value})
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from None
     return value
@@ -210,11 +210,8 @@ def parse_spec(path) -> ExperimentSpec:
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
-    base = {
-        "max_iter": scalars.get("max_iter", 500),
-        "tol": scalars.get("tol", 0.5e-4),
-        "known_sigma2": scalars.get("known_sigma2"),
-    }
+    # only the knobs the config sets; MethodSpec supplies SolverConfig's defaults
+    base = {key: scalars[key] for key in _SOLVER_KNOBS if key in scalars}
     methods = []
     for tag in lists["methods"]:
         if tag not in METHOD_TAGS:
@@ -310,16 +307,6 @@ def run_experiment(
     return 0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("COVLEARN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -337,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="trial-level parallelism (default: $COVLEARN_THREADS or 1); results are invariant to it",
+        default=1,
+        help="trial-level parallelism (default: 1); results are invariant to it",
     )
     run_p.add_argument(
         "--timings",
@@ -381,11 +368,13 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     spec = replace(spec, scenario=scenario)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
 
-    threads = args.threads if args.threads is not None else _default_threads()
     out_dir = args.out if args.out is not None else spec.output_dir
     try:
-        return run_experiment(spec, out_dir, threads=threads, timings=args.timings)
+        return run_experiment(spec, out_dir, threads=args.threads, timings=args.timings)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines
-from .baselines import BaselineConfig
-from .clbcd import ClBcdConfig, SolverResult, run_clbcd
+from .clbcd import SolverConfig, SolverResult, run_clbcd
 from .clomp import run_clomp
 from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle, sample_covariance
 from .scenario import steering_matrix
@@ -57,25 +56,22 @@ METHOD_FIELDS = {
 class MethodSpec:
     """A method tag plus per-method solver overrides.
 
-    max_iter, tol and known_sigma2 pass :class:`BaselineConfig`'s checks at
-    construction, so a value every solve would reject fails before any trial.
+    max_iter, tol and known_sigma2 default to and pass the checks of
+    :class:`SolverConfig` at construction, so a value every solve would
+    reject fails before any trial.
     """
 
     tag: str
-    max_iter: int = 500
-    tol: float = 0.5e-4
-    known_sigma2: float | None = None
+    max_iter: int = SolverConfig.max_iter
+    tol: float = SolverConfig.tol
+    known_sigma2: float | None = SolverConfig.known_sigma2
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValueError(
                 f"unknown method tag {self.tag!r}; supported: {', '.join(METHOD_TAGS)}"
             )
-        BaselineConfig(max_iter=self.max_iter, tol=self.tol, known_sigma2=self.known_sigma2)
-
-
-def list_method_tags() -> tuple:
-    return METHOD_TAGS
+        SolverConfig(self.max_iter, self.tol, known_sigma2=self.known_sigma2)
 
 
 def resolve_methods(methods) -> tuple:
@@ -106,30 +102,30 @@ def solve_trial(
     k: int,
     peak: bool,
     noise_var: float,
-    grid_deg: np.ndarray | None = None,
 ) -> SolverResult:
-    """Run one method on one batch of snapshots."""
+    """Run one method on one batch of snapshots.
+
+    The iterative methods run with ``spec``'s settings, the scenario's peak
+    rule and, unless ``spec`` sets known_sigma2, the true noise variance.
+    """
     tag = spec.tag
 
-    if tag == "cl-bcd":
-        cfg = ClBcdConfig(max_iter=spec.max_iter, tol=spec.tol, peak=peak)
-        return run_clbcd(Y, dictionary, k, cfg)
+    # looked up per call, so a patched module attribute is the one that runs
+    runner = {
+        "cl-bcd": run_clbcd,
+        "iaa": baselines.run_iaa,
+        "samv2": baselines.run_samv2,
+        "sbl": baselines.run_sbl,
+        "sbl1": partial(baselines.run_sbl, b=0.5),
+        "msbl": baselines.run_msbl,
+        "cwo": baselines.run_cwo,
+    }.get(tag)
+    if runner is not None:
+        known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
+        return runner(Y, dictionary, k, SolverConfig(spec.max_iter, spec.tol, peak, known))
 
     if tag == "cl-omp":
         return run_clomp(Y, dictionary, k)
-
-    if tag in ("iaa", "samv2", "sbl", "sbl1", "msbl", "cwo"):
-        known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
-        cfg = BaselineConfig(max_iter=spec.max_iter, tol=spec.tol, known_sigma2=known, peak=peak)
-        runner = {
-            "iaa": baselines.run_iaa,
-            "samv2": baselines.run_samv2,
-            "sbl": baselines.run_sbl,
-            "sbl1": partial(baselines.run_sbl, b=0.5),
-            "msbl": baselines.run_msbl,
-            "cwo": baselines.run_cwo,
-        }[tag]
-        return runner(Y, dictionary, k, cfg)
 
     if tag == "somp":
         scm = sample_covariance(Y)

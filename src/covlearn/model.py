@@ -419,8 +419,11 @@ def loo_quadratic_form(state: CovarianceState, i: int, b: np.ndarray) -> complex
     return complex(np.vdot(a, state.theta @ np.asarray(b, dtype=np.complex128)) / denom)
 
 
-def _qr_full_rank(B: np.ndarray, cond_limit: float = 1e6):
-    """Reduced QR of B after verifying full column rank (cond(B) < cond_limit).
+_COND_LIMIT = 1e6
+
+
+def _qr_full_rank(B: np.ndarray):
+    """Reduced QR of B after verifying full column rank (cond(B) < _COND_LIMIT).
 
     The condition number is read off the small factor R, whose singular
     values are those of B because Q has orthonormal columns.
@@ -432,7 +435,7 @@ def _qr_full_rank(B: np.ndarray, cond_limit: float = 1e6):
         raise RankDeficientError("matrix has more columns than rows")
     Q, R = np.linalg.qr(B)
     s = np.linalg.svd(R, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] >= cond_limit:
+    if s[-1] <= 0.0 or s[0] / s[-1] >= _COND_LIMIT:
         raise RankDeficientError("matrix does not have (numerical) full column rank")
     return Q, R
 

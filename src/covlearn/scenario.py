@@ -255,6 +255,21 @@ def _per_trial_pairs(est_list, truth):
     return zip(est_list, truth)
 
 
+def _sq_error(est: np.ndarray, true: np.ndarray) -> float:
+    """Squared Euclidean error ||est - true||^2 of one trial."""
+    return float(np.sum((est - true) ** 2))
+
+
+def _power_ratio2(est: np.ndarray, true: np.ndarray) -> float:
+    """Normalized squared power error ||est - true||^2 / ||true||^2 of one trial."""
+    return _sq_error(est, true) / float(np.sum(true**2))
+
+
+def _rms(values) -> float:
+    """Root of the mean of per-trial squared errors."""
+    return float(np.sqrt(np.mean(values)))
+
+
 def doa_rmse(est_angles, true_angles) -> float:
     """Root-mean-square, across trials, of ||sort(theta_hat) - sort(theta)||_2.
 
@@ -269,10 +284,10 @@ def doa_rmse(est_angles, true_angles) -> float:
         t = np.sort(np.asarray(true, dtype=np.float64))
         if e.shape != t.shape:
             raise ValueError("estimated and true angle counts differ")
-        errors2.append(np.sum((e - t) ** 2))
+        errors2.append(_sq_error(e, t))
     if not errors2:
         raise ValueError("no trials supplied")
-    return float(np.sqrt(np.mean(errors2)))
+    return _rms(errors2)
 
 
 def power_nmse(est_powers, true_powers) -> float:
@@ -283,13 +298,12 @@ def power_nmse(est_powers, true_powers) -> float:
         t = np.asarray(true, dtype=np.float64)
         if e.shape != t.shape:
             raise ValueError("estimated and true power counts differ")
-        denom = np.linalg.norm(t)
-        if denom == 0:
+        if not t.any():
             raise ValueError("true powers must not all be zero")
-        ratios2.append(np.sum((e - t) ** 2) / denom**2)
+        ratios2.append(_power_ratio2(e, t))
     if not ratios2:
         raise ValueError("no trials supplied")
-    return float(np.sqrt(np.mean(ratios2)))
+    return _rms(ratios2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +343,9 @@ def _evaluate_outcome(outcome, config, grid_deg, true_ctx):
         else:
             return _TrialCell(ok=True, iterations=outcome.iterations)
         if theta_hat.size == true_theta.size:
-            theta_err2 = float(np.sum((theta_hat - true_theta) ** 2))
+            theta_err2 = _sq_error(theta_hat, true_theta)
             if powers_hat is not None:
-                nmse_ratio2 = float(
-                    np.sum((powers_hat - true_powers_by_angle) ** 2)
-                    / np.sum(true_powers_by_angle**2)
-                )
+                nmse_ratio2 = _power_ratio2(powers_hat, true_powers_by_angle)
         if outcome.support is not None:
             per_hit = outcome.support.as_set() == true_grid_set
     else:
@@ -345,9 +356,7 @@ def _evaluate_outcome(outcome, config, grid_deg, true_ctx):
                 gamma_hat = np.zeros_like(gamma_true)
                 idx = list(outcome.support.indices)
                 gamma_hat[idx] = outcome.gamma[idx]
-                nmse_ratio2 = float(
-                    np.sum((gamma_hat - gamma_true) ** 2) / np.sum(gamma_true**2)
-                )
+                nmse_ratio2 = _power_ratio2(gamma_hat, gamma_true)
 
     return _TrialCell(
         ok=True,
@@ -363,14 +372,17 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
 
     ``methods`` is a sequence of tags or MethodSpec objects. Returns one
     MetricsRecord per (method, snr_db), in that nesting order. Results are
-    independent of ``threads``. A solve that raises a numerical error
-    (ArithmeticError, LinAlgError or ValueError) is counted as a failure of
-    its cell; any other exception is a programming error and propagates.
+    independent of ``threads``, which must be at least 1. A solve that
+    raises a numerical error (ArithmeticError, LinAlgError or ValueError) is
+    counted as a failure of its cell; any other exception is a programming
+    error and propagates.
     A method that cannot solve the scenario (see
     :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
     """
     from .methods import check_methods, resolve_methods, solve_trial
 
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     specs = resolve_methods(methods)
     check_methods(specs, config.kind, config.k)
     n, m, k = config.n_sensors, config.n_atoms, config.k
@@ -416,7 +428,7 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
                 # also count the other workers it waits behind
                 t0 = time.thread_time()
                 try:
-                    outcome = solve_trial(spec, Y, dictionary, k, config.peak, config.noise_var, grid_deg)
+                    outcome = solve_trial(spec, Y, dictionary, k, config.peak, config.noise_var)
                     cell = _evaluate_outcome(outcome, config, grid_deg, true_ctx)
                     cell = replace(cell, runtime_s=time.thread_time() - t0)
                 except (ArithmeticError, np.linalg.LinAlgError, ValueError):
@@ -425,7 +437,7 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
         return t, cells
 
     slots = [None] * config.trials
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for t, cells in pool.map(run_trial, range(config.trials)):
                 slots[t] = cells
@@ -450,8 +462,8 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
                     snr_db=snr,
                     trials=len(good),
                     per=(sum(hits) / len(hits)) if hits else None,
-                    rmse_theta_deg=float(np.sqrt(np.mean(errs2))) if errs2 else None,
-                    nmse_gamma=float(np.sqrt(np.mean(ratios2))) if ratios2 else None,
+                    rmse_theta_deg=_rms(errs2) if errs2 else None,
+                    nmse_gamma=_rms(ratios2) if ratios2 else None,
                     mean_iters=float(np.mean(iters)) if iters else None,
                     mean_runtime_s=float(np.mean(times)) if times else None,
                     failures=failures,

@@ -82,8 +82,8 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
-def hard_threshold(gamma, k: int, peak: bool = False):
-    """Keep the K largest elements (or K largest peaks) of a power vector.
+def hard_threshold(gamma, k: int, peak: bool = False) -> SupportSet:
+    """Support of the K largest elements (or K largest peaks) of a power vector.
 
     Parameters
     ----------
@@ -99,9 +99,8 @@ def hard_threshold(gamma, k: int, peak: bool = False):
 
     Returns
     -------
-    (thresholded, support)
-        A copy of gamma zeroed off-support, and the :class:`SupportSet`
-        (indices in ascending order).
+    SupportSet
+        The selected indices in ascending order.
     """
     g = np.asarray(gamma, dtype=np.float64)
     if g.ndim != 1:
@@ -125,6 +124,4 @@ def hard_threshold(gamma, k: int, peak: bool = False):
     else:
         support_idx = _top_k(g, k)
 
-    out = np.zeros_like(g)
-    out[support_idx] = g[support_idx]
-    return out, SupportSet(tuple(support_idx.tolist()))
+    return SupportSet(tuple(support_idx.tolist()))

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from covlearn import (
-    BaselineConfig,
+    SolverConfig,
     CovarianceState,
     atom_forms,
     Dictionary,
@@ -305,7 +305,7 @@ class TestSteeringGridForms:
         expected = np.sum(np.abs(noise_basis.conj().T @ grid.atoms) ** 2, axis=0)
         proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
         assert max_rel_err(proj, expected) <= 1e-12
-        _, support = hard_threshold(1.0 / expected, k, peak=True)
+        support = hard_threshold(1.0 / expected, k, peak=True)
         assert music_doas(scm, grid, k).support.indices == support.indices
 
 
@@ -386,8 +386,8 @@ class TestRunners:
             (run_samv2, {}),
             (run_sbl, {}),
             (run_sbl, {"b": 0.5}),
-            (run_msbl, {"config": BaselineConfig(known_sigma2=1.0)}),
-            (run_cwo, {"config": BaselineConfig(known_sigma2=1.0)}),
+            (run_msbl, {"config": SolverConfig(known_sigma2=1.0)}),
+            (run_cwo, {"config": SolverConfig(known_sigma2=1.0)}),
         ],
     )
     def test_high_snr_support_recovery(self, easy_problem, runner, kwargs):
@@ -402,16 +402,19 @@ class TestRunners:
         A = random_unit_dictionary(rng, 6, 12)
         Y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
         with pytest.raises(ValueError):
-            run_msbl(Y, A, 2, BaselineConfig())
+            run_msbl(Y, A, 2, SolverConfig())
         with pytest.raises(ValueError):
-            run_cwo(Y, A, 2, BaselineConfig())
+            run_cwo(Y, A, 2, SolverConfig())
 
     def test_config_validation(self, easy_problem):
         A, Y, _ = easy_problem
         with pytest.raises(ValueError):
             run_sbl(Y, A, 3, b=0.7)
-        with pytest.raises(ValueError):
-            BaselineConfig(max_iter=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=0)
+        for known in (0.0, -1.0):
+            with pytest.raises(ValueError, match="known_sigma2"):
+                SolverConfig(known_sigma2=known)
 
     def test_matched_filter_strictly_positive_on_generic_data(self):
         rng = np.random.default_rng(52)

@@ -3,10 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from covlearn import (
-    BaselineConfig,
-    ClBcdConfig,
     Dictionary,
     NumericError,
+    SolverConfig,
     build_covariance,
     gaussian_dictionary,
     iaa_update,
@@ -105,7 +104,7 @@ class TestRunClBcd:
         scm = sample_covariance(Y)
         state = build_covariance(A, np.zeros(15), np.trace(scm).real / 6)
         for it in (1, 2, 3):
-            res = run_clbcd(Y, A, 2, ClBcdConfig(max_iter=it, tol=1e-14))
+            res = run_clbcd(Y, A, 2, SolverConfig(max_iter=it, tol=1e-14))
             npt.assert_array_equal(res.gamma, iaa_update(state, scm))
             assert res.sigma2 == noise_mle(scm, A.take(res.support.indices), 6)
             state = build_covariance(A, res.gamma, res.sigma2)
@@ -124,7 +123,7 @@ class TestRunClBcd:
         rng = np.random.default_rng(26)
         A = random_unit_dictionary(rng, 8, 24)
         Y = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-        res = run_clbcd(Y, A, 2, ClBcdConfig(max_iter=2, tol=1e-14))
+        res = run_clbcd(Y, A, 2, SolverConfig(max_iter=2, tol=1e-14))
         assert not res.converged
         assert res.iterations == 2
 
@@ -140,14 +139,6 @@ class TestRunClBcd:
         A = Dictionary(np.eye(3, dtype=complex))
         with pytest.raises(ValueError):
             run_clbcd(np.zeros((3, 4), dtype=complex), A, 1)
-
-    def test_nll_trace_recorded(self):
-        rng = np.random.default_rng(27)
-        A = random_unit_dictionary(rng, 6, 18)
-        Y = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
-        res = run_clbcd(Y, A, 2, ClBcdConfig(track_nll=True))
-        assert res.nll_trace is not None and len(res.nll_trace) == res.iterations
-        assert all(np.isfinite(v) for v in res.nll_trace)
 
     def test_all_iterates_nonnegative_with_positive_noise(self):
         rng = np.random.default_rng(29)
@@ -197,9 +188,9 @@ class TestSupportNoiseRefit:
 
             monkeypatch.setattr(clbcd, "noise_mle", counting)
             if method == "cl-bcd":
-                res = run_clbcd(Y, d, k, ClBcdConfig(peak=peak))
+                res = run_clbcd(Y, d, k, SolverConfig(peak=peak))
             else:
-                res = run_sbl(Y, d, k, BaselineConfig(peak=peak, max_iter=max_iter), b=method)
+                res = run_sbl(Y, d, k, SolverConfig(peak=peak, max_iter=max_iter), b=method)
             monkeypatch.undo()
             assert len(counted) == len(set(supports))
             assert res.support == support

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from covlearn import SolverConfig
 from covlearn.cli import SpecError, main, parse_spec, run_experiment
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts").glob("*.cfg"))
@@ -47,6 +48,14 @@ class TestParseSpec:
         for m in spec.methods:
             assert m.max_iter == 500
             assert m.tol == pytest.approx(0.5e-4)
+
+    def test_unset_knobs_take_solver_config_defaults(self, tmp_path):
+        cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl") + "method.msbl.tol = 1e-3\n"
+        by = {m.tag: m for m in parse_spec(write(tmp_path, cfg)).methods}
+        default = SolverConfig()
+        assert (by["cl-bcd"].max_iter, by["cl-bcd"].tol) == (default.max_iter, default.tol)
+        assert (by["msbl"].max_iter, by["msbl"].tol) == (default.max_iter, 1e-3)
+        assert by["msbl"].known_sigma2 is default.known_sigma2
 
     def test_sparsity_constraint_named(self, tmp_path):
         bad = MINI.replace("k = 2", "k = 10")
@@ -237,6 +246,14 @@ class TestMain:
                 assert main(argv) == 0
                 outputs.append((out / "results.csv").read_bytes())
         assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_run_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, MINI)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--threads", threads]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_run_trials_zero_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MINI)

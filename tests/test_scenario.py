@@ -313,6 +313,15 @@ class TestRunMonteCarlo:
         (rec,) = run_monte_carlo(cfg, ["somp"])
         assert rec.failures == 3 and rec.trials == 0
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_raise_before_any_trial(self, monkeypatch, threads):
+        calls = []
+        monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
+        cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_monte_carlo(cfg, ["cl-omp"], threads=threads)
+        assert calls == []
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, threads):
         def broken_solve(*args, **kwargs):

@@ -121,7 +121,7 @@ def dense_clomp(scm, dictionary, k):
 
 
 def sorting_hard_threshold(gamma, k, peak=False):
-    """hard_threshold by a full stable sort: (thresholded, support indices).
+    """hard_threshold by a full stable sort: the support indices, ascending.
 
     Local peaks come from shifted copies with -inf at both ends; candidates
     are ordered by descending value, lowest index first on ties, and a
@@ -144,9 +144,7 @@ def sorting_hard_threshold(gamma, k, peak=False):
         support = np.sort(np.asarray(chosen, dtype=int))
     else:
         support = np.sort(largest_first(idx)[:k])
-    out = np.zeros_like(g)
-    out[support] = g[support]
-    return out, tuple(int(i) for i in support)
+    return tuple(int(i) for i in support)
 
 
 def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.5e-4):
@@ -164,7 +162,7 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
             gamma = iaa_update(state, scm)
         else:
             gamma = ratio_update(state, scm, method)
-        _, indices = sorting_hard_threshold(gamma, k, peak)
+        indices = sorting_hard_threshold(gamma, k, peak)
         supports.append(indices)
         return gamma, noise_mle(scm, dictionary.take(indices), n)
 
@@ -173,7 +171,7 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
     else:
         gamma0, sigma2_0 = matched_filter_powers(dictionary, scm), np.trace(scm).real / n
     gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, sigma2_0, max_iter, tol)
-    support = supports[-1] if method == "cl-bcd" else sorting_hard_threshold(gamma, k, peak)[1]
+    support = supports[-1] if method == "cl-bcd" else sorting_hard_threshold(gamma, k, peak)
     return SupportSet(support), gamma, sigma2, iterations, supports
 
 
