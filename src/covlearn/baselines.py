@@ -23,6 +23,7 @@ from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
+    _noise_floor,
     atom_forms,
     atom_quadratic_forms,
     noise_mle,
@@ -148,7 +149,7 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
 def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> SolverResult:
     scm = check_problem(sample_covariance(Y), dictionary, k)
     n = dictionary.n_sensors
-    noise_floor = 1e-15 * np.trace(scm).real / n
+    noise_floor = _noise_floor(np.trace(scm).real, n)
     refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
@@ -292,7 +293,7 @@ def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SolverResult:
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
     pseudospectrum = 1.0 / np.maximum(proj, 1e-300)
     support = hard_threshold(pseudospectrum, k, peak=True)
-    sigma2 = max(float(np.mean(evals[: n - k])), 1e-15 * np.trace(scm).real / n)
+    sigma2 = max(float(np.mean(evals[: n - k])), _noise_floor(np.trace(scm).real, n))
     return SolverResult(support, None, sigma2, iterations=1, converged=True)
 
 

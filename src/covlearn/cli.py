@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .clbcd import SolverConfig
-from .methods import METHOD_DESCRIPTIONS, METHOD_FIELDS, METHOD_TAGS, MethodSpec, check_methods
+from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, MethodSpec, check_methods, resolve_methods
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
 try:  # pragma: no cover - metadata lookup
@@ -53,7 +53,7 @@ _SCALAR_KEYS = {
     "noise_var": float,
     "seed": int,
     "trials": int,
-    "peak": bool,
+    "max_iter": int,
     "output_dir": str,
 }
 _LIST_KEYS = {
@@ -64,12 +64,6 @@ _LIST_KEYS = {
     "emit": str,
 }
 _REQUIRED_KEYS = ("kind", "n", "m", "l", "k", "snr_db", "methods")
-# solver knobs: set for every method at top level, or per method as method.<tag>.<field>
-_SOLVER_KNOBS = {
-    "max_iter": int,
-    "tol": float,
-    "known_sigma2": float,
-}
 
 
 @dataclass(frozen=True)
@@ -87,29 +81,10 @@ class SpecError(ValueError):
 
 
 def _parse_value(kind, raw, where):
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise SpecError(f"{where}: expected a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
         raise SpecError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
-
-
-def _parse_solver_knob(fieldname, raw, where):
-    """Parse a max_iter, tol or known_sigma2 value and apply
-    :class:`SolverConfig`'s check to it, so a value every trial would
-    reject is a config error."""
-    value = _parse_value(_SOLVER_KNOBS[fieldname], raw, where)
-    try:
-        SolverConfig(**{fieldname: value})
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from None
-    return value
 
 
 def parse_spec(path) -> ExperimentSpec:
@@ -141,41 +116,23 @@ def parse_spec(path) -> ExperimentSpec:
 
     scalars: dict = {}
     lists: dict = {}
-    overrides: dict[str, dict] = {}
     for key, (value, ln) in entries.items():
         where = f"{path}:{ln}: key {key!r}"
-        if key in _SOLVER_KNOBS:
-            scalars[key] = _parse_solver_knob(key, value, where)
-        elif key in _SCALAR_KEYS:
+        if key in _SCALAR_KEYS:
             scalars[key] = _parse_value(_SCALAR_KEYS[key], value, where)
         elif key in _LIST_KEYS:
             items = [v.strip() for v in value.split(",") if v.strip()]
             if not items:
                 raise SpecError(f"{where}: empty list")
             lists[key] = tuple(_parse_value(_LIST_KEYS[key], v, where) for v in items)
-        elif key.startswith("method."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise SpecError(f"{where}: method overrides look like method.<tag>.<field>")
-            _, tag, fieldname = parts
-            if tag not in METHOD_TAGS:
-                raise SpecError(
-                    f"{where}: unknown method tag {tag!r}; supported: {', '.join(METHOD_TAGS)}"
-                )
-            if fieldname not in _SOLVER_KNOBS:
-                raise SpecError(
-                    f"{where}: unknown override field {fieldname!r}; "
-                    f"supported: {', '.join(_SOLVER_KNOBS)}"
-                )
-            if fieldname not in METHOD_FIELDS[tag]:
-                readable = ", ".join(METHOD_FIELDS[tag]) or "none"
-                raise SpecError(
-                    f"{where}: method {tag!r} does not read {fieldname!r}; "
-                    f"it reads: {readable}"
-                )
-            overrides.setdefault(tag, {})[fieldname] = _parse_solver_knob(fieldname, value, where)
         else:
             raise SpecError(f"{where}: unknown key")
+        if key == "max_iter":
+            # a cap every trial would reject is a config error
+            try:
+                SolverConfig(max_iter=scalars[key])
+            except ValueError as exc:
+                raise SpecError(f"{where}: {exc}") from None
 
     for key in _REQUIRED_KEYS:
         if key not in scalars and key not in lists:
@@ -205,31 +162,20 @@ def parse_spec(path) -> ExperimentSpec:
             true_doas_deg=lists.get("true_doas_deg"),
             seed=scalars.get("seed", 0),
             trials=scalars.get("trials", 100),
-            peak=scalars.get("peak"),
         )
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
-    # only the knobs the config sets; MethodSpec supplies SolverConfig's defaults
-    base = {key: scalars[key] for key in _SOLVER_KNOBS if key in scalars}
-    methods = []
-    for tag in lists["methods"]:
-        if tag not in METHOD_TAGS:
-            raise SpecError(
-                f"{path}: unknown method tag {tag!r}; supported: {', '.join(METHOD_TAGS)}"
-            )
-        methods.append(MethodSpec(tag=tag, **{**base, **overrides.pop(tag, {})}))
-    if overrides:
-        stray = ", ".join(sorted(overrides))
-        raise SpecError(f"{path}: overrides for methods not in the run: {stray}")
+    max_iter = scalars.get("max_iter", SolverConfig.max_iter)
     try:
+        methods = resolve_methods(MethodSpec(tag, max_iter) for tag in lists["methods"])
         check_methods(methods, scenario.kind, scenario.k)
     except ValueError as exc:
         raise SpecError(f"{path}:{entries['methods'][1]}: key 'methods': {exc}") from exc
 
     return ExperimentSpec(
         scenario=scenario,
-        methods=tuple(methods),
+        methods=methods,
         output_dir=scalars.get("output_dir", "results"),
         emit=tuple(emit),
     )

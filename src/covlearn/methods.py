@@ -35,53 +35,46 @@ METHOD_DESCRIPTIONS = {
 
 METHOD_TAGS = tuple(METHOD_DESCRIPTIONS)
 
-# The MethodSpec fields each tag reads; the others never reach its solver.
-_ITERATIVE = ("max_iter", "tol")
-METHOD_FIELDS = {
-    "cl-bcd": _ITERATIVE,
-    "cl-omp": (),
-    "iaa": _ITERATIVE,
-    "samv2": _ITERATIVE,
-    "sbl": _ITERATIVE,
-    "sbl1": _ITERATIVE,
-    "msbl": (*_ITERATIVE, "known_sigma2"),
-    "cwo": (*_ITERATIVE, "known_sigma2"),
-    "somp": (),
-    "music": (),
-    "mle1": (),
-}
-
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method tag plus per-method solver overrides.
+    """A method tag and the iteration cap its solver runs at.
 
-    max_iter, tol and known_sigma2 default to and pass the checks of
-    :class:`SolverConfig` at construction, so a value every solve would
-    reject fails before any trial.
+    max_iter defaults to and passes the check of :class:`SolverConfig` at
+    construction, so a cap every solve would reject fails before any
+    trial. The tolerance is :class:`SolverConfig`'s, the support rule
+    follows the scenario and msbl/cwo get the scenario's noise variance
+    (see :func:`solve_trial`); none of them is set per method.
     """
 
     tag: str
     max_iter: int = SolverConfig.max_iter
-    tol: float = SolverConfig.tol
-    known_sigma2: float | None = SolverConfig.known_sigma2
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValueError(
                 f"unknown method tag {self.tag!r}; supported: {', '.join(METHOD_TAGS)}"
             )
-        SolverConfig(self.max_iter, self.tol, known_sigma2=self.known_sigma2)
+        SolverConfig(self.max_iter)
 
 
 def resolve_methods(methods) -> tuple:
-    """Normalize a mix of tags and MethodSpec objects into MethodSpecs."""
-    specs = []
-    for item in methods:
-        specs.append(item if isinstance(item, MethodSpec) else MethodSpec(tag=str(item)))
+    """Normalize a mix of tags and MethodSpec objects into MethodSpecs.
+
+    Raises ValueError on an empty list or a repeated tag: the engine
+    reports its records by tag, so a repeat would be two rows under one
+    name.
+    """
+    specs = tuple(
+        item if isinstance(item, MethodSpec) else MethodSpec(tag=str(item)) for item in methods
+    )
     if not specs:
         raise ValueError("at least one method is required")
-    return tuple(specs)
+    tags = [spec.tag for spec in specs]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"method tags repeated: {', '.join(repeated)}")
+    return specs
 
 
 def check_methods(specs, kind: str, k: int) -> None:
@@ -105,8 +98,9 @@ def solve_trial(
 ) -> SolverResult:
     """Run one method on one batch of snapshots.
 
-    The iterative methods run with ``spec``'s settings, the scenario's peak
-    rule and, unless ``spec`` sets known_sigma2, the true noise variance.
+    The iterative methods run at ``spec``'s iteration cap with
+    :class:`SolverConfig`'s tolerance, the scenario's support rule ``peak``
+    and, for msbl and cwo, the scenario's noise variance ``noise_var``.
     """
     tag = spec.tag
 
@@ -121,8 +115,8 @@ def solve_trial(
         "cwo": baselines.run_cwo,
     }.get(tag)
     if runner is not None:
-        known = spec.known_sigma2 if spec.known_sigma2 is not None else noise_var
-        return runner(Y, dictionary, k, SolverConfig(spec.max_iter, spec.tol, peak, known))
+        config = SolverConfig(spec.max_iter, peak=peak, known_sigma2=noise_var)
+        return runner(Y, dictionary, k, config)
 
     if tag == "cl-omp":
         return run_clomp(Y, dictionary, k)

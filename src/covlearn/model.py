@@ -449,12 +449,18 @@ def pseudo_inverse_apply(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, Q.conj().T @ np.asarray(Z, dtype=np.complex128))
 
 
+def _noise_floor(tr_scm: float, n_sensors: int) -> float:
+    """Lower clamp 1e-15 * tr(Shat)/N of every noise-variance estimate, so
+    downstream covariances stay positive definite."""
+    return 1e-15 * tr_scm / n_sensors
+
+
 def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor=None) -> float:
     """Noise-variance MLE on a fixed support: tr((I - P) Shat) / (N - k).
 
     P is the orthogonal projector onto the span of the support atoms; an
     empty support gives tr(Shat)/N. The result is clamped below at
-    1e-15 * tr(Shat)/N so downstream covariances stay positive definite.
+    :func:`_noise_floor`.
     ``factor`` is the reduced QR (Q, R) of the support atoms when the
     caller has already computed it; otherwise it is computed here.
     """
@@ -471,7 +477,7 @@ def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor
     else:
         Q, _ = _qr_full_rank(B) if factor is None else factor
         resid = tr_scm - np.einsum("ij,ij->", Q.conj(), scm @ Q).real
-    return max(resid / (n_sensors - k), 1e-15 * tr_scm / n_sensors)
+    return max(resid / (n_sensors - k), _noise_floor(tr_scm, n_sensors))
 
 
 def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):

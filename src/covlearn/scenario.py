@@ -34,17 +34,15 @@ def ula_steering(n_sensors: int, theta_deg: float) -> np.ndarray:
     """Steering vector exp(j pi n sin(theta)) of a half-wavelength ULA.
 
     ||a(theta)||^2 == n_sensors exactly; theta must lie in [-90, 90] degrees.
+    The one-column case of :func:`steering_matrix`.
     """
-    if not -90.0 <= theta_deg <= 90.0:
-        raise ValueError(f"angle {theta_deg} deg outside [-90, 90]")
-    n = np.arange(n_sensors)
-    return np.exp(1j * np.pi * n * np.sin(np.deg2rad(theta_deg)))
+    return steering_matrix(n_sensors, [theta_deg])[:, 0]
 
 
 def steering_matrix(n_sensors: int, angles_deg) -> np.ndarray:
     """Stack of ULA steering vectors, one column per angle."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
-    if angles.size and (angles.min() < -90.0 or angles.max() > 90.0):
+    if not np.all((angles >= -90.0) & (angles <= 90.0)):  # NaN fails too
         raise ValueError("angles outside [-90, 90] deg")
     n = np.arange(n_sensors)[:, None]
     return np.exp(1j * np.pi * n * np.sin(np.deg2rad(angles))[None, :])
@@ -147,7 +145,10 @@ class ScenarioConfig:
 
     snr_db anchors the first source directly in "gaussian-ssr" mode and
     the per-source dB average in "ula-doa" mode; source_offsets_db holds
-    the per-source levels relative to the first source.
+    the per-source levels relative to the first source. true_doas_deg is
+    required for "ula-doa" and rejected for "gaussian-ssr", whose supports
+    are drawn per trial. The support rule follows the kind (see
+    :attr:`peak`) and is not a field.
     """
 
     kind: str
@@ -162,7 +163,6 @@ class ScenarioConfig:
     true_doas_deg: tuple | None = None
     seed: int = 0
     trials: int = 100
-    peak: bool | None = None
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -197,8 +197,14 @@ class ScenarioConfig:
             if any(not -90.0 <= t < 90.0 for t in doas):
                 raise ValueError("true DOAs must lie in [-90, 90) deg")
             object.__setattr__(self, "true_doas_deg", doas)
-        if self.peak is None:
-            object.__setattr__(self, "peak", self.kind == "ula-doa")
+        elif self.true_doas_deg is not None:
+            raise ValueError("true_doas_deg applies only to ula-doa scenarios")
+
+    @property
+    def peak(self) -> bool:
+        """Support rule: K largest grid peaks for "ula-doa", K largest
+        entries for "gaussian-ssr"."""
+        return self.kind == "ula-doa"
 
     def source_powers(self, snr_db: float) -> np.ndarray:
         """Per-source powers for one SNR point, in config source order."""

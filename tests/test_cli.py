@@ -3,10 +3,20 @@ from pathlib import Path
 
 import pytest
 
-from covlearn import SolverConfig
+from covlearn import MethodSpec, SolverConfig
 from covlearn.cli import SpecError, main, parse_spec, run_experiment
 
-SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts").glob("*.cfg"))
+ROOT = Path(__file__).parent.parent
+SHIPPED_CONFIGS = sorted((ROOT / "scripts").glob("*.cfg"))
+WORKLOAD_CONFIGS = sorted((ROOT / "perfbench" / "workloads").glob("*.cfg"))
+# the line perfbench's warm-up batch appends to each workload config
+WARM_UP_SUFFIX = "\nmax_iter = 2\n"
+# every config a shipped script or the benchmark runs, as (path, appended text)
+CONFIG_TRAFFIC = (
+    [pytest.param(p, "", id=p.name) for p in SHIPPED_CONFIGS]
+    + [pytest.param(p, "", id=f"perfbench-{p.name}") for p in WORKLOAD_CONFIGS]
+    + [pytest.param(p, WARM_UP_SUFFIX, id=f"perfbench-{p.name}-warm-up") for p in WORKLOAD_CONFIGS]
+)
 
 MINI = """\
 # smallest useful experiment
@@ -45,17 +55,14 @@ class TestParseSpec:
         assert spec.scenario.kind == "gaussian-ssr"
         assert spec.scenario.trials == 6
         assert spec.emit == ("csv", "json")
+        assert spec.methods == (MethodSpec("cl-omp"), MethodSpec("somp"))
         for m in spec.methods:
             assert m.max_iter == 500
-            assert m.tol == pytest.approx(0.5e-4)
 
     def test_unset_knobs_take_solver_config_defaults(self, tmp_path):
-        cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl") + "method.msbl.tol = 1e-3\n"
-        by = {m.tag: m for m in parse_spec(write(tmp_path, cfg)).methods}
-        default = SolverConfig()
-        assert (by["cl-bcd"].max_iter, by["cl-bcd"].tol) == (default.max_iter, default.tol)
-        assert (by["msbl"].max_iter, by["msbl"].tol) == (default.max_iter, 1e-3)
-        assert by["msbl"].known_sigma2 is default.known_sigma2
+        cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl")
+        methods = parse_spec(write(tmp_path, cfg)).methods
+        assert [m.max_iter for m in methods] == [SolverConfig().max_iter] * 2
 
     def test_sparsity_constraint_named(self, tmp_path):
         bad = MINI.replace("k = 2", "k = 10")
@@ -87,41 +94,50 @@ class TestParseSpec:
         with pytest.raises(SpecError, match="trials"):
             parse_spec(write(tmp_path, bad))
 
-    def test_method_override_applies(self, tmp_path):
-        cfg = MINI.replace("cl-omp, somp", "cl-bcd, somp") + "method.cl-bcd.max_iter = 7\n"
-        spec = parse_spec(write(tmp_path, cfg))
-        by = {m.tag: m for m in spec.methods}
-        assert by["cl-bcd"].max_iter == 7
-        assert by["somp"].max_iter == 500
+    def test_top_level_max_iter_applies_to_every_method(self, tmp_path):
+        cfg = MINI.replace("cl-omp, somp", "cl-bcd, somp") + "max_iter = 7\n"
+        assert [m.max_iter for m in parse_spec(write(tmp_path, cfg)).methods] == [7, 7]
 
+    # per-method overrides (method.<tag>.<field>) are not part of the grammar
     @pytest.mark.parametrize(
         "tag,field",
         [("music", "max_iter"), ("cl-omp", "tol"), ("somp", "known_sigma2"), ("iaa", "known_sigma2")],
     )
     def test_override_the_method_never_reads_rejected(self, tmp_path, tag, field):
         cfg = MINI.replace("cl-omp, somp", tag) + f"method.{tag}.{field} = 3\n"
-        with pytest.raises(SpecError, match=rf":11: key 'method.{tag}.{field}': .*does not read"):
+        with pytest.raises(SpecError, match=rf":11: key 'method.{tag}.{field}': unknown key"):
             parse_spec(write(tmp_path, cfg))
 
     @pytest.mark.parametrize("field", ["b", "prune_threshold"])
     def test_deleted_override_fields_rejected(self, tmp_path, field):
         cfg = MINI.replace("cl-omp, somp", "sbl, cl-bcd") + f"method.sbl.{field} = 0.5\n"
-        with pytest.raises(SpecError, match=f"unknown override field '{field}'"):
+        with pytest.raises(SpecError, match=rf":11: key 'method.sbl.{field}': unknown key"):
             parse_spec(write(tmp_path, cfg))
 
     @pytest.mark.parametrize(
-        "line,key,message",
+        "line",
         [
-            ("max_iter = 0", "max_iter", "max_iter must be at least 1"),
-            ("tol = 0", "tol", "tol must be positive"),
-            ("known_sigma2 = 0", "known_sigma2", "known_sigma2 must be positive"),
-            (
-                "method.msbl.known_sigma2 = -1",
-                "method.msbl.known_sigma2",
-                "known_sigma2 must be positive",
-            ),
-            ("method.cl-bcd.tol = -1e-3", "method.cl-bcd.tol", "tol must be positive"),
+            "tol = 0",
+            "known_sigma2 = 0",
+            "peak = true",
+            "method.msbl.known_sigma2 = -1",
+            "method.cl-bcd.tol = -1e-3",
         ],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        # tol is SolverConfig's, msbl/cwo get the scenario's noise_var and
+        # the support rule follows kind; none of them is a config key
+        key = line.split(" =")[0]
+        cfg = write(tmp_path, MINI.replace("cl-omp, somp", "cl-bcd, msbl") + line + "\n")
+        with pytest.raises(SpecError, match=rf":11: key '{key}': unknown key"):
+            parse_spec(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f":11: key '{key}': unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "line,key,message",
+        [("max_iter = 0", "max_iter", "max_iter must be at least 1")],
     )
     def test_value_every_trial_rejects_is_a_spec_error(self, tmp_path, line, key, message):
         cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl") + line + "\n"
@@ -139,8 +155,16 @@ class TestParseSpec:
 
     def test_override_for_absent_method_rejected(self, tmp_path):
         cfg = MINI + "method.iaa.tol = 1e-3\n"
-        with pytest.raises(SpecError, match="not in the run"):
+        with pytest.raises(SpecError, match=r":11: key 'method.iaa.tol': unknown key"):
             parse_spec(write(tmp_path, cfg))
+
+    def test_repeated_method_tag_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINI.replace("cl-omp, somp", "iaa, somp, iaa"))
+        with pytest.raises(SpecError, match=r":8: key 'methods': method tags repeated: iaa"):
+            parse_spec(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "repeated: iaa" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_output_dir_key(self, tmp_path):
         spec = parse_spec(write(tmp_path, MINI + "output_dir = out/bench\n"))
@@ -152,11 +176,15 @@ class TestParseSpec:
         assert spec.scenario.peak is True
         assert spec.scenario.true_doas_deg == (-24.8,)
 
-    @pytest.mark.parametrize("cfg", SHIPPED_CONFIGS, ids=lambda p: p.name)
-    def test_shipped_configs_validate(self, cfg):
-        spec = parse_spec(cfg)
+    @pytest.mark.parametrize("cfg,suffix", CONFIG_TRAFFIC)
+    def test_shipped_configs_validate(self, tmp_path, cfg, suffix):
+        # the warm-up variant as perfbench/worker.py writes it
+        path = write(tmp_path, cfg.read_text() + suffix, cfg.name) if suffix else cfg
+        spec = parse_spec(path)
         assert spec.methods
-        assert spec.scenario.trials >= 100  # full-scale experiments
+        assert spec.scenario.trials >= 100  # full-scale experiments; perfbench sets its own
+        if suffix:
+            assert {m.max_iter for m in spec.methods} == {2}
 
 
 class TestRunExperiment:

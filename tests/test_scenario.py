@@ -52,10 +52,19 @@ class TestUlaSteering:
         a = ula_steering(9, 37.5)
         npt.assert_allclose(np.abs(a), np.ones(9), atol=1e-15)
         npt.assert_allclose(np.vdot(a, a).real, 9.0, atol=1e-12)
+        # bit for bit the matching steering_matrix column, on and off the grid
+        angles = np.concatenate([grid_angles_deg(1801), [-20.02, 3.02, 37.5]])
+        for n in (1, 2, 6, 20, 32):
+            A = steering_matrix(n, angles)
+            for i, theta in enumerate(angles):
+                npt.assert_array_equal(ula_steering(n, theta), A[:, i])
 
     def test_out_of_range_rejected(self):
+        for theta in (95.0, np.nan):
+            with pytest.raises(ValueError):
+                ula_steering(4, theta)
         with pytest.raises(ValueError):
-            ula_steering(4, 95.0)
+            steering_matrix(4, [10.0, np.nan])
 
     def test_dirichlet_kernel_closed_form(self):
         n = 8
@@ -180,6 +189,8 @@ class TestScenarioConfig:
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), rho=1.0)
         with pytest.raises(ValueError, match="true_doas_deg"):
             ScenarioConfig("ula-doa", 8, 181, 8, 1, (0.0,))
+        with pytest.raises(ValueError, match="true_doas_deg"):
+            ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), true_doas_deg=(5, 7))
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), trials=0)
 
@@ -219,6 +230,8 @@ class TestScenarioConfig:
             "ula-doa", 8, 181, 8, 1, (0.0,), true_doas_deg=(-10.0,)
         )
         assert ssr.peak is False and doa.peak is True
+        with pytest.raises(TypeError):  # the rule follows kind; it is not a field
+            ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), peak=True)
 
 
 class TestRunMonteCarlo:
@@ -293,15 +306,23 @@ class TestRunMonteCarlo:
             run_monte_carlo(cfg, ["cl-omp", "mle1"])
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "override", [{"max_iter": 0}, {"tol": 0.0}, {"known_sigma2": -1.0}]
-    )
+    @pytest.mark.parametrize("override", [{"max_iter": 0}])
     def test_value_every_trial_rejects_raises_before_any_trial(self, monkeypatch, override):
         calls = []
         monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
         cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
         with pytest.raises(ValueError, match="must be"):
             run_monte_carlo(cfg, ["cl-omp", MethodSpec("msbl", **override)])
+        assert calls == []
+
+    def test_repeated_method_tag_raises_before_any_trial(self, monkeypatch):
+        with pytest.raises(ValueError, match="repeated: iaa"):
+            methods.resolve_methods(["iaa", MethodSpec("iaa", max_iter=1)])
+        calls = []
+        monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
+        cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
+        with pytest.raises(ValueError, match="repeated: iaa"):
+            run_monte_carlo(cfg, ["iaa", "cl-omp", "iaa"])
         assert calls == []
 
     def test_all_zero_snapshots_are_counted_failures(self, monkeypatch):
