@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .clbcd import (
+    Problem,
     SolverConfig,
     SolverResult,
-    _support_noise_refit,
     check_problem,
     iaa_update,
     iterate,
+    matched_filter_powers,
 )
 from .model import (
     CovarianceState,
@@ -26,9 +27,7 @@ from .model import (
     _noise_floor,
     atom_forms,
     atom_quadratic_forms,
-    noise_mle,
     pseudo_inverse_apply,
-    sample_covariance,
 )
 from .scenario import grid_angles_deg, ula_grid
 from .sparsity import SupportSet, hard_threshold
@@ -109,15 +108,12 @@ def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     return np.maximum(g * g * r + g * (1.0 - g * q), 0.0)
 
 
-def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray:
-    """Matched-filter spectrum a_i^H Shat a_i / ||a_i||^4 (strictly positive init)."""
-    num = atom_forms(dictionary, scm[None])[0]
-    return np.maximum(num, 0.0) / dictionary._norms2**2
-
-
 # ---------------------------------------------------------------------------
 # full iterative runners
 # ---------------------------------------------------------------------------
+
+# Each runner takes Y as an N x L snapshot matrix or as a clbcd.Problem over
+# the same dictionary, which the methods of one Monte-Carlo cell share.
 
 
 def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
@@ -129,40 +125,40 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
     projector-residual MLE on the final support.
     """
     config = config or SolverConfig()
-    scm = check_problem(sample_covariance(Y), dictionary, k)
-    n = dictionary.n_sensors
-    loading = 1e-12 * np.trace(scm).real / n
+    problem = Problem.of(Y, dictionary, k)
+    scm = problem.scm
+    loading = 1e-12 * np.trace(scm).real / dictionary.n_sensors
 
     gamma, _, iterations, converged = iterate(
         dictionary,
         lambda state: (iaa_update(state, scm), loading),
-        matched_filter_powers(dictionary, scm),
+        problem.matched_filter,
         loading,
         config.max_iter,
         config.tol,
     )
     support = hard_threshold(gamma, k, config.peak)
-    sigma2 = noise_mle(scm, dictionary.take(support.indices), n)
+    sigma2 = problem.noise_mle(support)
     return SolverResult(support, gamma, sigma2, iterations, converged)
 
 
 def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> SolverResult:
-    scm = check_problem(sample_covariance(Y), dictionary, k)
+    problem = Problem.of(Y, dictionary, k)
+    scm = problem.scm
     n = dictionary.n_sensors
     noise_floor = _noise_floor(np.trace(scm).real, n)
-    refit = _support_noise_refit(scm, dictionary)
 
     def step(state):
         gamma = ratio_update(state, scm, b)
         if noise_rule == "samv2":
             return gamma, max(samv2_noise_update(state, scm), noise_floor)
         support = hard_threshold(gamma, k, config.peak)
-        return gamma, refit(support)
+        return gamma, problem.noise_mle(support)
 
     gamma, sigma2, iterations, converged = iterate(
         dictionary,
         step,
-        matched_filter_powers(dictionary, scm),
+        problem.matched_filter,
         np.trace(scm).real / n,
         config.max_iter,
         config.tol,
@@ -195,13 +191,14 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverR
     """
     if config.known_sigma2 is None:
         raise ValueError("msbl requires a known_sigma2")
-    scm = check_problem(sample_covariance(Y), dictionary, k)
+    problem = Problem.of(Y, dictionary, k)
+    scm = problem.scm
     sigma2 = float(config.known_sigma2)
 
     gamma, _, iterations, converged = iterate(
         dictionary,
         lambda state: (msbl_update(state, scm), sigma2),
-        matched_filter_powers(dictionary, scm),
+        problem.matched_filter,
         sigma2,
         config.max_iter,
         config.tol,
@@ -220,7 +217,7 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
     """
     if config.known_sigma2 is None:
         raise ValueError("cwo requires a known_sigma2")
-    scm = check_problem(sample_covariance(Y), dictionary, k)
+    scm = Problem.of(Y, dictionary, k).scm
     sigma2 = float(config.known_sigma2)
     A = dictionary.atoms
 
@@ -248,19 +245,16 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
 # ---------------------------------------------------------------------------
 
 
-def somp(Y, dictionary: Dictionary, k: int, *, _scm=None) -> SupportSet:
+def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     """Simultaneous OMP: greedy residual-correlation selection with LS refits.
 
     Selects the atom maximizing ||a_i^H R||_2 / ||a_i||_2 against the
     current residual, refits all selected rows by least squares, K times.
-    The snapshots are validated like every other solver's input
-    (:func:`check_problem` on their sample covariance), so all-zero snapshots
-    raise ValueError. ``_scm`` is not part of the interface: it lets the
-    methods layer, which needs the sample covariance of Y as well, form it
-    once.
+    Y is an N x L snapshot matrix or a :class:`Problem` over ``dictionary``;
+    it is validated like every other solver's input (its sample covariance
+    must have energy), so all-zero snapshots raise ValueError.
     """
-    check_problem(sample_covariance(Y) if _scm is None else _scm, dictionary, k)
-    Y = np.asarray(Y, dtype=np.complex128)
+    Y = Problem.of(Y, dictionary, k).Y
     A = dictionary.atoms
     norms = np.sqrt(dictionary._norms2)
 

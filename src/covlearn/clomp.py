@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clbcd import SolverResult, check_problem
+from .clbcd import Problem, SolverResult
 from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
     atom_quadratic_forms,
     provisional_mle,
-    sample_covariance,
     support_atom_forms,
 )
 from .sparsity import SupportSet
@@ -99,8 +98,10 @@ def _sweep(q: np.ndarray, r: np.ndarray, excluded) -> SweepResult:
 
 
 def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
-    """Recover a K-sparse support from snapshots Y by greedy pursuit."""
-    scm = check_problem(sample_covariance(Y), dictionary, k)
+    """Recover a K-sparse support from snapshots Y (an N x L matrix or a
+    :class:`~covlearn.clbcd.Problem` over ``dictionary``) by greedy pursuit."""
+    problem = Problem.of(Y, dictionary, k)
+    scm = problem.scm
     n = dictionary.n_sensors
 
     # noise-only start: Sigma = (tr(Shat)/n) I, empty support
@@ -110,7 +111,10 @@ def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
     rows = None
 
     for _ in range(k):
-        q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows)
+        # the first sweep (empty support) reads the problem's cached a_i^H Shat a_i
+        q, r, rows = support_atom_forms(
+            dictionary, scm, chosen, gamma_sub, sigma2, rows, forms=problem.forms
+        )
         sweep = _sweep(q, r, chosen)
         if not np.any(np.isfinite(sweep.errors)):
             raise ValueError("no candidate atoms remain for the sweep")

@@ -12,9 +12,9 @@ from functools import partial
 import numpy as np
 
 from . import baselines
-from .clbcd import SolverConfig, SolverResult, run_clbcd
+from .clbcd import Problem, SolverConfig, SolverResult, run_clbcd
 from .clomp import run_clomp
-from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle, sample_covariance
+from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle
 from .scenario import steering_matrix
 
 FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
@@ -98,11 +98,15 @@ def solve_trial(
 ) -> SolverResult:
     """Run one method on one batch of snapshots.
 
-    The iterative methods run at ``spec``'s iteration cap with
+    Y is an N x L snapshot matrix or a :class:`~covlearn.clbcd.Problem` over
+    ``dictionary``; the Monte-Carlo engine passes one Problem to every method
+    of a cell, so the sample covariance and what is cached on it are formed
+    once. The iterative methods run at ``spec``'s iteration cap with
     :class:`SolverConfig`'s tolerance, the scenario's support rule ``peak``
     and, for msbl and cwo, the scenario's noise variance ``noise_var``.
     """
     tag = spec.tag
+    problem = Problem.of(Y, dictionary, k)
 
     # looked up per call, so a patched module attribute is the one that runs
     runner = {
@@ -116,30 +120,29 @@ def solve_trial(
     }.get(tag)
     if runner is not None:
         config = SolverConfig(spec.max_iter, peak=peak, known_sigma2=noise_var)
-        return runner(Y, dictionary, k, config)
+        return runner(problem, dictionary, k, config)
 
     if tag == "cl-omp":
-        return run_clomp(Y, dictionary, k)
+        return run_clomp(problem, dictionary, k)
 
     if tag == "somp":
-        scm = sample_covariance(Y)
-        support = baselines.somp(Y, dictionary, k, _scm=scm)
+        support = baselines.somp(problem, dictionary, k)
         sub = dictionary.take(support.indices)
         # one factor of the final support serves the row refit and the noise refit
         Q, R = _qr_full_rank(sub)
-        rows = np.linalg.solve(R, Q.conj().T @ np.asarray(Y, dtype=np.complex128))
+        rows = np.linalg.solve(R, Q.conj().T @ problem.Y)
         gamma = np.zeros(dictionary.n_atoms)
         gamma[list(support.indices)] = np.mean(np.abs(rows) ** 2, axis=1)
-        sigma2 = noise_mle(scm, sub, dictionary.n_sensors, factor=(Q, R))
+        sigma2 = noise_mle(problem.scm, sub, dictionary.n_sensors, factor=(Q, R))
         return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
     if tag == "music":
-        return baselines.music_doas(sample_covariance(Y), dictionary, k)
+        return baselines.music_doas(problem.scm, dictionary, k)
 
     if tag == "mle1":
         if k != 1:
             raise ValueError("mle1 handles exactly one source")
-        scm = sample_covariance(Y)
+        scm = problem.scm
         theta = baselines.mle_single_source(scm, FINE_GRID_POINTS)
         atom = steering_matrix(dictionary.n_sensors, [theta])
         gamma_src, sigma2 = provisional_mle(scm, atom, dictionary.n_sensors)

@@ -334,7 +334,7 @@ def _check_positive(q: np.ndarray) -> np.ndarray:
 
 
 def support_atom_forms(
-    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2: float, rows=None
+    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2: float, rows=None, forms=None
 ):
     """Per-atom (q, r) of Sigma = sigma2 I + B diag(gamma) B^H, B = A_support, from Gram rows.
 
@@ -351,9 +351,10 @@ def support_atom_forms(
     exist an evaluation costs O(j^2 M) and forms no N x N matrix. ``rows`` is
     the third value a previous call returned for the same dictionary and scm
     and a prefix of this support: its rows are kept and one row pair is
-    appended per new atom, at O(NM). Without it, the call also evaluates
-    a_i^H Shat a_i through :func:`atom_forms` (O(N^2 M) on a dense dictionary,
-    O(N^2 + NM) on a Vandermonde one); ||a_i||^2 is cached by the dictionary.
+    appended per new atom, at O(NM). Without it, the call also needs
+    a_i^H Shat a_i: ``forms`` when the caller has them, else evaluated through
+    :func:`atom_forms` (O(N^2 M) on a dense dictionary, O(N^2 + NM) on a
+    Vandermonde one); ||a_i||^2 is cached by the dictionary.
 
     Returns (q, r, rows). Raises NumericError if some q_i <= 0, and
     ValueError for invalid powers or a ``rows`` whose support is not a prefix.
@@ -364,7 +365,9 @@ def support_atom_forms(
     A = dictionary.atoms
     if rows is None:
         empty = np.empty((0, A.shape[1]), dtype=np.complex128)
-        rows = ((), dictionary._norms2, atom_forms(dictionary, scm[None])[0], empty, empty)
+        if forms is None:
+            forms = atom_forms(dictionary, scm[None])[0]
+        rows = ((), dictionary._norms2, forms, empty, empty)
     known, sq, s, P, H = rows
     if support[: len(known)] != known:
         raise ValueError("rows were computed for a support that is not a prefix of this one")

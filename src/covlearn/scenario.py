@@ -373,18 +373,26 @@ def _evaluate_outcome(outcome, config, grid_deg, true_ctx):
     )
 
 
+# The exceptions a solve may raise for its data, each counted as a failed trial.
+_COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
+
+
 def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     """Run every requested method on identical per-trial data; aggregate metrics.
 
     ``methods`` is a sequence of tags or MethodSpec objects. Returns one
     MetricsRecord per (method, snr_db), in that nesting order. Results are
-    independent of ``threads``, which must be at least 1. A solve that
-    raises a numerical error (ArithmeticError, LinAlgError or ValueError) is
-    counted as a failure of its cell; any other exception is a programming
-    error and propagates.
+    independent of ``threads``, which must be at least 1. Each (trial, SNR)
+    builds one :class:`~covlearn.clbcd.Problem` from its snapshots, which
+    every method solves; building it is not part of any method's runtime.
+    A solve that raises a numerical error (ArithmeticError, LinAlgError or
+    ValueError) is counted as a failure of its cell, and a Problem that
+    cannot be built (non-finite snapshots, no energy) as one failure of
+    every method; any other exception is a programming error and propagates.
     A method that cannot solve the scenario (see
     :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
     """
+    from .clbcd import Problem
     from .methods import check_methods, resolve_methods, solve_trial
 
     if threads < 1:
@@ -429,15 +437,21 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
                 true_ctx = (frozenset(int(i) for i in support), gamma_true)
             Y = src_atoms @ (_source_chol(powers, config.rho) @ waveforms)
             Y = Y + np.sqrt(config.noise_var) * noise
+            try:
+                problem = Problem(Y, dictionary)
+            except _COUNTED:  # an invalid sample covariance fails every method
+                cells.update(((mi, si), _TrialCell(ok=False)) for mi in range(len(specs)))
+                continue
             for mi, spec in enumerate(specs):
                 # CPU time of this thread: wall time in a pool thread would
                 # also count the other workers it waits behind
                 t0 = time.thread_time()
                 try:
-                    outcome = solve_trial(spec, Y, dictionary, k, config.peak, config.noise_var)
+                    outcome = solve_trial(spec, problem, dictionary, k, config.peak,
+                                          config.noise_var)
                     cell = _evaluate_outcome(outcome, config, grid_deg, true_ctx)
                     cell = replace(cell, runtime_s=time.thread_time() - t0)
-                except (ArithmeticError, np.linalg.LinAlgError, ValueError):
+                except _COUNTED:
                     cell = _TrialCell(ok=False)
                 cells[(mi, si)] = cell
         return t, cells

@@ -29,7 +29,7 @@ from covlearn import (
     grid_angles_deg,
     hard_threshold,
 )
-from covlearn import baselines, methods, model, scenario
+from covlearn import baselines, clbcd, methods, model, scenario
 from util import (
     ULA_SHAPES,
     dense_atom_forms,
@@ -228,8 +228,8 @@ class TestSomp:
             formed.append(None)
             return model.sample_covariance(Y)
 
-        monkeypatch.setattr(methods, "sample_covariance", counting)
-        monkeypatch.setattr(baselines, "sample_covariance", counting)
+        # every solve forms its sample covariance in clbcd.Problem
+        monkeypatch.setattr(clbcd, "sample_covariance", counting)
         for seed in range(5):
             rng = np.random.default_rng((48, seed))
             d = ula_grid(8, 91) if grid else random_unit_dictionary(rng, 16, 64)

@@ -8,7 +8,9 @@ from covlearn import (
     SolverConfig,
     build_covariance,
     gaussian_dictionary,
+    hard_threshold,
     iaa_update,
+    matched_filter_powers,
     noise_mle,
     relative_change,
     run_clbcd,
@@ -97,17 +99,19 @@ class TestRunClBcd:
 
     def test_power_step_equals_iaa_update(self):
         # each iteration's powers are IAA's r/q^2 against the model of the
-        # previous iterate, whose noise variance is that iterate's support refit
+        # previous iterate, whose noise variance is that iterate's support
+        # refit; iteration 1, the step from the noise-only start, is the
+        # matched filter (see test_first_step_is_the_matched_filter)
         rng = np.random.default_rng(22)
         A = random_unit_dictionary(rng, 6, 15)
         Y = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
         scm = sample_covariance(Y)
-        state = build_covariance(A, np.zeros(15), np.trace(scm).real / 6)
+        expected = matched_filter_powers(A, scm)
         for it in (1, 2, 3):
             res = run_clbcd(Y, A, 2, SolverConfig(max_iter=it, tol=1e-14))
-            npt.assert_array_equal(res.gamma, iaa_update(state, scm))
+            npt.assert_array_equal(res.gamma, expected)
             assert res.sigma2 == noise_mle(scm, A.take(res.support.indices), 6)
-            state = build_covariance(A, res.gamma, res.sigma2)
+            expected = iaa_update(build_covariance(A, res.gamma, res.sigma2), scm)
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
@@ -147,6 +151,75 @@ class TestRunClBcd:
         res = run_clbcd(Y, A, 3)
         assert res.gamma.min() >= 0.0
         assert res.sigma2 > 0.0
+
+
+def _iterated_clbcd(Y, d, k, config):
+    """cl-bcd with iteration 1 run by ``iterate`` from the zero start, through
+    iaa_update: (support, gamma, sigma2, iterations, converged)."""
+    scm = sample_covariance(Y)
+    n = d.n_sensors
+    support = None
+
+    def step(state):
+        nonlocal support
+        gamma = iaa_update(state, scm)
+        support = hard_threshold(gamma, k, config.peak)
+        return gamma, noise_mle(scm, d.take(support.indices), n)
+
+    out = iterate(d, step, np.zeros(d.n_atoms), np.trace(scm).real / n, config.max_iter, config.tol)
+    return (support, *out)
+
+
+class TestFirstIterate:
+    """cl-bcd's iteration 1, IAA's step from the noise-only start, is the
+    matched filter in closed form."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ula"])
+    def test_first_step_is_the_matched_filter(self, kind):
+        # Theta = I / s2 gives q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2
+        rng = np.random.default_rng(41)
+        d = random_unit_dictionary(rng, 12, 40) if kind == "gaussian" else ula_grid(20, 1801)
+        n = d.n_sensors
+        Y = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+        scm = sample_covariance(Y)
+        expected = matched_filter_powers(d, scm)
+        for s2 in (1e-3, np.trace(scm).real / n, 10.0):
+            state = build_covariance(d, np.zeros(d.n_atoms), s2)
+            npt.assert_allclose(iaa_update(state, scm), expected, rtol=1e-12, atol=0.0)
+
+    def _generic(self):
+        rng = np.random.default_rng(42)
+        d = random_unit_dictionary(rng, 8, 24)
+        return d, rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+
+    def _orthogonal(self):
+        # Shat vanishes on the span of the atoms: the matched filter is all zero
+        rng = np.random.default_rng(43)
+        atoms = np.zeros((4, 6), dtype=complex)
+        atoms[:2] = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        Y = np.zeros((4, 5), dtype=complex)
+        Y[2:] = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        return Dictionary(atoms), Y
+
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            ("generic", SolverConfig(max_iter=1)),
+            ("orthogonal", SolverConfig()),
+            ("generic", SolverConfig(tol=2.0)),
+        ],
+        ids=["max-iter-1", "zero-matched-filter", "tol-above-1"],
+    )
+    def test_stop_rule_of_iteration_one(self, case, config):
+        d, Y = self._generic() if case == "generic" else self._orthogonal()
+        res = run_clbcd(Y, d, 1, config)
+        support, gamma, sigma2, iterations, converged = _iterated_clbcd(Y, d, 1, config)
+        assert (res.support, res.sigma2, res.iterations, res.converged) == (
+            support, sigma2, iterations, converged
+        )
+        assert res.iterations == 1 and res.converged == (case != "generic" or config.tol > 1)
+        npt.assert_allclose(res.gamma, gamma, rtol=1e-12, atol=0.0)
+        assert res.gamma.flags.writeable
 
 
 def _refit_problem(kind, seed):

@@ -151,6 +151,9 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
     """cl-bcd (method "cl-bcd") or sbl (method 1.0 or 0.5, the ratio exponent)
     with ``noise_mle`` run on the top-K support in every iteration.
 
+    cl-bcd's iteration 1 is the matched filter with the refit on its
+    support, and ``iterate`` runs the other max_iter - 1 (max_iter >= 2, and
+    the matched filter must not be all zero: iteration 1 does not stop).
     Returns (support, gamma, sigma2, iterations, supports), where supports
     lists the support of every iteration's refit.
     """
@@ -166,13 +169,14 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
         supports.append(indices)
         return gamma, noise_mle(scm, dictionary.take(indices), n)
 
+    gamma0 = matched_filter_powers(dictionary, scm)
     if method == "cl-bcd":
-        gamma0, sigma2_0 = np.zeros(dictionary.n_atoms), np.trace(scm).real / n
-    else:
-        gamma0, sigma2_0 = matched_filter_powers(dictionary, scm), np.trace(scm).real / n
-    gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, sigma2_0, max_iter, tol)
-    support = supports[-1] if method == "cl-bcd" else sorting_hard_threshold(gamma, k, peak)
-    return SupportSet(support), gamma, sigma2, iterations, supports
+        supports.append(sorting_hard_threshold(gamma0, k, peak))
+        sigma2_0 = noise_mle(scm, dictionary.take(supports[0]), n)
+        gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, sigma2_0, max_iter - 1, tol)
+        return SupportSet(supports[-1]), gamma, sigma2, iterations + 1, supports
+    gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, np.trace(scm).real / n, max_iter, tol)
+    return SupportSet(sorting_hard_threshold(gamma, k, peak)), gamma, sigma2, iterations, supports
 
 
 def somp_refit(Y, dictionary, support):
