@@ -5,8 +5,9 @@ Library layout:
 - :mod:`covlearn.model`: covariance model, likelihood, rank-one identities
 - :mod:`covlearn.sparsity`: top-K element/peak selection
 - :mod:`covlearn.clbcd`: cl-bcd solver; the problem (snapshots, their
-  validated sample covariance and its caches), the iteration loop
-  ``iterate``, config and result type shared by every solver
+  validated sample covariance and its caches) and the batch of problems
+  solved as one stack, the stacked iteration loop ``iterate``, config and
+  result type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit
 - :mod:`covlearn.baselines`: comparison methods (IAA, SAMV2, SBL, ...)
 - :mod:`covlearn.scenario`: experiment synthesis, metrics, Monte-Carlo engine
@@ -30,6 +31,7 @@ from .baselines import (
     somp,
 )
 from .clbcd import (
+    Batch,
     ClBcdConfig,
     Problem,
     SolverConfig,

@@ -15,6 +15,7 @@ from .clbcd import (
     Problem,
     SolverConfig,
     SolverResult,
+    _stack_results,
     check_problem,
     iaa_update,
     iterate,
@@ -68,12 +69,13 @@ def ratio_update(state: CovarianceState, scm: np.ndarray, b: float = 1.0) -> np.
     return state.gamma * ratio**b
 
 
-def samv2_noise_update(state: CovarianceState, scm: np.ndarray) -> float:
-    """SAMV2 noise rule sigma2 <- tr(Theta^2 Shat) / tr(Theta^2)."""
+def samv2_noise_update(state: CovarianceState, scm: np.ndarray):
+    """SAMV2 noise rule sigma2 <- tr(Theta^2 Shat) / tr(Theta^2), one value
+    per row of a stacked state."""
     t2 = state.theta @ state.theta
-    num = np.einsum("ij,ji->", t2, scm).real
-    den = np.trace(t2).real
-    return float(num / den)
+    num = np.einsum("...ij,...ji->...", t2, scm).real
+    den = np.trace(t2, axis1=-2, axis2=-1).real
+    return num / den
 
 
 def _cwo_delta(theta: np.ndarray, a: np.ndarray, scm: np.ndarray, gamma_i: float):
@@ -113,7 +115,16 @@ def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Each runner takes Y as an N x L snapshot matrix or as a clbcd.Problem over
-# the same dictionary, which the methods of one Monte-Carlo cell share.
+# the same dictionary, which the methods of one Monte-Carlo cell share. All
+# but cwo solve a Problem with the rest of its batch (clbcd.Problem.solve):
+# their steps act elementwise or row by row, so a stack of rows iterates as
+# one. cwo's sweep is sequential over the atoms and runs one row.
+
+
+def _stack(problems):
+    """The stacked sample covariances of problems and each one's tr(Shat)."""
+    scm = np.array([p.scm for p in problems])
+    return scm, np.array([np.trace(p.scm).real for p in problems])
 
 
 def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
@@ -126,45 +137,54 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
     """
     config = config or SolverConfig()
     problem = Problem.of(Y, dictionary, k)
-    scm = problem.scm
-    loading = 1e-12 * np.trace(scm).real / dictionary.n_sensors
+    return problem.solve(("iaa", k, config), lambda problems: _iaa(problems, k, config))
 
+
+def _iaa(problems, k: int, config: SolverConfig) -> list:
+    scm, tr = _stack(problems)
+    loading = 1e-12 * tr / problems[0].dictionary.n_sensors
     gamma, _, iterations, converged = iterate(
-        dictionary,
-        lambda state: (iaa_update(state, scm), loading),
-        problem.matched_filter,
+        problems[0].dictionary,
+        lambda state, rows: (iaa_update(state, scm[rows]), loading[rows]),
+        np.array([p.matched_filter for p in problems]),
         loading,
         config.max_iter,
         config.tol,
     )
-    support = hard_threshold(gamma, k, config.peak)
-    sigma2 = problem.noise_mle(support)
-    return SolverResult(support, gamma, sigma2, iterations, converged)
+    supports = [hard_threshold(g, k, config.peak) for g in gamma]
+    sigma2 = [p.noise_mle(support) for p, support in zip(problems, supports)]
+    return _stack_results(supports, gamma, sigma2, iterations, converged)
 
 
 def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> SolverResult:
     problem = Problem.of(Y, dictionary, k)
-    scm = problem.scm
-    n = dictionary.n_sensors
-    noise_floor = _noise_floor(np.trace(scm).real, n)
+    return problem.solve(
+        (noise_rule, b, k, config),
+        lambda problems: _ratio_method(problems, k, config, noise_rule, b),
+    )
 
-    def step(state):
-        gamma = ratio_update(state, scm, b)
+
+def _ratio_method(problems, k: int, config: SolverConfig, noise_rule: str, b: float) -> list:
+    scm, tr = _stack(problems)
+    n = problems[0].dictionary.n_sensors
+    noise_floor = _noise_floor(tr, n)
+
+    def step(state, rows):
+        gamma = ratio_update(state, scm[rows], b)
         if noise_rule == "samv2":
-            return gamma, max(samv2_noise_update(state, scm), noise_floor)
-        support = hard_threshold(gamma, k, config.peak)
-        return gamma, problem.noise_mle(support)
+            return gamma, np.maximum(samv2_noise_update(state, scm[rows]), noise_floor[rows])
+        supports = [hard_threshold(g, k, config.peak) for g in gamma]
+        return gamma, np.array([problems[i].noise_mle(s) for i, s in zip(rows, supports)])
 
-    gamma, sigma2, iterations, converged = iterate(
-        dictionary,
+    out = iterate(
+        problems[0].dictionary,
         step,
-        problem.matched_filter,
-        np.trace(scm).real / n,
+        np.array([p.matched_filter for p in problems]),
+        tr / n,
         config.max_iter,
         config.tol,
     )
-    support = hard_threshold(gamma, k, config.peak)
-    return SolverResult(support, gamma, sigma2, iterations, converged)
+    return _stack_results([hard_threshold(g, k, config.peak) for g in out[0]], *out)
 
 
 def run_samv2(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
@@ -192,19 +212,21 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverR
     if config.known_sigma2 is None:
         raise ValueError("msbl requires a known_sigma2")
     problem = Problem.of(Y, dictionary, k)
-    scm = problem.scm
-    sigma2 = float(config.known_sigma2)
+    return problem.solve(("msbl", k, config), lambda problems: _msbl(problems, k, config))
 
-    gamma, _, iterations, converged = iterate(
-        dictionary,
-        lambda state: (msbl_update(state, scm), sigma2),
-        problem.matched_filter,
+
+def _msbl(problems, k: int, config: SolverConfig) -> list:
+    scm = _stack(problems)[0]
+    sigma2 = np.full(len(problems), float(config.known_sigma2))
+    out = iterate(
+        problems[0].dictionary,
+        lambda state, rows: (msbl_update(state, scm[rows]), sigma2[rows]),
+        np.array([p.matched_filter for p in problems]),
         sigma2,
         config.max_iter,
         config.tol,
     )
-    support = hard_threshold(gamma, k, config.peak)
-    return SolverResult(support, gamma, sigma2, iterations, converged)
+    return _stack_results([hard_threshold(g, k, config.peak) for g in out[0]], *out)
 
 
 def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
@@ -221,9 +243,9 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
     sigma2 = float(config.known_sigma2)
     A = dictionary.atoms
 
-    def sweep(state):
-        gamma = np.array(state.gamma)
-        theta = np.array(state.theta)
+    def sweep(state, rows):
+        gamma = np.array(state.gamma[0])
+        theta = np.array(state.theta[0])
         for i in range(dictionary.n_atoms):
             delta, ta, q = _cwo_delta(theta, A[:, i], scm, gamma[i])
             if delta != 0.0:
@@ -231,13 +253,13 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
                 theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
         if gamma.min() < 0.0:
             gamma = np.maximum(gamma, 0.0)  # roundoff from exact -gamma_i steps
-        return gamma, sigma2
+        return gamma[None], state.sigma2
 
     gamma, _, iterations, converged = iterate(
-        dictionary, sweep, np.zeros(dictionary.n_atoms), sigma2, config.max_iter, config.tol
+        dictionary, sweep, np.zeros((1, dictionary.n_atoms)), [sigma2], config.max_iter, config.tol
     )
-    support = hard_threshold(gamma, k, config.peak)
-    return SolverResult(support, gamma, sigma2, iterations, converged)
+    support = hard_threshold(gamma[0], k, config.peak)
+    return SolverResult(support, gamma[0], sigma2, int(iterations[0]), bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------

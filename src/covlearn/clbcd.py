@@ -6,10 +6,16 @@ recursion gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2 over
 all atoms (against the inverse covariance of the previous iterate) with the
 closed-form noise-variance refit on the current top-K support, until the
 power iterates stop moving in relative sup-norm.
+
+Problems over one dictionary can be solved as one stack: :func:`iterate`
+runs every row together and drops each row once it has converged, and a
+:class:`Batch` lets the first solve asked of any of its problems solve them
+all, each row with the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +34,7 @@ from .model import (
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
+    "Batch",
     "ClBcdConfig",
     "Problem",
     "SolverConfig",
@@ -131,6 +138,33 @@ def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray
     return _matched_filter(dictionary, atom_forms(dictionary, scm[None])[0])
 
 
+# The exceptions a solve may raise for its data: the engine counts each as a
+# failed cell, and a stacked solve that raises one is redone row by row.
+_COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
+
+
+class Batch:
+    """Problems over one dictionary that the stacked solvers solve together.
+
+    A :class:`Problem` built with a batch joins it once its sample
+    covariance has passed validation. :meth:`Problem.solve` then solves
+    every member that has no result waiting for the same key as one stack,
+    and keeps each other member's result until that member asks for it.
+    The batch holds its members weakly: each problem holds its batch, and a
+    reference cycle would keep every trial's arrays of a Monte-Carlo run
+    alive until the cyclic garbage collector ran, raising peak memory.
+    """
+
+    def __init__(self):
+        self._members = []
+        self._alone = set()  # keys whose stacked solve raised: solved row by row
+
+    @property
+    def problems(self) -> list:
+        """The members still alive, in the order they joined."""
+        return [p for p in (ref() for ref in self._members) if p is not None]
+
+
 class Problem:
     """Snapshots Y over a dictionary, with what every method reads of them.
 
@@ -143,10 +177,15 @@ class Problem:
     the noise-variance refit of each support asked for (:meth:`noise_mle`).
     Y, scm and the cached arrays are read-only, so every method of a
     Monte-Carlo cell can solve one Problem and get the results it gets
-    from Y alone.
+    from Y alone. A Problem built with a :class:`Batch` over the same
+    dictionary object joins it (else ValueError); without one it forms a
+    batch of its own.
     """
 
-    def __init__(self, Y, dictionary: Dictionary):
+    def __init__(self, Y, dictionary: Dictionary, batch: Batch | None = None):
+        batch = Batch() if batch is None else batch
+        if any(p.dictionary is not dictionary for p in batch.problems):
+            raise ValueError("a batch holds problems over one dictionary")
         Y = np.asarray(Y, dtype=np.complex128).view()
         Y.flags.writeable = False
         scm = _check_scm(sample_covariance(Y), dictionary)
@@ -155,6 +194,9 @@ class Problem:
         self.dictionary = dictionary
         self.scm = scm
         self._noise = {}
+        self._solved = {}
+        self._batch = batch
+        batch._members.append(weakref.ref(self))
 
     @classmethod
     def of(cls, data, dictionary: Dictionary, k: int) -> Problem:
@@ -200,14 +242,45 @@ class Problem:
             )
         return sigma2
 
+    def solve(self, key, solve_stack):
+        """This problem's result of ``solve_stack``, solved with its batch.
 
-def relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    """Sup-norm relative step ||new - old||_inf / ||new||_inf (0 if new == 0)."""
-    scale = max(new.max(), -new.min())
-    if scale == 0.0:
-        return 0.0
+        ``solve_stack(problems)`` returns one result per problem of a list
+        over this dictionary, and ``key`` names what it computes (runner,
+        k and config). The first call of a key solves, as one stack, this
+        problem and every member of its batch with no result waiting for the
+        key; the others' results wait until they ask. If that stacked solve
+        raises a counted error (ArithmeticError, LinAlgError, ValueError),
+        every member solves the key alone from then on, so each gets exactly
+        the result or the exception class of its lone solve.
+        """
+        result = self._solved.pop(key, None)
+        if result is not None:
+            return result
+        batch = self._batch
+        rows = [self]
+        if key not in batch._alone:
+            rows = [p for p in batch.problems if p is self or key not in p._solved]
+        if len(rows) > 1:
+            try:
+                results = solve_stack(rows)
+            except _COUNTED:
+                batch._alone.add(key)
+            else:
+                for problem, result in zip(rows, results):
+                    if problem is not self:
+                        problem._solved[key] = result
+                return results[rows.index(self)]
+        return solve_stack([self])[0]
+
+
+def relative_change(new: np.ndarray, old: np.ndarray):
+    """Sup-norm relative step ||new - old||_inf / ||new||_inf (0 if new == 0),
+    of one power vector, or of each row of a stack."""
+    scale = np.maximum(new.max(axis=-1), -new.min(axis=-1))
     step = new - old
-    return float(np.abs(step, out=step).max() / scale)
+    step = np.abs(step, out=step).max(axis=-1)
+    return np.divide(step, scale, out=np.zeros_like(step), where=scale != 0.0)
 
 
 def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
@@ -216,31 +289,53 @@ def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     return np.maximum(r, 0.0) / q**2
 
 
-def iterate(dictionary: Dictionary, step, gamma0, sigma2_0: float, max_iter: int, tol: float):
-    """Fixed-point iteration of (gamma, sigma2) shared by every iterative solver.
+def iterate(dictionary: Dictionary, step, gamma0, sigma2_0, max_iter: int, tol: float):
+    """Fixed-point iteration of a stack of (gamma, sigma2), shared by every iterative solver.
 
-    Each iteration builds the model covariance at the current iterate and
-    calls ``step(state) -> (gamma_new, sigma2_new)``; it stops once
-    :func:`relative_change` of the powers falls below tol. Returns
-    (gamma, sigma2, iterations, converged); at the cap the last iterate
-    comes back with iterations = max_iter and converged = False.
+    gamma0 is (S, M) and sigma2_0 is (S,): S problems over one dictionary,
+    and S = 1 solves one. Each iteration builds the model covariances of
+    the rows still running as one stacked state and calls
+    ``step(state, rows) -> (gamma_new, sigma2_new)``, where ``rows`` indexes
+    those rows in the stack and the results have one row per entry. A row
+    stops, and leaves the stack, once :func:`relative_change` of its powers
+    falls below tol. Returns (gamma, sigma2, iterations, converged), one
+    entry per row; a row at the cap keeps its last iterate with
+    iterations = max_iter and converged = False.
 
     Raises NumericError if a step returns a negative power.
     """
-    gamma, sigma2 = gamma0, sigma2_0
+    gamma = np.array(gamma0, dtype=np.float64)
+    sigma2 = np.array(sigma2_0, dtype=np.float64)
+    iterations = np.full(len(gamma), max_iter)
+    converged = np.zeros(len(gamma), dtype=bool)
+    rows = np.arange(len(gamma))
     for it in range(1, max_iter + 1):
         # Keep the state bound until the next one is built: freeing it inside
         # the iteration shifted glibc's heap trimming and nearly doubled the
         # page faults of a Gaussian N=32, M=256 run.
-        state = build_covariance(dictionary, gamma, sigma2)
-        gamma_new, sigma2 = step(state)
-        if gamma_new.min() < 0.0:
+        state = build_covariance(dictionary, gamma[rows], sigma2[rows])
+        gamma_new, sigma2_new = step(state, rows)
+        # row by row: a NaN row must not hide another row's negative power
+        if (gamma_new.min(axis=-1) < 0.0).any():
             raise NumericError("power iterate went negative")
-        done = relative_change(gamma_new, gamma) < tol
-        gamma = gamma_new
-        if done:
-            return gamma, sigma2, it, True
-    return gamma, sigma2, max_iter, False
+        done = relative_change(gamma_new, state.gamma) < tol
+        gamma[rows] = gamma_new
+        sigma2[rows] = sigma2_new
+        if done.any():
+            iterations[rows[done]] = it
+            converged[rows[done]] = True
+            rows = rows[~done]
+            if not rows.size:
+                break
+    return gamma, sigma2, iterations, converged
+
+
+def _stack_results(supports, gamma, sigma2, iterations, converged) -> list:
+    """One :class:`SolverResult` per row of a stacked solve's outputs."""
+    return [
+        SolverResult(support, g, float(s2), int(it), bool(c))
+        for support, g, s2, it, c in zip(supports, gamma, sigma2, iterations, converged)
+    ]
 
 
 def run_clbcd(
@@ -250,30 +345,42 @@ def run_clbcd(
     config: SolverConfig | None = None,
 ) -> SolverResult:
     """Recover a K-sparse power vector and its support from snapshots Y
-    (an N x L matrix or a :class:`Problem` over ``dictionary``)."""
+    (an N x L matrix or a :class:`Problem` over ``dictionary``).
+
+    A Problem of a :class:`Batch` is solved with the rest of its batch
+    (see :meth:`Problem.solve`); the result is the one it gets alone."""
     problem = Problem.of(Y, dictionary, k)
     config = config or SolverConfig()
-    scm = problem.scm
+    return problem.solve(("cl-bcd", k, config), lambda problems: _clbcd(problems, k, config))
 
+
+def _clbcd(problems, k: int, config: SolverConfig):
+    """cl-bcd on a stack of problems over one dictionary, one result per problem."""
     # Iteration 1, in closed form: from the noise-only start Theta = I / s2
     # (gamma = 0), q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2, so
     # the power step r_i / q_i^2 is the matched filter for any s2. It stops
     # as :func:`iterate` would against the zero start.
-    gamma = problem.matched_filter
-    support = hard_threshold(gamma, k, config.peak)
-    sigma2 = problem.noise_mle(support)
+    gamma = np.array([p.matched_filter for p in problems])
+    supports = [hard_threshold(g, k, config.peak) for g in gamma]
+    sigma2 = np.array([p.noise_mle(s) for p, s in zip(problems, supports)])
+    iterations = np.ones(len(problems), dtype=int)
     converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
-    if converged or config.max_iter == 1:
-        return SolverResult(support, np.array(gamma), sigma2, 1, converged)
+    live = np.flatnonzero(~converged) if config.max_iter > 1 else []
+    if len(live):
+        scm = np.array([problems[i].scm for i in live])
 
-    def step(state):
-        nonlocal support
-        gamma = iaa_update(state, scm)
-        support = hard_threshold(gamma, k, config.peak)
-        return gamma, problem.noise_mle(support)
+        def step(state, rows):
+            gamma = iaa_update(state, scm[rows])
+            refits = []
+            for g, i in zip(gamma, live[rows]):
+                supports[i] = hard_threshold(g, k, config.peak)
+                refits.append(problems[i].noise_mle(supports[i]))
+            return gamma, np.array(refits)
 
-    # the last step's support is the support of the returned powers
-    gamma, sigma2, iterations, converged = iterate(
-        dictionary, step, gamma, sigma2, config.max_iter - 1, config.tol
-    )
-    return SolverResult(support, gamma, sigma2, iterations + 1, converged)
+        # the last step's support is the support of the returned powers
+        out = iterate(
+            problems[0].dictionary, step, gamma[live], sigma2[live], config.max_iter - 1, config.tol
+        )
+        gamma[live], sigma2[live], iterations[live], converged[live] = out
+        iterations[live] += 1
+    return _stack_results(supports, gamma, sigma2, iterations, converged)

@@ -20,7 +20,14 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .clbcd import SolverConfig
-from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, MethodSpec, check_methods, resolve_methods
+from .methods import (
+    ITERATIVE_TAGS,
+    METHOD_DESCRIPTIONS,
+    METHOD_TAGS,
+    MethodSpec,
+    check_methods,
+    resolve_methods,
+)
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
 try:  # pragma: no cover - metadata lookup
@@ -235,7 +242,8 @@ def run_experiment(
 
     meta = {
         "scenario": asdict(spec.scenario),
-        "methods": [asdict(m) for m in spec.methods],
+        # the iteration cap is echoed only for the methods that read it
+        "methods": [asdict(m) if m.tag in ITERATIVE_TAGS else {"tag": m.tag} for m in spec.methods],
         "emit": list(spec.emit),
         "seed": spec.scenario.seed,
         "build_version": BUILD_VERSION,

@@ -36,6 +36,24 @@ METHOD_DESCRIPTIONS = {
 METHOD_TAGS = tuple(METHOD_DESCRIPTIONS)
 
 
+def _iterative_runners() -> dict:
+    """The runner of each iterative tag, looked up per call, so a patched
+    module attribute is the one that runs."""
+    return {
+        "cl-bcd": run_clbcd,
+        "iaa": baselines.run_iaa,
+        "samv2": baselines.run_samv2,
+        "sbl": baselines.run_sbl,
+        "sbl1": partial(baselines.run_sbl, b=0.5),
+        "msbl": baselines.run_msbl,
+        "cwo": baselines.run_cwo,
+    }
+
+
+# The methods that iterate, the only ones that read MethodSpec.max_iter.
+ITERATIVE_TAGS = tuple(_iterative_runners())
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A method tag and the iteration cap its solver runs at.
@@ -108,16 +126,7 @@ def solve_trial(
     tag = spec.tag
     problem = Problem.of(Y, dictionary, k)
 
-    # looked up per call, so a patched module attribute is the one that runs
-    runner = {
-        "cl-bcd": run_clbcd,
-        "iaa": baselines.run_iaa,
-        "samv2": baselines.run_samv2,
-        "sbl": baselines.run_sbl,
-        "sbl1": partial(baselines.run_sbl, b=0.5),
-        "msbl": baselines.run_msbl,
-        "cwo": baselines.run_cwo,
-    }.get(tag)
+    runner = _iterative_runners().get(tag)
     if runner is not None:
         config = SolverConfig(spec.max_iter, peak=peak, known_sigma2=noise_var)
         return runner(problem, dictionary, k, config)

@@ -49,16 +49,19 @@ class RankDeficientError(np.linalg.LinAlgError):
 
 
 def hermitize(Z: np.ndarray) -> np.ndarray:
-    """Symmetrize a square floating-point matrix after accumulation."""
-    H = Z + Z.conj().T
+    """Symmetrize a square floating-point matrix, or a stack of them, after accumulation."""
+    H = Z + Z.conj().swapaxes(-1, -2)
     H /= 2.0
     return H
 
 
-def _add_to_diagonal(M: np.ndarray, v: float) -> None:
-    """M += v I in place, through a strided view of M's diagonal (any layout)."""
-    diagonal = np.einsum("ii->i", M)
-    diagonal += v
+def _add_to_diagonal(M: np.ndarray, v) -> None:
+    """M += v I in place, through a strided view of M's diagonal (any layout).
+
+    On a stack of matrices, v holds one value per matrix.
+    """
+    diagonal = np.einsum("...ii->...i", M)
+    diagonal += np.asarray(v)[..., None]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -125,7 +128,8 @@ class Dictionary:
     Parameters
     ----------
     atoms : ndarray, shape (n_sensors, n_atoms)
-        Complex atom matrix. Copied and frozen at construction.
+        Complex atom matrix, finite and with no all-zero atom (else
+        ValueError). Copied and frozen at construction.
     norm_mode : {"unit", "array", None}
         Optional normalization contract. "unit" asserts each column has
         unit Euclidean norm (compressed-sensing convention); "array"
@@ -156,6 +160,9 @@ class Dictionary:
             raise ValueError("unit mode requires unit-norm atoms")
         if self.norm_mode == "array" and not np.allclose(norms2, atoms.shape[0], atol=1e-9, rtol=0.0):
             raise ValueError("array mode requires ||a_i||^2 == n_sensors")
+        if not norms2.all():
+            zero = np.flatnonzero(norms2 == 0.0)
+            raise ValueError(f"dictionary atoms must be nonzero; atom {zero[0]} is all zero")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "_norms2", _readonly(norms2))
         object.__setattr__(self, "_vandermonde", _detect_vandermonde(self.atoms))
@@ -195,12 +202,14 @@ class CovarianceState:
 
     Built through :func:`build_covariance`; holds the dictionary, the
     nonnegative power vector, the positive noise variance, and the cached
-    covariance and its inverse (theta).
+    covariance and its inverse (theta). A stack of S models over one
+    dictionary holds gamma as (S, M), sigma2 as (S,) and sigma and theta
+    as (S, N, N).
     """
 
     dictionary: Dictionary
     gamma: np.ndarray
-    sigma2: float
+    sigma2: float | np.ndarray
     sigma: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
 
@@ -218,22 +227,33 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
     return hermitize(Y @ Y.conj().T / Y.shape[1])
 
 
-def _check_model(gamma, n_powers: int, sigma2: float) -> np.ndarray:
-    """gamma as float64 after checking it has n_powers entries, all finite and
-    nonnegative, and that sigma2 is finite and positive (else ValueError)."""
+def _check_model(gamma, n_powers: int, sigma2):
+    """(gamma, sigma2) as float64 after checking that gamma has n_powers
+    entries, all finite and nonnegative, and that sigma2 is finite and
+    positive (else ValueError). A stack has gamma (S, n_powers) and sigma2 (S,)."""
     gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.shape != (n_powers,):
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if gamma.ndim > 2 or gamma.shape[-1:] != (n_powers,):
         raise ValueError("gamma must have one entry per atom")
+    if sigma2.shape != gamma.shape[:-1]:
+        raise ValueError("a stack of powers needs one noise variance per row")
     # a NaN makes min() NaN, and every comparison with NaN is False
     if gamma.size and not (gamma.min() >= 0.0 and gamma.max() < np.inf):
         raise ValueError("signal powers must be finite and nonnegative")
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
+    if not (sigma2.min() > 0.0 and sigma2.max() < np.inf):
         raise ValueError("noise variance must be positive")
-    return gamma
+    return gamma, sigma2
 
 
-def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> CovarianceState:
+def build_covariance(dictionary: Dictionary, gamma, sigma2) -> CovarianceState:
     """Assemble Sigma = sum_i gamma_i a_i a_i^H + sigma2 I and cache its inverse.
+
+    gamma of shape (S, M) with sigma2 of shape (S,) builds a stack of S
+    models at once. On a Vandermonde dictionary the stack takes one Toeplitz
+    gather and one stacked inverse; each row keeps its own A gamma product,
+    because one product of the whole stack rounds differently. A dense
+    dictionary assembles row by row, which measured faster than stacking.
+    Every row gets the bits it gets alone.
 
     Raises
     ------
@@ -243,16 +263,22 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> Covariance
         If the factorization of Sigma fails (cannot happen for sigma2 > 0
         with finite atoms, but guarded).
     """
-    gamma = _check_model(gamma, dictionary.n_atoms, sigma2)
+    gamma, sigma2 = _check_model(gamma, dictionary.n_atoms, sigma2)
     A = dictionary.atoms
     vdm = dictionary._vandermonde
+    rows = gamma.reshape(-1, gamma.shape[-1])
     if vdm is None:
-        sigma = hermitize((A * gamma) @ dictionary._atoms_conj.T)
+        n = dictionary.n_sensors
+        sigma = np.empty((len(rows), n, n), dtype=np.complex128)
+        for g, out in zip(rows, sigma):
+            np.matmul(A * g, dictionary._atoms_conj.T, out=out)
+        sigma = hermitize(sigma)
     else:
         # Sigma[p, q] = sum_i gamma_i z_i^(p-q): Hermitian Toeplitz in c = A gamma
-        c = A @ gamma
-        c[0] = c[0].real
-        sigma = np.concatenate((c[::-1], c[1:].conj()))[vdm.lags]
+        c = np.stack([A @ g for g in rows.astype(np.complex128)])
+        c[:, 0] = c[:, 0].real
+        sigma = np.concatenate((c[:, ::-1], c[:, 1:].conj()), axis=1)[:, vdm.lags]
+    sigma = sigma.reshape(*gamma.shape[:-1], *sigma.shape[1:])
     _add_to_diagonal(sigma, sigma2)
     try:
         theta = hermitize(np.linalg.inv(sigma))
@@ -264,7 +290,7 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2: float) -> Covariance
     return CovarianceState(
         dictionary=dictionary,
         gamma=_readonly(gamma),
-        sigma2=float(sigma2),
+        sigma2=float(sigma2) if sigma2.ndim == 0 else _readonly(sigma2),
         sigma=sigma,
         theta=theta,
     )
@@ -284,24 +310,28 @@ def negative_llf(state: CovarianceState, scm: np.ndarray) -> float:
 
 
 def atom_forms(dictionary: Dictionary, Hs: np.ndarray) -> np.ndarray:
-    """Re a_i^H H a_i for every atom and every H of a stack, shape (S, M).
+    """Re a_i^H H a_i for every atom and every H of a stack: (K, N, N) gives
+    (K, M), and a stack of such stacks, (S, K, N, N), gives (S, K, M).
 
     On a Vandermonde dictionary the form is the trigonometric polynomial
     Re sum_d s_d z_i^d, where s_d sums the entries of H with q - p = d, so
-    the whole stack costs one (S, 2N-2) by (2N-2, M) real product after
-    O(S N^2) diagonal sums. Any other dictionary is evaluated densely,
-    one N x N by N x M product per H.
+    each K-stack costs one (K, 2N-2) by (2N-2, M) real product after
+    O(K N^2) diagonal sums, gathered for all S at once. The products stay
+    one per K-stack: a single (SK, 2N-2) product rounds differently. Any
+    other dictionary is evaluated densely, one N x N by N x M product per H.
     """
     Hs = np.asarray(Hs, dtype=np.complex128)
     A = dictionary.atoms
     vdm = dictionary._vandermonde
-    if vdm is None:
-        return np.stack([np.einsum("ij,ij->j", dictionary._atoms_conj, H @ A).real for H in Hs])
     n = dictionary.n_sensors
-    s = np.add.reduceat(Hs.reshape(len(Hs), -1)[:, vdm.order], vdm.starts, axis=1)
+    if vdm is None:
+        flat = Hs.reshape(-1, n, n)
+        forms = [np.einsum("ij,ij->j", dictionary._atoms_conj, H @ A).real for H in flat]
+        return np.stack(forms).reshape(*Hs.shape[:-2], -1)
+    s = np.add.reduceat(Hs.reshape(*Hs.shape[:-2], -1)[..., vdm.order], vdm.starts, axis=-1)
     # lag -d pairs with conj(z^d), so its sum enters conjugated next to lag +d
-    t = s[:, n:] + s[:, n - 2 :: -1].conj()
-    return s[:, n - 1, None].real + np.concatenate((t.real, -t.imag), axis=1) @ vdm.powers
+    t = s[..., n:] + s[..., n - 2 :: -1].conj()
+    return s[..., n - 1, None].real + np.concatenate((t.real, -t.imag), axis=-1) @ vdm.powers
 
 
 def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
@@ -309,21 +339,31 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
 
     Evaluated for all atoms at once: through :func:`atom_forms` on a
     Vandermonde dictionary, otherwise through V = Theta A, so the cost is
-    two N x N by N x M products rather than M separate solves.
+    two N x N by N x M products rather than M separate solves. A stacked
+    state takes a stack of sample covariances, one per row, and gives
+    (S, M) forms; a dense dictionary evaluates them row by row.
 
     Raises NumericError if some q_i <= 0, which a positive definite Theta
     rules out.
     """
     theta = state.theta
-    if state.dictionary.is_vandermonde:
-        Hs = np.empty((2, *theta.shape), dtype=np.complex128)
-        Hs[0] = theta
-        np.matmul(theta @ scm, theta, out=Hs[1])
-        q, r = atom_forms(state.dictionary, Hs)
+    dictionary = state.dictionary
+    if dictionary.is_vandermonde:
+        Hs = np.empty((*theta.shape[:-2], 2, *theta.shape[-2:]), dtype=np.complex128)
+        Hs[..., 0, :, :] = theta
+        np.matmul(theta @ scm, theta, out=Hs[..., 1, :, :])
+        forms = atom_forms(dictionary, Hs)
+        q, r = forms[..., 0, :], forms[..., 1, :]
     else:
-        V = theta @ state.dictionary.atoms
-        q = np.einsum("ij,ij->j", state.dictionary._atoms_conj, V).real
-        r = np.einsum("ij,ij->j", V.conj(), scm @ V).real
+        def dense(theta, scm):
+            V = theta @ dictionary.atoms
+            q = np.einsum("ij,ij->j", dictionary._atoms_conj, V).real
+            return q, np.einsum("ij,ij->j", V.conj(), scm @ V).real
+
+        if theta.ndim == 2:
+            q, r = dense(theta, scm)
+        else:
+            q, r = map(np.stack, zip(*map(dense, theta, scm)))
     return _check_positive(q), r
 
 
@@ -360,7 +400,7 @@ def support_atom_forms(
     ValueError for invalid powers or a ``rows`` whose support is not a prefix.
     """
     support = tuple(int(i) for i in support)
-    gamma = _check_model(gamma, len(support), sigma2)
+    gamma = _check_model(gamma, len(support), sigma2)[0]
     scm = np.asarray(scm, dtype=np.complex128)
     A = dictionary.atoms
     if rows is None:

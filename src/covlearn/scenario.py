@@ -101,6 +101,12 @@ def _source_chol(powers: np.ndarray, rho: float) -> np.ndarray:
         raise ValueError("source covariance is not positive semidefinite") from exc
 
 
+def _snapshots(source_atoms, chol, waveforms, noise, sigma2) -> np.ndarray:
+    """Y = A_s (C W) + sqrt(sigma2) E from unit-power draws W (sources) and
+    E (noise) and the Cholesky factor C of the source covariance."""
+    return source_atoms @ (chol @ waveforms) + np.sqrt(sigma2) * noise
+
+
 def generate_snapshots(source_atoms, powers, rho, sigma2, n_snapshots, seed) -> np.ndarray:
     """Draw Y = A_s X + E with correlated Gaussian sources and white noise.
 
@@ -129,9 +135,9 @@ def generate_snapshots(source_atoms, powers, rho, sigma2, n_snapshots, seed) -> 
         raise ValueError("noise variance must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     chol = _source_chol(powers, rho)
-    waveforms = chol @ _complex_gaussian(rng, (atoms.shape[1], n_snapshots))
-    noise = np.sqrt(sigma2) * _complex_gaussian(rng, (atoms.shape[0], n_snapshots))
-    return atoms @ waveforms + noise
+    waveforms = _complex_gaussian(rng, (atoms.shape[1], n_snapshots))
+    noise = _complex_gaussian(rng, (atoms.shape[0], n_snapshots))
+    return _snapshots(atoms, chol, waveforms, noise, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +379,6 @@ def _evaluate_outcome(outcome, config, grid_deg, true_ctx):
     )
 
 
-# The exceptions a solve may raise for its data, each counted as a failed trial.
-_COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
-
-
 def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     """Run every requested method on identical per-trial data; aggregate metrics.
 
@@ -384,7 +386,11 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     MetricsRecord per (method, snr_db), in that nesting order. Results are
     independent of ``threads``, which must be at least 1. Each (trial, SNR)
     builds one :class:`~covlearn.clbcd.Problem` from its snapshots, which
-    every method solves; building it is not part of any method's runtime.
+    every method solves; building it, with its per-atom forms and matched
+    filter, is not part of any method's runtime. A trial's Problems share
+    one :class:`~covlearn.clbcd.Batch`, so the first cell of a trial that
+    asks for a batched method solves every SNR of the trial as one stack,
+    and its runtime includes the others' rows.
     A solve that raises a numerical error (ArithmeticError, LinAlgError or
     ValueError) is counted as a failure of its cell, and a Problem that
     cannot be built (non-finite snapshots, no energy) as one failure of
@@ -392,7 +398,7 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     A method that cannot solve the scenario (see
     :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
     """
-    from .clbcd import Problem
+    from .clbcd import _COUNTED, Batch, Problem
     from .methods import check_methods, resolve_methods, solve_trial
 
     if threads < 1:
@@ -426,7 +432,8 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
         waveforms = _complex_gaussian(rng, (k, L))
         noise = _complex_gaussian(rng, (n, L))
 
-        cells = {}
+        # every valid Problem of the trial first, as one batch
+        cells, problems, batch = {}, {}, Batch()
         for si, snr in enumerate(config.snr_db):
             powers = config.source_powers(snr)
             if config.kind == "ula-doa":
@@ -435,13 +442,17 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
                 gamma_true = np.zeros(m)
                 gamma_true[support] = powers
                 true_ctx = (frozenset(int(i) for i in support), gamma_true)
-            Y = src_atoms @ (_source_chol(powers, config.rho) @ waveforms)
-            Y = Y + np.sqrt(config.noise_var) * noise
+            chol = _source_chol(powers, config.rho)
+            Y = _snapshots(src_atoms, chol, waveforms, noise, config.noise_var)
             try:
-                problem = Problem(Y, dictionary)
+                problem = Problem(Y, dictionary, batch)
+                # the forms and the matched filter, outside every clock: a
+                # stacked solve reads them for every cell of the trial
+                problem.matched_filter
+                problems[si] = (problem, true_ctx)
             except _COUNTED:  # an invalid sample covariance fails every method
                 cells.update(((mi, si), _TrialCell(ok=False)) for mi in range(len(specs)))
-                continue
+        for si, (problem, true_ctx) in problems.items():
             for mi, spec in enumerate(specs):
                 # CPU time of this thread: wall time in a pool thread would
                 # also count the other workers it waits behind

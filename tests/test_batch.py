@@ -1,0 +1,188 @@
+"""A solve in a stack equals the same solve alone.
+
+Problems built with one :class:`covlearn.clbcd.Batch` are solved together:
+the first solve asked of any of them iterates all of them as one stack, and
+each row leaves the stack once it has converged. These tests pin that every
+batched method returns, for every row, exactly what a lone solve of that row
+returns (support, powers bit for bit, noise variance, iterations,
+convergence), and that a row that fails fails only its own cell, with the
+exception class of its lone solve.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covlearn import (
+    Dictionary,
+    MethodSpec,
+    RankDeficientError,
+    ScenarioConfig,
+    gaussian_dictionary,
+    run_monte_carlo,
+    solve_trial,
+    steering_matrix,
+    ula_grid,
+)
+from covlearn import clbcd
+from covlearn.clbcd import Batch, Problem
+
+# The methods whose runners solve a Problem with the rest of its batch.
+BATCHED_TAGS = ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl")
+
+# The exceptions the Monte-Carlo engine counts as a failed trial.
+COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
+
+
+def _outcome(spec, data, d, k, peak):
+    """Every field of the solve's SolverResult, powers as bytes, or the
+    class of the counted exception it raised."""
+    try:
+        res = solve_trial(spec, data, d, k, peak, 1.0)
+    except COUNTED as exc:
+        return type(exc)
+    return (res.support, res.gamma.tobytes(), res.sigma2, res.iterations, res.converged)
+
+
+def _stacked(spec, Ys, d, k, peak, first):
+    """Outcomes of solving Ys as one batch, asked first for row ``first``."""
+    batch = Batch()
+    problems = [Problem(Y, d, batch) for Y in Ys]
+    order = [first] + [i for i in range(len(Ys)) if i != first]
+    out = {i: _outcome(spec, problems[i], d, k, peak) for i in order}
+    return [out[i] for i in range(len(Ys))]
+
+
+def _snapshots(ula, seed, snrs):
+    """(dictionary, k, one Y per SNR): the benchmark shapes, with one
+    source and noise draw shared across the SNRs as the engine does."""
+    rng = np.random.default_rng(seed)
+    if ula:
+        d, k, snapshots = ula_grid(20, 1801), 2, 125
+        atoms = steering_matrix(20, [-20.02, 3.02])
+    else:
+        d, k, snapshots = gaussian_dictionary(32, 256, seed), 4, 32
+        atoms = d.take(rng.choice(256, k, replace=False))
+    W = rng.standard_normal((k, snapshots)) + 1j * rng.standard_normal((k, snapshots))
+    E = rng.standard_normal((d.n_sensors, snapshots)) + 1j * rng.standard_normal((d.n_sensors, snapshots))
+    return d, k, [atoms @ (10 ** (snr / 20) * W) + E for snr in snrs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ula=st.booleans(),
+    seed=st.integers(0, 2**16),
+    snrs=st.lists(st.floats(-15.0, 20.0), min_size=2, max_size=4),
+    tag=st.sampled_from(BATCHED_TAGS),
+    max_iter=st.sampled_from([1, 2, 8, 40]),
+    data=st.data(),
+)
+def test_a_solve_in_a_stack_equals_the_solve_alone(ula, seed, snrs, tag, max_iter, data):
+    d, k, Ys = _snapshots(ula, seed, snrs)
+    spec = MethodSpec(tag, max_iter)
+    first = data.draw(st.integers(0, len(Ys) - 1), label="first")
+    alone = [_outcome(spec, Y, d, k, ula) for Y in Ys]
+    assert _stacked(spec, Ys, d, k, ula, first) == alone
+
+
+def test_rows_leave_the_stack_as_they_converge(monkeypatch):
+    # cl-bcd converges at iteration 6 on the three benchmark SNRs and would
+    # need 10 at 10 dB, so a cap of 8 stops that row unconverged
+    d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5, 10.0))
+    spec = MethodSpec("cl-bcd", 8)
+    alone = [_outcome(spec, Y, d, k, True) for Y in Ys]
+    assert [outcome[3:] for outcome in alone] == [(6, True)] * 3 + [(8, False)]
+    stack_sizes = []
+    build = clbcd.build_covariance
+
+    def counting(dictionary, gamma, sigma2):
+        stack_sizes.append(len(gamma))
+        return build(dictionary, gamma, sigma2)
+
+    monkeypatch.setattr(clbcd, "build_covariance", counting)
+    assert _stacked(spec, Ys, d, k, True, 2) == alone
+    # iteration 1 is in closed form; iterations 2-6 run all four rows
+    assert stack_sizes == [4] * 5 + [1] * 2
+
+
+def _duplicate_atom_case():
+    """(dictionary, Ys): atoms 0 and 1 coincide. A strong source there makes
+    every top-2 support {0, 1}, whose noise refit is rank deficient; the
+    other rows carry a source elsewhere or only noise."""
+    rng = np.random.default_rng(53)
+    a = steering_matrix(6, [20.0])
+    d = Dictionary(np.hstack([a, a, steering_matrix(6, np.linspace(-80.0, 80.0, 30))]))
+    X = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
+    E = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
+    return d, [2.0 * a @ X + E, 2.0 * steering_matrix(6, [-41.0]) @ X + E, E]
+
+
+@pytest.mark.parametrize("tag", BATCHED_TAGS)
+def test_a_failing_row_fails_only_its_own_cell(tag):
+    d, Ys = _duplicate_atom_case()
+    spec = MethodSpec(tag, 100)
+    alone = [_outcome(spec, Y, d, 2, False) for Y in Ys]
+    if tag in ("cl-bcd", "iaa", "sbl", "sbl1"):
+        assert alone[0] is RankDeficientError
+    assert all(isinstance(outcome, tuple) for outcome in alone[1:])
+    for first in range(len(Ys)):
+        assert _stacked(spec, Ys, d, 2, False, first) == alone
+
+
+def test_the_engine_solves_a_trials_snr_cells_as_one_stack(monkeypatch):
+    stack_sizes = []
+    build = clbcd.build_covariance
+
+    def counting(dictionary, gamma, sigma2):
+        stack_sizes.append(len(gamma))
+        return build(dictionary, gamma, sigma2)
+
+    monkeypatch.setattr(clbcd, "build_covariance", counting)
+    cfg = ScenarioConfig(
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=2
+    )
+    records = run_monte_carlo(cfg, ["cl-bcd", "iaa"])
+    assert all(r.failures == 0 for r in records)
+    assert max(stack_sizes) == 3
+
+
+def test_the_engine_builds_every_cells_forms_outside_the_methods(monkeypatch):
+    # a stacked solve reads every cell's matched filter: were it built on
+    # first use, the first batched method would pay for the other cells' forms
+    from covlearn import methods
+
+    solve = methods.solve_trial
+    seen = []
+
+    def checking(spec, problem, *args):
+        seen.append(all("matched_filter" in p.__dict__ for p in problem._batch.problems))
+        return solve(spec, problem, *args)
+
+    monkeypatch.setattr(methods, "solve_trial", checking)
+    cfg = ScenarioConfig(
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=2
+    )
+    run_monte_carlo(cfg, ["cl-omp", "cl-bcd"])
+    assert len(seen) == 12 and all(seen)
+
+
+def test_a_batch_holds_problems_over_one_dictionary():
+    batch = Batch()
+    Y = np.random.default_rng(5).standard_normal((6, 10)).astype(complex)
+    member = Problem(Y, ula_grid(6, 91), batch)
+    with pytest.raises(ValueError, match="one dictionary"):
+        Problem(Y, gaussian_dictionary(6, 91, 1), batch)
+    assert batch.problems == [member]
+
+
+def test_a_batch_does_not_keep_its_problems_alive():
+    # no reference cycle: a problem is freed as soon as its last user lets go
+    batch = Batch()
+    Y = np.random.default_rng(6).standard_normal((6, 10)).astype(complex)
+    kept = Problem(Y, ula_grid(6, 91), batch)
+    dropped = weakref.ref(Problem(2.0 * Y, ula_grid(6, 91), batch))
+    assert dropped() is None
+    assert batch.problems == [kept]

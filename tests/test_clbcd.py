@@ -52,19 +52,48 @@ class TestRelativeChange:
 class TestIterate:
     D = Dictionary(np.eye(2, dtype=complex))
 
-    def test_stops_at_the_first_small_step(self):
+    @staticmethod
+    def halving(state, rows):
         # gamma halves its distance to (1, 1): relative steps 1, 1/3, 1/7, 1/15
-        def step(state):
-            return (state.gamma + 1.0) / 2.0, state.sigma2
+        return (state.gamma + 1.0) / 2.0, state.sigma2
 
-        gamma, sigma2, iterations, converged = iterate(self.D, step, np.zeros(2), 0.5, 50, 0.1)
-        assert (iterations, converged, sigma2) == (4, True, 0.5)
-        npt.assert_array_equal(gamma, [0.9375, 0.9375])
-        assert iterate(self.D, step, np.zeros(2), 0.5, 3, 0.1)[2:] == (3, False)
+    def test_stops_at_the_first_small_step(self):
+        gamma, sigma2, iterations, converged = iterate(
+            self.D, self.halving, np.zeros((1, 2)), [0.5], 50, 0.1
+        )
+        assert (iterations.tolist(), converged.tolist(), sigma2.tolist()) == ([4], [True], [0.5])
+        npt.assert_array_equal(gamma, [[0.9375, 0.9375]])
+        out = iterate(self.D, self.halving, np.zeros((1, 2)), [0.5], 3, 0.1)
+        assert (out[2].tolist(), out[3].tolist()) == ([3], [False])
+
+    def test_each_row_stops_on_its_own(self):
+        # from (0.5, 0.5) the relative steps are 1/3, 1/7, 1/15: one
+        # iteration fewer than from zero, so that row leaves the stack first
+        seen = []
+
+        def step(state, rows):
+            seen.append(rows.tolist())
+            return self.halving(state, rows)
+
+        start = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+        gamma, sigma2, iterations, converged = iterate(self.D, step, start, [0.5, 1.0, 2.0], 50, 0.1)
+        assert iterations.tolist() == [4, 3, 4] and converged.all()
+        assert sigma2.tolist() == [0.5, 1.0, 2.0]
+        assert seen == [[0, 1, 2]] * 3 + [[0, 2]]
+        npt.assert_array_equal(gamma[1], [0.9375, 0.9375])
+        out = iterate(self.D, self.halving, start, [0.5, 1.0, 2.0], 3, 0.1)
+        assert (out[2].tolist(), out[3].tolist()) == ([3, 3, 3], [False, True, False])
 
     def test_negative_power_raises(self):
         with pytest.raises(NumericError):
-            iterate(self.D, lambda state: (np.array([1.0, -1.0]), 1.0), np.zeros(2), 1.0, 5, 0.1)
+            iterate(
+                self.D,
+                lambda state, rows: (np.array([[1.0, -1.0]]), state.sigma2),
+                np.zeros((1, 2)),
+                [1.0],
+                5,
+                0.1,
+            )
 
 
 class TestRunClBcd:
@@ -160,14 +189,15 @@ def _iterated_clbcd(Y, d, k, config):
     n = d.n_sensors
     support = None
 
-    def step(state):
+    def step(state, rows):
         nonlocal support
-        gamma = iaa_update(state, scm)
-        support = hard_threshold(gamma, k, config.peak)
-        return gamma, noise_mle(scm, d.take(support.indices), n)
+        gamma = iaa_update(state, scm[None])
+        support = hard_threshold(gamma[0], k, config.peak)
+        return gamma, [noise_mle(scm, d.take(support.indices), n)]
 
-    out = iterate(d, step, np.zeros(d.n_atoms), np.trace(scm).real / n, config.max_iter, config.tol)
-    return (support, *out)
+    start = np.zeros((1, d.n_atoms))
+    out = iterate(d, step, start, [np.trace(scm).real / n], config.max_iter, config.tol)
+    return (support, *(value[0] for value in out))
 
 
 class TestFirstIterate:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,19 @@ class TestRunExperiment:
             rows = (out / "results.csv").read_text().strip().splitlines()[1:]
             assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
             assert json.loads((out / "meta.json").read_text())["runtime_clock"] == "thread_time"
+
+    def test_meta_echoes_the_iteration_cap_only_for_methods_that_iterate(self, tmp_path):
+        spec = parse_spec(ROOT / "scripts" / "doa_single_source.cfg")
+        spec = replace(spec, scenario=replace(spec.scenario, trials=1, snr_db=(0.0,)))
+        run_experiment(spec, tmp_path / "meta")
+        methods = json.loads((tmp_path / "meta" / "meta.json").read_text())["methods"]
+        assert methods == [
+            {"tag": "cl-omp"},
+            {"tag": "cl-bcd", "max_iter": 500},
+            {"tag": "iaa", "max_iter": 500},
+            {"tag": "music"},
+            {"tag": "mle1"},
+        ]
 
     def test_csv_only_emit(self, tmp_path):
         spec = parse_spec(write(tmp_path, MINI + "emit = csv\n"))

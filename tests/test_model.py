@@ -85,6 +85,13 @@ class TestDictionary:
         with pytest.raises(ValueError):
             Dictionary(0.5 * atoms, norm_mode="array")
 
+    def test_all_zero_atom_rejected(self):
+        # every method would divide by ||a_i||^2 = 0 and fail its own way
+        atoms = np.random.default_rng(9).standard_normal((4, 6)).astype(complex)
+        atoms[:, 2] = 0.0
+        with pytest.raises(ValueError, match="atom 2 is all zero"):
+            Dictionary(atoms)
+
     def test_atoms_are_frozen(self):
         d = Dictionary(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):

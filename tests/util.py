@@ -160,22 +160,26 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
     n = dictionary.n_sensors
     supports = []
 
-    def step(state):
+    def step(state, rows):
         if method == "cl-bcd":
-            gamma = iaa_update(state, scm)
+            gamma = iaa_update(state, scm[None])
         else:
-            gamma = ratio_update(state, scm, method)
-        indices = sorting_hard_threshold(gamma, k, peak)
+            gamma = ratio_update(state, scm[None], method)
+        indices = sorting_hard_threshold(gamma[0], k, peak)
         supports.append(indices)
-        return gamma, noise_mle(scm, dictionary.take(indices), n)
+        return gamma, [noise_mle(scm, dictionary.take(indices), n)]
+
+    def solve(gamma0, sigma2_0, cap):
+        out = iterate(dictionary, step, gamma0[None], [sigma2_0], cap, tol)
+        return tuple(value[0] for value in out[:3])
 
     gamma0 = matched_filter_powers(dictionary, scm)
     if method == "cl-bcd":
         supports.append(sorting_hard_threshold(gamma0, k, peak))
         sigma2_0 = noise_mle(scm, dictionary.take(supports[0]), n)
-        gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, sigma2_0, max_iter - 1, tol)
+        gamma, sigma2, iterations = solve(gamma0, sigma2_0, max_iter - 1)
         return SupportSet(supports[-1]), gamma, sigma2, iterations + 1, supports
-    gamma, sigma2, iterations, _ = iterate(dictionary, step, gamma0, np.trace(scm).real / n, max_iter, tol)
+    gamma, sigma2, iterations = solve(gamma0, np.trace(scm).real / n, max_iter)
     return SupportSet(sorting_hard_threshold(gamma, k, peak)), gamma, sigma2, iterations, supports
 
 
