@@ -39,7 +39,7 @@ from .clbcd import (
     relative_change,
     run_clbcd,
 )
-from .clomp import SweepResult, conditional_gamma_star, run_clomp, sweep_errors
+from .clomp import conditional_gamma_star, run_clomp, sweep_errors
 from .methods import MethodSpec, solve_trial
 from .model import (
     CovarianceState,
@@ -71,7 +71,6 @@ from .scenario import (
     run_monte_carlo,
     steering_matrix,
     ula_grid,
-    ula_steering,
 )
 from .sparsity import SupportSet, hard_threshold, peak_mask
 

@@ -16,7 +16,6 @@ from .clbcd import (
     SolverConfig,
     SolverResult,
     _stack_results,
-    check_problem,
     iaa_update,
     iterate,
     matched_filter_powers,
@@ -292,17 +291,18 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     return SupportSet(tuple(chosen))
 
 
-def music_doas(scm: np.ndarray, grid: Dictionary, k: int) -> SolverResult:
+def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
     """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
 
-    The noise subspace is spanned by the eigenvectors of the N-K smallest
-    sample-covariance eigenvalues; :func:`check_problem` requires K < N, so
+    Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``. The
+    noise subspace is spanned by the eigenvectors of the N-K smallest
+    sample-covariance eigenvalues; :meth:`Problem.of` requires K < N, so
     that subspace is non-empty, and a sample covariance with energy. The
     reported sigma2 is the mean of those eigenvalues, clamped like
     :func:`noise_mle` so it stays positive when L <= K leaves them at zero
     up to rounding. One eigendecomposition counts as one iteration.
     """
-    scm = check_problem(scm, grid, k)
+    scm = Problem.of(Y, grid, k).scm
     n = grid.n_sensors
     evals, vecs = np.linalg.eigh(scm)
     noise_basis = vecs[:, : n - k]

@@ -39,7 +39,6 @@ __all__ = [
     "Problem",
     "SolverConfig",
     "SolverResult",
-    "check_problem",
     "iaa_update",
     "iterate",
     "matched_filter_powers",
@@ -115,18 +114,6 @@ def _check_sparsity(dictionary: Dictionary, k: int) -> None:
         raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
     if k > dictionary.n_atoms:
         raise ValueError(f"sparsity k={k} exceeds the number of atoms {dictionary.n_atoms}")
-
-
-def check_problem(scm, dictionary: Dictionary, k: int) -> np.ndarray:
-    """Validate a K-sparse fit of ``scm`` over ``dictionary``; return scm as complex.
-
-    Raises ValueError unless scm is N x N for the dictionary's N sensors,
-    finite and with tr(scm) > 0, 1 <= k < N, and k does not exceed the
-    number of atoms.
-    """
-    scm = _check_scm(scm, dictionary)
-    _check_sparsity(dictionary, k)
-    return scm
 
 
 def _matched_filter(dictionary: Dictionary, forms: np.ndarray) -> np.ndarray:

@@ -313,14 +313,14 @@ def main(argv=None) -> int:
         return 0
 
     scenario = spec.scenario
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.trials is not None:
-        try:
+    try:
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+        if args.trials is not None:
             scenario = replace(scenario, trials=args.trials)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     spec = replace(spec, scenario=scenario)
     if args.threads < 1:
         print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)

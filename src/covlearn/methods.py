@@ -146,7 +146,7 @@ def solve_trial(
         return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
     if tag == "music":
-        return baselines.music_doas(problem.scm, dictionary, k)
+        return baselines.music_doas(problem, dictionary, k)
 
     if tag == "mle1":
         if k != 1:

@@ -30,17 +30,9 @@ SCENARIO_KINDS = ("gaussian-ssr", "ula-doa")
 # ---------------------------------------------------------------------------
 
 
-def ula_steering(n_sensors: int, theta_deg: float) -> np.ndarray:
-    """Steering vector exp(j pi n sin(theta)) of a half-wavelength ULA.
-
-    ||a(theta)||^2 == n_sensors exactly; theta must lie in [-90, 90] degrees.
-    The one-column case of :func:`steering_matrix`.
-    """
-    return steering_matrix(n_sensors, [theta_deg])[:, 0]
-
-
 def steering_matrix(n_sensors: int, angles_deg) -> np.ndarray:
-    """Stack of ULA steering vectors, one column per angle."""
+    """Half-wavelength ULA steering vectors exp(j pi n sin(theta)), one
+    column per angle; every angle must lie in [-90, 90] degrees."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
     if not np.all((angles >= -90.0) & (angles <= 90.0)):  # NaN fails too
         raise ValueError("angles outside [-90, 90] deg")
@@ -72,15 +64,14 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _gaussian_atoms(rng: np.random.Generator, n_sensors: int, n_atoms: int) -> np.ndarray:
-    atoms = _complex_gaussian(rng, (n_sensors, n_atoms))
-    return atoms / np.linalg.norm(atoms, axis=0)
-
-
 def gaussian_dictionary(n_sensors: int, n_atoms: int, seed) -> Dictionary:
-    """Unit-norm i.i.d. circular complex Gaussian dictionary (seeded)."""
-    rng = np.random.default_rng(seed)
-    return Dictionary(_gaussian_atoms(rng, n_sensors, n_atoms), norm_mode="unit")
+    """Unit-norm i.i.d. circular complex Gaussian dictionary.
+
+    seed is an int or a np.random.Generator, which the draw advances; a
+    fixed seed reproduces the atoms bitwise.
+    """
+    atoms = _complex_gaussian(np.random.default_rng(seed), (n_sensors, n_atoms))
+    return Dictionary(atoms / np.linalg.norm(atoms, axis=0), norm_mode="unit")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def generate_snapshots(source_atoms, powers, rho, sigma2, n_snapshots, seed) -> 
         raise ValueError("need at least one snapshot")
     if not sigma2 >= 0:
         raise ValueError("noise variance must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     chol = _source_chol(powers, rho)
     waveforms = _complex_gaussian(rng, (atoms.shape[1], n_snapshots))
     noise = _complex_gaussian(rng, (atoms.shape[0], n_snapshots))
@@ -183,8 +174,12 @@ class ScenarioConfig:
             raise ValueError("trials must be at least 1")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be at least 0")
         if not abs(self.rho) < 1:
             raise ValueError("|rho| must be below 1")
+        if not 1 + (self.k - 1) * self.rho > 0:  # the equicorrelated source covariance is PD
+            raise ValueError(f"rho={self.rho} must exceed -1/(k-1) for k={self.k} sources")
         snr = tuple(float(s) for s in self.snr_db)
         if not snr or not all(np.isfinite(snr)):
             raise ValueError("snr_db must be a non-empty list of finite values")
@@ -319,8 +314,21 @@ def power_nmse(est_powers, true_powers) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo engine
+# Monte-Carlo engine: draw, solve and aggregate, module-level stages that pickle
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Truth:
+    """What one (trial, SNR) cell is scored against: the support a method
+    should report (the drawn one, or the grid points nearest the true
+    directions), the true directions in ascending order ("ula-doa" only),
+    and the source powers in that order, or else gamma over the dictionary.
+    """
+
+    support: frozenset
+    powers: np.ndarray
+    theta_deg: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -335,48 +343,137 @@ class _TrialCell:
     runtime_s: float | None = None
 
 
-def _evaluate_outcome(outcome, config, grid_deg, true_ctx):
-    """Reduce one solver outcome to scalar per-trial metric contributions."""
-    per_hit = None
-    theta_err2 = None
-    nmse_ratio2 = None
+def _draw_trial(config: ScenarioConfig, t: int):
+    """The dictionary of trial t and one (Y, truth) per SNR, in snr_db order.
 
-    if config.kind == "ula-doa":
-        true_theta, true_powers_by_angle, true_grid_set = true_ctx
-        if outcome.theta_deg is not None:
-            theta_hat = np.sort(np.asarray(outcome.theta_deg, dtype=np.float64))
-            powers_hat = (
-                None if outcome.powers is None else np.asarray(outcome.powers, dtype=np.float64)
-            )
-        elif outcome.support is not None:
-            idx = np.asarray(outcome.support.sorted_indices, dtype=int)
-            theta_hat = grid_deg[idx]  # ascending index == ascending angle
-            powers_hat = None if outcome.gamma is None else outcome.gamma[idx]
-        else:
-            return _TrialCell(ok=True, iterations=outcome.iterations)
-        if theta_hat.size == true_theta.size:
-            theta_err2 = _sq_error(theta_hat, true_theta)
-            if powers_hat is not None:
-                nmse_ratio2 = _power_ratio2(powers_hat, true_powers_by_angle)
-        if outcome.support is not None:
-            per_hit = outcome.support.as_set() == true_grid_set
+    The (config.seed, t) generator draws the dictionary and the support
+    ("gaussian-ssr" only), then the unit-power source waveforms and the
+    noise, which every SNR rescales, so a sweep is smooth in the SNR.
+    """
+    n, m, k, L = config.n_sensors, config.n_atoms, config.k, config.n_snapshots
+    rng = np.random.default_rng((config.seed, t))
+    if config.kind == "gaussian-ssr":
+        dictionary = gaussian_dictionary(n, m, rng)
+        support = rng.choice(m, size=k, replace=False)  # draw order = source order
+        src_atoms = dictionary.atoms[:, support]
+        true_support = frozenset(int(i) for i in support)
     else:
-        true_support, gamma_true = true_ctx
-        if outcome.support is not None:
-            per_hit = outcome.support.as_set() == true_support
-            if outcome.gamma is not None:
-                gamma_hat = np.zeros_like(gamma_true)
-                idx = list(outcome.support.indices)
-                gamma_hat[idx] = outcome.gamma[idx]
-                nmse_ratio2 = _power_ratio2(gamma_hat, gamma_true)
+        dictionary = ula_grid(n, m)
+        src_atoms = steering_matrix(n, config.true_doas_deg)
+        order = np.argsort(config.true_doas_deg)
+        theta = np.asarray(config.true_doas_deg)[order]
+        grid_deg = grid_angles_deg(m)
+        true_support = frozenset(
+            int(np.argmin(np.abs(grid_deg - th))) for th in config.true_doas_deg
+        )
+    waveforms = _complex_gaussian(rng, (k, L))
+    noise = _complex_gaussian(rng, (n, L))
+    draws = []
+    for snr in config.snr_db:
+        powers = config.source_powers(snr)
+        if config.kind == "gaussian-ssr":
+            gamma = np.zeros(m)
+            gamma[support] = powers
+            truth = _Truth(true_support, gamma)
+        else:
+            truth = _Truth(true_support, powers[order], theta)
+        chol = _source_chol(powers, config.rho)
+        draws.append((_snapshots(src_atoms, chol, waveforms, noise, config.noise_var), truth))
+    return dictionary, draws
 
-    return _TrialCell(
-        ok=True,
-        per_hit=per_hit,
-        theta_err2=theta_err2,
-        nmse_ratio2=nmse_ratio2,
-        iterations=outcome.iterations,
-    )
+
+def _score(outcome, truth: _Truth, grid_deg) -> _TrialCell:
+    """Reduce one solver outcome to scalar per-trial metric contributions;
+    a support is scored by the angles grid_deg of its atoms ("ula-doa")."""
+    support = outcome.support
+    per_hit = None if support is None else support.as_set() == truth.support
+    theta_err2 = nmse_ratio2 = theta_hat = powers_hat = None
+    if truth.theta_deg is None:
+        if support is not None and outcome.gamma is not None:
+            gamma_hat = np.zeros_like(truth.powers)
+            idx = list(support.indices)
+            gamma_hat[idx] = outcome.gamma[idx]
+            nmse_ratio2 = _power_ratio2(gamma_hat, truth.powers)
+    elif outcome.theta_deg is not None:
+        theta_hat = np.sort(np.asarray(outcome.theta_deg, dtype=np.float64))
+        if outcome.powers is not None:
+            powers_hat = np.asarray(outcome.powers, dtype=np.float64)
+    elif support is not None:
+        idx = np.asarray(support.sorted_indices, dtype=int)
+        theta_hat = grid_deg[idx]  # ascending index == ascending angle
+        if outcome.gamma is not None:
+            powers_hat = outcome.gamma[idx]
+    if theta_hat is not None and theta_hat.size == truth.theta_deg.size:
+        theta_err2 = _sq_error(theta_hat, truth.theta_deg)
+        if powers_hat is not None:
+            nmse_ratio2 = _power_ratio2(powers_hat, truth.powers)
+    return _TrialCell(ok=True, per_hit=per_hit, theta_err2=theta_err2,
+                      nmse_ratio2=nmse_ratio2, iterations=outcome.iterations)
+
+
+def _solve_trial(config: ScenarioConfig, specs: tuple, t: int) -> dict:
+    """The cells {(method index, SNR index): _TrialCell} of trial t.
+
+    The trial's valid Problems are built first, as one Batch, each with its
+    per-atom forms and matched filter outside every method's clock: a
+    stacked solve reads them for every cell of the trial. Snapshots that
+    give no valid Problem fail every method of their cell; a solve that
+    raises a counted exception fails its cell.
+    """
+    from .clbcd import _COUNTED, Batch, Problem
+    from .methods import solve_trial  # looked up per call, so a patched module attribute runs
+
+    dictionary, draws = _draw_trial(config, t)
+    grid_deg = grid_angles_deg(config.n_atoms) if config.kind == "ula-doa" else None
+    cells, problems, batch = {}, {}, Batch()
+    for si, (Y, truth) in enumerate(draws):
+        try:
+            problem = Problem(Y, dictionary, batch)
+            problem.matched_filter  # with the forms, outside every clock
+            problems[si] = (problem, truth)
+        except _COUNTED:
+            cells.update(((mi, si), _TrialCell(ok=False)) for mi in range(len(specs)))
+    for si, (problem, truth) in problems.items():
+        for mi, spec in enumerate(specs):
+            # CPU time of this thread: wall time in a pool thread would
+            # also count the other workers it waits behind
+            t0 = time.thread_time()
+            try:
+                outcome = solve_trial(spec, problem, dictionary, config.k, config.peak,
+                                      config.noise_var)
+                cell = replace(_score(outcome, truth, grid_deg), runtime_s=time.thread_time() - t0)
+            except _COUNTED:
+                cell = _TrialCell(ok=False)
+            cells[(mi, si)] = cell
+    return cells
+
+
+def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
+    """One MetricsRecord per (method, SNR), in that nesting order, from
+    every trial's cells in trial order."""
+    records = []
+    for mi, spec in enumerate(specs):
+        for si, snr in enumerate(config.snr_db):
+            good = [c for c in (cells[(mi, si)] for cells in cells_by_trial) if c.ok]
+            hits = [c.per_hit for c in good if c.per_hit is not None]
+            errs2 = [c.theta_err2 for c in good if c.theta_err2 is not None]
+            ratios2 = [c.nmse_ratio2 for c in good if c.nmse_ratio2 is not None]
+            iters = [c.iterations for c in good if c.iterations is not None]
+            times = [c.runtime_s for c in good if c.runtime_s is not None]
+            records.append(
+                MetricsRecord(
+                    method=spec.tag,
+                    snr_db=snr,
+                    trials=len(good),
+                    per=(sum(hits) / len(hits)) if hits else None,
+                    rmse_theta_deg=_rms(errs2) if errs2 else None,
+                    nmse_gamma=_rms(ratios2) if ratios2 else None,
+                    mean_iters=float(np.mean(iters)) if iters else None,
+                    mean_runtime_s=float(np.mean(times)) if times else None,
+                    failures=len(cells_by_trial) - len(good),
+                )
+            )
+    return records
 
 
 def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
@@ -398,106 +495,16 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     A method that cannot solve the scenario (see
     :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
     """
-    from .clbcd import _COUNTED, Batch, Problem
-    from .methods import check_methods, resolve_methods, solve_trial
+    from .methods import check_methods, resolve_methods
 
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     specs = resolve_methods(methods)
     check_methods(specs, config.kind, config.k)
-    n, m, k = config.n_sensors, config.n_atoms, config.k
-    L = config.n_snapshots
-
-    if config.kind == "ula-doa":
-        grid_dict = ula_grid(n, m)
-        grid_deg = grid_angles_deg(m)
-        src_atoms_fixed = steering_matrix(n, config.true_doas_deg)
-        order = np.argsort(config.true_doas_deg)
-        true_theta = np.asarray(config.true_doas_deg)[order]
-        nearest = frozenset(int(np.argmin(np.abs(grid_deg - t))) for t in config.true_doas_deg)
-    else:
-        grid_dict = grid_deg = src_atoms_fixed = None
-        order = true_theta = nearest = None
-
-    def run_trial(t: int):
-        rng = np.random.default_rng((config.seed, t))
-        if config.kind == "gaussian-ssr":
-            dictionary = Dictionary(_gaussian_atoms(rng, n, m), norm_mode="unit")
-            support = rng.choice(m, size=k, replace=False)  # draw order = source order
-            src_atoms = dictionary.atoms[:, support]
-        else:
-            dictionary = grid_dict
-            support = None
-            src_atoms = src_atoms_fixed
-        waveforms = _complex_gaussian(rng, (k, L))
-        noise = _complex_gaussian(rng, (n, L))
-
-        # every valid Problem of the trial first, as one batch
-        cells, problems, batch = {}, {}, Batch()
-        for si, snr in enumerate(config.snr_db):
-            powers = config.source_powers(snr)
-            if config.kind == "ula-doa":
-                true_ctx = (true_theta, powers[order], nearest)
-            else:
-                gamma_true = np.zeros(m)
-                gamma_true[support] = powers
-                true_ctx = (frozenset(int(i) for i in support), gamma_true)
-            chol = _source_chol(powers, config.rho)
-            Y = _snapshots(src_atoms, chol, waveforms, noise, config.noise_var)
-            try:
-                problem = Problem(Y, dictionary, batch)
-                # the forms and the matched filter, outside every clock: a
-                # stacked solve reads them for every cell of the trial
-                problem.matched_filter
-                problems[si] = (problem, true_ctx)
-            except _COUNTED:  # an invalid sample covariance fails every method
-                cells.update(((mi, si), _TrialCell(ok=False)) for mi in range(len(specs)))
-        for si, (problem, true_ctx) in problems.items():
-            for mi, spec in enumerate(specs):
-                # CPU time of this thread: wall time in a pool thread would
-                # also count the other workers it waits behind
-                t0 = time.thread_time()
-                try:
-                    outcome = solve_trial(spec, problem, dictionary, k, config.peak,
-                                          config.noise_var)
-                    cell = _evaluate_outcome(outcome, config, grid_deg, true_ctx)
-                    cell = replace(cell, runtime_s=time.thread_time() - t0)
-                except _COUNTED:
-                    cell = _TrialCell(ok=False)
-                cells[(mi, si)] = cell
-        return t, cells
-
-    slots = [None] * config.trials
+    solve = functools.partial(_solve_trial, config, specs)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, cells in pool.map(run_trial, range(config.trials)):
-                slots[t] = cells
+            cells_by_trial = list(pool.map(solve, range(config.trials)))
     else:
-        for t in range(config.trials):
-            slots[t] = run_trial(t)[1]
-
-    records = []
-    for mi, spec in enumerate(specs):
-        for si, snr in enumerate(config.snr_db):
-            col = [slots[t][(mi, si)] for t in range(config.trials)]
-            good = [c for c in col if c.ok]
-            failures = config.trials - len(good)
-            hits = [c.per_hit for c in good if c.per_hit is not None]
-            errs2 = [c.theta_err2 for c in good if c.theta_err2 is not None]
-            ratios2 = [c.nmse_ratio2 for c in good if c.nmse_ratio2 is not None]
-            iters = [c.iterations for c in good if c.iterations is not None]
-            times = [c.runtime_s for c in good if c.runtime_s is not None]
-            records.append(
-                MetricsRecord(
-                    method=spec.tag,
-                    snr_db=snr,
-                    trials=len(good),
-                    per=(sum(hits) / len(hits)) if hits else None,
-                    rmse_theta_deg=_rms(errs2) if errs2 else None,
-                    nmse_gamma=_rms(ratios2) if ratios2 else None,
-                    mean_iters=float(np.mean(iters)) if iters else None,
-                    mean_runtime_s=float(np.mean(times)) if times else None,
-                    failures=failures,
-                )
-            )
-    return records
+        cells_by_trial = list(map(solve, range(config.trials)))
+    return _aggregate(config, specs, cells_by_trial)

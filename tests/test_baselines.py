@@ -28,6 +28,7 @@ from covlearn import (
     ula_grid,
     grid_angles_deg,
     hard_threshold,
+    Problem,
 )
 from covlearn import baselines, clbcd, methods, model, scenario
 from util import (
@@ -36,6 +37,7 @@ from util import (
     dense_mle_single_source,
     direct_nll,
     max_rel_err,
+    population_snapshots,
     random_pdh,
     random_state,
     random_unit_dictionary,
@@ -251,7 +253,7 @@ class TestMusic:
         idx = 60
         a = grid.atom(idx)
         scm = np.outer(a, a.conj()) + 0.1 * np.eye(n)
-        res = music_doas(scm, grid, 1)
+        res = music_doas(population_snapshots(scm), grid, 1)
         assert res.support.indices == (idx,)
         assert deg[idx] == pytest.approx(-30.0)
         # the N-1 noise eigenvalues are all 0.1
@@ -261,12 +263,12 @@ class TestMusic:
     def test_k_equal_n_rejected(self):
         grid = ula_grid(4, 41)
         with pytest.raises(ValueError):
-            music_doas(np.eye(4, dtype=complex), grid, 4)
+            music_doas(population_snapshots(np.eye(4, dtype=complex)), grid, 4)
 
     def test_zero_energy_rejected(self):
         # every eigenvector spans the noise subspace: no peak means anything
-        with pytest.raises(ValueError):
-            music_doas(np.zeros((4, 4), dtype=complex), ula_grid(4, 41), 1)
+        with pytest.raises(ValueError, match="no energy"):
+            music_doas(np.zeros((4, 4), dtype=complex), ula_grid(4, 41), 1)  # Y = 0
 
     def test_two_sources_population(self):
         n, m = 10, 361
@@ -274,17 +276,17 @@ class TestMusic:
         a1 = steering_matrix(n, [-20.0])[:, 0]
         a2 = steering_matrix(n, [15.0])[:, 0]
         scm = 2 * np.outer(a1, a1.conj()) + np.outer(a2, a2.conj()) + 0.5 * np.eye(n)
-        sup = music_doas(scm, grid, 2).support
+        sup = music_doas(population_snapshots(scm), grid, 2).support
         found = sorted(grid_angles_deg(m)[list(sup.indices)])
         npt.assert_allclose(found, [-20.0, 15.0], atol=1e-9)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(48)
         grid = ula_grid(6, 121)
-        scm = random_pdh(rng, 6)
+        Y = population_snapshots(random_pdh(rng, 6))
         assert (
-            music_doas(scm, grid, 2).support.indices
-            == music_doas(7.3 * scm, grid, 2).support.indices
+            music_doas(Y, grid, 2).support.indices
+            == music_doas(np.sqrt(7.3) * Y, grid, 2).support.indices
         )
 
 
@@ -299,14 +301,15 @@ class TestSteeringGridForms:
     @pytest.mark.parametrize("n, m", ULA_SHAPES)
     def test_music_projection_matches_dense_oracle(self, n, m):
         grid = ula_grid(n, m)
-        scm = random_pdh(np.random.default_rng(n + m), n)
+        problem = Problem(population_snapshots(random_pdh(np.random.default_rng(n + m), n)), grid)
+        scm = problem.scm
         k = 1
         noise_basis = np.linalg.eigh(scm)[1][:, : n - k]
         expected = np.sum(np.abs(noise_basis.conj().T @ grid.atoms) ** 2, axis=0)
         proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
         assert max_rel_err(proj, expected) <= 1e-12
         support = hard_threshold(1.0 / expected, k, peak=True)
-        assert music_doas(scm, grid, k).support.indices == support.indices
+        assert music_doas(problem, grid, k).support.indices == support.indices
 
 
 class TestMleSingleSource:

@@ -297,6 +297,23 @@ class TestMain:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_and_singular_source_covariance_exit_2(self, tmp_path, capsys):
+        # each once passed validate and then crashed run after creating --out
+        bad = {
+            "seed": MINI.replace("seed = 21", "seed = -1"),
+            "rho": MINI.replace("k = 2", "k = 3") + "rho = -0.9\n",
+        }
+        for key, text in bad.items():
+            cfg = write(tmp_path, text, f"{key}.cfg")
+            assert main(["validate", "--config", str(cfg)]) == 2
+            assert f"{key}=" in capsys.readouterr().err
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / key)]) == 2
+            assert not (tmp_path / key).exists()
+        cfg = write(tmp_path, MINI)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+        assert "seed=-1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_run_trials_zero_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MINI)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "0"]) == 2

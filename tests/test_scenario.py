@@ -1,3 +1,7 @@
+import functools
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from covlearn import methods, scenario
 from covlearn import (
     MethodSpec,
+    MetricsRecord,
     ScenarioConfig,
     doa_rmse,
     gaussian_dictionary,
@@ -15,10 +20,14 @@ from covlearn import (
     per_metric,
     power_nmse,
     run_monte_carlo,
+    solve_trial,
     steering_matrix,
     ula_grid,
-    ula_steering,
 )
+
+
+def steering_vector(n, theta):
+    return steering_matrix(n, [theta])[:, 0]
 
 
 class TestGaussianDictionary:
@@ -46,10 +55,10 @@ class TestGaussianDictionary:
 
 class TestUlaSteering:
     def test_broadside_is_all_ones(self):
-        npt.assert_array_equal(ula_steering(6, 0.0), np.ones(6, dtype=complex))
+        npt.assert_array_equal(steering_vector(6, 0.0), np.ones(6, dtype=complex))
 
     def test_unit_modulus_and_norm(self):
-        a = ula_steering(9, 37.5)
+        a = steering_vector(9, 37.5)
         npt.assert_allclose(np.abs(a), np.ones(9), atol=1e-15)
         npt.assert_allclose(np.vdot(a, a).real, 9.0, atol=1e-12)
         # bit for bit the matching steering_matrix column, on and off the grid
@@ -57,19 +66,19 @@ class TestUlaSteering:
         for n in (1, 2, 6, 20, 32):
             A = steering_matrix(n, angles)
             for i, theta in enumerate(angles):
-                npt.assert_array_equal(ula_steering(n, theta), A[:, i])
+                npt.assert_array_equal(steering_vector(n, theta), A[:, i])
 
     def test_out_of_range_rejected(self):
         for theta in (95.0, np.nan):
             with pytest.raises(ValueError):
-                ula_steering(4, theta)
+                steering_vector(4, theta)
         with pytest.raises(ValueError):
             steering_matrix(4, [10.0, np.nan])
 
     def test_dirichlet_kernel_closed_form(self):
         n = 8
         for t1, t2 in [(0.0, 10.0), (-30.0, -28.0), (15.0, 50.0)]:
-            a1, a2 = ula_steering(n, t1), ula_steering(n, t2)
+            a1, a2 = steering_vector(n, t1), steering_vector(n, t2)
             x = np.pi * (np.sin(np.deg2rad(t2)) - np.sin(np.deg2rad(t1)))
             expected = abs(np.sin(n * x / 2) / (n * np.sin(x / 2)))
             npt.assert_allclose(abs(np.vdot(a1, a2)) / n, expected, atol=1e-12)
@@ -193,6 +202,14 @@ class TestScenarioConfig:
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), true_doas_deg=(5, 7))
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), trials=0)
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), seed=-5)
+        # 1 + (k-1) rho <= 0: the equicorrelated source covariance is not PD
+        with pytest.raises(ValueError, match="rho"):
+            ScenarioConfig("gaussian-ssr", 8, 32, 8, 3, (1.0,), rho=-0.9)
+        with pytest.raises(ValueError, match="rho"):
+            ScenarioConfig("gaussian-ssr", 8, 32, 8, 3, (1.0,), rho=-0.5)
+        ScenarioConfig("gaussian-ssr", 8, 32, 8, 3, (1.0,), rho=-0.45)
 
     def test_offsets_default_and_length_check(self):
         cfg = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,))
@@ -243,16 +260,19 @@ class TestRunMonteCarlo:
         assert rec.trials == 1 and rec.per in (0.0, 1.0) and rec.failures == 0
 
     def test_schedule_independence(self):
-        cfg = ScenarioConfig(
+        ssr = ScenarioConfig(
             "gaussian-ssr", 10, 30, 12, 2, (4.0, 8.0), seed=21, trials=10
         )
-        methods = [MethodSpec("cl-omp"), MethodSpec("cl-bcd")]
-        a = run_monte_carlo(cfg, methods, threads=1)
-        b = run_monte_carlo(cfg, methods, threads=4)
-        for x, y in zip(a, b):
-            assert x.method == y.method and x.snr_db == y.snr_db
-            assert x.per == y.per and x.nmse_gamma == y.nmse_gamma
-            assert x.trials == y.trials and x.mean_iters == y.mean_iters
+        doa = ScenarioConfig(
+            "ula-doa", 8, 181, 16, 2, (0.0, 10.0), true_doas_deg=(-20.0, 12.3), seed=21, trials=6
+        )
+        for cfg, tags in [(ssr, ["cl-omp", "cl-bcd"]), (doa, ["cl-omp", "cl-bcd", "iaa", "music"])]:
+            a = run_monte_carlo(cfg, tags, threads=1)
+            b = run_monte_carlo(cfg, tags, threads=4)
+            assert len(a) == len(tags) * len(cfg.snr_db)
+            assert [replace(x, mean_runtime_s=None) for x in a] == [
+                replace(y, mean_runtime_s=None) for y in b
+            ]
 
     def test_doa_mode_metrics_present(self):
         cfg = ScenarioConfig(
@@ -352,3 +372,111 @@ class TestRunMonteCarlo:
         cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
         with pytest.raises(TypeError, match="shape bug"):
             run_monte_carlo(cfg, ["somp"], threads=threads)
+
+
+def _replay(cfg, tag):
+    """run_monte_carlo's record of one method on a single-SNR run, rebuilt
+    from public functions only: the (seed, trial) generator draws the
+    dictionary and support, then the snapshots; the metric functions
+    score the solves."""
+    n, m, k = cfg.n_sensors, cfg.n_atoms, cfg.k
+    (snr,) = cfg.snr_db
+    powers = cfg.source_powers(snr)
+    order = None if cfg.true_doas_deg is None else np.argsort(cfg.true_doas_deg)
+    est_sets, true_sets, est_theta, true_theta, est_powers, true_powers, iters = (
+        [] for _ in range(7)
+    )
+    for t in range(cfg.trials):
+        rng = np.random.default_rng((cfg.seed, t))
+        if cfg.kind == "gaussian-ssr":
+            d = gaussian_dictionary(n, m, rng)
+            support = rng.choice(m, size=k, replace=False)
+            Y = generate_snapshots(d.atoms[:, support], powers, cfg.rho, cfg.noise_var,
+                                   cfg.n_snapshots, rng)
+        else:
+            d = ula_grid(n, m)
+            Y = generate_snapshots(steering_matrix(n, cfg.true_doas_deg), powers, cfg.rho,
+                                   cfg.noise_var, cfg.n_snapshots, rng)
+            grid_deg = grid_angles_deg(m)
+            support = [np.argmin(np.abs(grid_deg - th)) for th in cfg.true_doas_deg]
+        res = solve_trial(MethodSpec(tag), Y, d, k, cfg.peak, cfg.noise_var)
+        iters.append(res.iterations)
+        if res.support is not None:
+            est_sets.append(res.support.indices)
+            true_sets.append(support)
+        if cfg.kind == "gaussian-ssr":
+            theta_hat = powers_hat = None
+            if res.gamma is not None:
+                idx = list(res.support.indices)
+                powers_hat, true = np.zeros(m), np.zeros(m)
+                powers_hat[idx] = res.gamma[idx]
+                true[support] = powers
+        elif res.theta_deg is not None:
+            theta_hat, powers_hat, true = res.theta_deg, res.powers, powers[order]
+        else:
+            idx = sorted(res.support.indices)
+            theta_hat, true = grid_deg[idx], powers[order]
+            powers_hat = None if res.gamma is None else res.gamma[idx]
+        if theta_hat is not None:
+            est_theta.append(theta_hat)
+            true_theta.append(cfg.true_doas_deg)
+        if powers_hat is not None:
+            est_powers.append(powers_hat)
+            true_powers.append(true)
+    return MetricsRecord(
+        method=tag,
+        snr_db=snr,
+        trials=cfg.trials,
+        per=per_metric(est_sets, true_sets) if est_sets else None,
+        rmse_theta_deg=doa_rmse(est_theta, true_theta) if est_theta else None,
+        nmse_gamma=power_nmse(est_powers, true_powers) if est_powers else None,
+        mean_iters=float(np.mean(iters)),
+    )
+
+
+class TestEngineReplay:
+    """The synthesis functions and the metric trio are the engine's oracles."""
+
+    @pytest.mark.parametrize(
+        "cfg, tags",
+        [
+            (
+                ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (6.0,), source_offsets_db=(0.0, -2.0),
+                               rho=0.3, seed=4, trials=5),
+                ["cl-omp", "cl-bcd", "somp"],
+            ),
+            (
+                ScenarioConfig("ula-doa", 8, 181, 16, 1, (3.0,), true_doas_deg=(-24.8,),
+                               seed=5, trials=4),
+                ["cl-omp", "iaa", "music", "mle1"],
+            ),
+            (  # directions listed in descending order: powers are matched by angle
+                ScenarioConfig("ula-doa", 8, 181, 16, 2, (8.0,), source_offsets_db=(0.0, 3.0),
+                               true_doas_deg=(12.3, -20.0), rho=0.4, seed=6, trials=4),
+                ["cl-bcd", "somp"],
+            ),
+        ],
+        ids=["gaussian-ssr", "ula-doa", "ula-doa-two-sources"],
+    )
+    def test_single_snr_run_matches_a_replay_bit_for_bit(self, cfg, tags):
+        records = run_monte_carlo(cfg, tags)
+        assert [replace(r, mean_runtime_s=None) for r in records] == [
+            _replay(cfg, tag) for tag in tags
+        ]
+
+    def test_stages_and_cells_pickle(self):
+        cfg = ScenarioConfig("ula-doa", 8, 181, 16, 2, (0.0, 10.0), true_doas_deg=(-20.0, 12.3),
+                             seed=2, trials=2)
+        specs = methods.resolve_methods(["cl-omp", "cl-bcd", "music"])
+        solve = functools.partial(scenario._solve_trial, cfg, specs)
+        cells = [solve(t) for t in range(cfg.trials)]
+        assert len(cells[0]) == len(specs) * len(cfg.snr_db)
+        assert pickle.loads(pickle.dumps(cells)) == cells
+
+        def untimed(trial_cells):
+            return {key: replace(c, runtime_s=None) for key, c in trial_cells.items()}
+
+        clone = pickle.loads(pickle.dumps(solve))
+        assert [untimed(clone(t)) for t in range(cfg.trials)] == [untimed(c) for c in cells]
+        records = [replace(r, mean_runtime_s=None) for r in scenario._aggregate(cfg, specs, cells)]
+        assert records == [replace(r, mean_runtime_s=None) for r in run_monte_carlo(cfg, specs)]
