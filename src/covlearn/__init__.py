@@ -15,7 +15,6 @@ Library layout:
 """
 
 from .baselines import (
-    cwo_update,
     iaa_update,
     matched_filter_powers,
     mle_single_source,

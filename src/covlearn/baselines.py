@@ -36,7 +36,6 @@ __all__ = [
     "iaa_update",
     "ratio_update",
     "samv2_noise_update",
-    "cwo_update",
     "msbl_update",
     "matched_filter_powers",
     "run_iaa",
@@ -75,26 +74,6 @@ def samv2_noise_update(state: CovarianceState, scm: np.ndarray):
     num = np.einsum("...ij,...ji->...", t2, scm).real
     den = np.trace(t2, axis1=-2, axis2=-1).real
     return num / den
-
-
-def _cwo_delta(theta: np.ndarray, a: np.ndarray, scm: np.ndarray, gamma_i: float):
-    """Exact coordinatewise minimizer move of one power against theta.
-
-    Returns (delta, Theta a, a^H Theta a) with delta = max(r/q^2 - 1/q, -gamma_i),
-    where q = a^H Theta a and r = a^H Theta Shat Theta a.
-    """
-    ta = theta @ a
-    q = np.vdot(a, ta).real
-    if q <= 0.0:
-        raise NumericError("a^H Theta a must be positive for a PD model covariance")
-    r = np.vdot(ta, scm @ ta).real
-    return max(r / q**2 - 1.0 / q, -gamma_i), ta, q
-
-
-def cwo_update(state: CovarianceState, scm: np.ndarray, i: int) -> float:
-    """Exact coordinatewise minimizer step gamma_i <- gamma_i + max(d_i, -gamma_i)."""
-    delta, _, _ = _cwo_delta(state.theta, state.dictionary.atom(i), scm, state.gamma[i])
-    return float(state.gamma[i] + delta)
 
 
 def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
@@ -246,7 +225,13 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
         gamma = np.array(state.gamma[0])
         theta = np.array(state.theta[0])
         for i in range(dictionary.n_atoms):
-            delta, ta, q = _cwo_delta(theta, A[:, i], scm, gamma[i])
+            # exact minimizer move max(r/q^2 - 1/q, -gamma_i) with q = a^H Theta a
+            # and r = a^H Theta Shat Theta a
+            ta = theta @ A[:, i]
+            q = np.vdot(A[:, i], ta).real
+            if q <= 0.0:
+                raise NumericError("a^H Theta a must be positive for a PD model covariance")
+            delta = max(np.vdot(ta, scm @ ta).real / q**2 - 1.0 / q, -gamma[i])
             if delta != 0.0:
                 gamma[i] += delta
                 theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
@@ -294,7 +279,8 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
 def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
     """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
 
-    Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``. The
+    Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``; a
+    Problem of a batch is solved with the rest of its batch. The
     noise subspace is spanned by the eigenvectors of the N-K smallest
     sample-covariance eigenvalues; :meth:`Problem.of` requires K < N, so
     that subspace is non-empty, and a sample covariance with energy. The
@@ -302,15 +288,23 @@ def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
     :func:`noise_mle` so it stays positive when L <= K leaves them at zero
     up to rounding. One eigendecomposition counts as one iteration.
     """
-    scm = Problem.of(Y, grid, k).scm
+    problem = Problem.of(Y, grid, k)
+    return problem.solve(("music", k), lambda problems: _music(problems, k))
+
+
+def _music(problems, k: int) -> list:
+    grid = problems[0].dictionary
     n = grid.n_sensors
+    scm, tr = _stack(problems)
     evals, vecs = np.linalg.eigh(scm)
-    noise_basis = vecs[:, : n - k]
-    proj = atom_forms(grid, (noise_basis @ noise_basis.conj().T)[None])[0]
-    pseudospectrum = 1.0 / np.maximum(proj, 1e-300)
-    support = hard_threshold(pseudospectrum, k, peak=True)
-    sigma2 = max(float(np.mean(evals[: n - k])), _noise_floor(np.trace(scm).real, n))
-    return SolverResult(support, None, sigma2, iterations=1, converged=True)
+    noise_basis = vecs[..., : n - k]
+    proj = atom_forms(grid, (noise_basis @ noise_basis.conj().swapaxes(-1, -2))[:, None])[:, 0]
+    results = []
+    for p, e, t in zip(proj, evals, tr):
+        support = hard_threshold(1.0 / np.maximum(p, 1e-300), k, peak=True)
+        sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(t, n))
+        results.append(SolverResult(support, None, sigma2, iterations=1, converged=True))
+    return results
 
 
 def mle_single_source(scm: np.ndarray, n_points: int) -> float:

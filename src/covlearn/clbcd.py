@@ -300,7 +300,10 @@ def iterate(dictionary: Dictionary, step, gamma0, sigma2_0, max_iter: int, tol: 
         # Keep the state bound until the next one is built: freeing it inside
         # the iteration shifted glibc's heap trimming and nearly doubled the
         # page faults of a Gaussian N=32, M=256 run.
-        state = build_covariance(dictionary, gamma[rows], sigma2[rows])
+        # with every row running, the common case, pass the stack itself:
+        # build_covariance copies it into the state, so a gather is a second copy
+        live = rows if rows.size < len(gamma) else slice(None)
+        state = build_covariance(dictionary, gamma[live], sigma2[live])
         gamma_new, sigma2_new = step(state, rows)
         # row by row: a NaN row must not hide another row's negative power
         if (gamma_new.min(axis=-1) < 0.0).any():

@@ -11,6 +11,7 @@ powers, so :func:`covlearn.model.support_atom_forms` evaluates the per-atom
 forms from the support's Gram rows, one row pair appended per chosen atom.
 A solve costs O(N^2 M + KNM) on a dense dictionary (O(N^2 + KNM) on a
 steering grid) instead of K dense form passes and K + 1 covariance inverses.
+The problems of a batch take their K steps in lockstep, as one stack.
 """
 
 from __future__ import annotations
@@ -99,35 +100,49 @@ def _sweep(q: np.ndarray, r: np.ndarray, excluded) -> SweepResult:
 
 def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
     """Recover a K-sparse support from snapshots Y (an N x L matrix or a
-    :class:`~covlearn.clbcd.Problem` over ``dictionary``) by greedy pursuit."""
+    :class:`~covlearn.clbcd.Problem` over ``dictionary``) by greedy pursuit.
+
+    A Problem of a :class:`~covlearn.clbcd.Batch` is solved with the rest of
+    its batch (see :meth:`~covlearn.clbcd.Problem.solve`); the result is the
+    one it gets alone."""
     problem = Problem.of(Y, dictionary, k)
-    scm = problem.scm
+    return problem.solve(("cl-omp", k), lambda problems: _clomp(problems, k))
+
+
+def _clomp(problems, k: int) -> list:
+    """cl-omp on a stack of problems over one dictionary, one result per problem.
+
+    The K greedy steps run in lockstep: each evaluates every row's forms from
+    its support's Gram rows in one stacked call, then sweeps, picks and
+    refits row by row.
+    """
+    dictionary = problems[0].dictionary
     n = dictionary.n_sensors
+    scm = np.array([p.scm for p in problems])
+    # the first sweep (empty support) reads the problems' cached a_i^H Shat a_i
+    forms = np.array([p.forms for p in problems])
 
     # noise-only start: Sigma = (tr(Shat)/n) I, empty support
-    chosen: list[int] = []
-    gamma_sub = np.zeros(0)
-    sigma2 = float(np.trace(scm).real / n)
+    chosen = [[] for _ in problems]
+    gamma_sub = np.zeros((len(problems), 0))
+    sigma2 = np.array([np.trace(p.scm).real / n for p in problems])
     rows = None
 
     for _ in range(k):
-        # the first sweep (empty support) reads the problem's cached a_i^H Shat a_i
-        q, r, rows = support_atom_forms(
-            dictionary, scm, chosen, gamma_sub, sigma2, rows, forms=problem.forms
-        )
-        sweep = _sweep(q, r, chosen)
-        if not np.any(np.isfinite(sweep.errors)):
-            raise ValueError("no candidate atoms remain for the sweep")
-        best = int(np.argmin(sweep.errors))  # lowest index wins ties
-        chosen.append(best)
-        gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
+        q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
+        fits = []
+        for support, q_row, r_row, scm_row in zip(chosen, q, r, scm):
+            sweep = _sweep(q_row, r_row, support)
+            if not np.any(np.isfinite(sweep.errors)):
+                raise ValueError("no candidate atoms remain for the sweep")
+            support.append(int(np.argmin(sweep.errors)))  # lowest index wins ties
+            fits.append(provisional_mle(scm_row, dictionary.take(support), n))
+        gamma_sub = np.array([g for g, _ in fits])
+        sigma2 = np.array([s2 for _, s2 in fits])
 
-    gamma = np.zeros(dictionary.n_atoms)
-    gamma[chosen] = gamma_sub
-    return SolverResult(
-        support=SupportSet(tuple(chosen)),
-        gamma=gamma,
-        sigma2=sigma2,
-        iterations=k,
-        converged=True,
-    )
+    results = []
+    for support, g, s2 in zip(chosen, gamma_sub, sigma2):
+        gamma = np.zeros(dictionary.n_atoms)
+        gamma[support] = g
+        results.append(SolverResult(SupportSet(tuple(support)), gamma, float(s2), k, True))
+    return results

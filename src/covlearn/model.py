@@ -374,7 +374,7 @@ def _check_positive(q: np.ndarray) -> np.ndarray:
 
 
 def support_atom_forms(
-    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2: float, rows=None, forms=None
+    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2, rows=None, forms=None
 ):
     """Per-atom (q, r) of Sigma = sigma2 I + B diag(gamma) B^H, B = A_support, from Gram rows.
 
@@ -396,35 +396,44 @@ def support_atom_forms(
     :func:`atom_forms` (O(N^2 M) on a dense dictionary, O(N^2 + NM) on a
     Vandermonde one); ||a_i||^2 is cached by the dictionary.
 
+    A stack of S sample covariances (S, N, N) takes S supports of one size
+    (S, j), powers (S, j), noise variances (S,) and forms (S, M), and gives
+    (S, M) forms; every row gets the bits it gets alone.
+
     Returns (q, r, rows). Raises NumericError if some q_i <= 0, and
     ValueError for invalid powers or a ``rows`` whose support is not a prefix.
     """
-    support = tuple(int(i) for i in support)
-    gamma = _check_model(gamma, len(support), sigma2)[0]
     scm = np.asarray(scm, dtype=np.complex128)
+    support = np.asarray(support, dtype=np.intp).reshape(*scm.shape[:-2], -1)
+    gamma, sigma2 = _check_model(gamma, support.shape[-1], sigma2)
     A = dictionary.atoms
     if rows is None:
-        empty = np.empty((0, A.shape[1]), dtype=np.complex128)
+        empty = np.empty((*support.shape[:-1], 0, A.shape[1]), dtype=np.complex128)
         if forms is None:
-            forms = atom_forms(dictionary, scm[None])[0]
-        rows = ((), dictionary._norms2, forms, empty, empty)
+            forms = atom_forms(dictionary, scm[..., None, :, :])[..., 0, :]
+        rows = (support[..., :0], dictionary._norms2, forms, empty, empty)
     known, sq, s, P, H = rows
-    if support[: len(known)] != known:
+    j = known.shape[-1]
+    if support.shape[-1] < j or not np.array_equal(support[..., :j], known):
         raise ValueError("rows were computed for a support that is not a prefix of this one")
-    if len(support) > len(known):
-        B = dictionary.take(support[len(known) :])
-        P = np.concatenate((P, B.conj().T @ A))
-        H = np.concatenate((H, (scm @ B).conj().T @ A))
+    if support.shape[-1] > j:
+        Bt = A.T[support[..., j:]]  # the new atoms as rows
+        P = np.concatenate((P, Bt.conj() @ A), axis=-2)
+        ShB = scm @ Bt.swapaxes(-1, -2)
+        H = np.concatenate((H, ShB.conj().swapaxes(-1, -2) @ A), axis=-2)
         rows = (support, sq, s, P, H)
-    d = np.sqrt(gamma)[:, None]
-    idx = list(support)
-    G = d * P[:, idx] * d.T
+    d = np.sqrt(gamma)[..., None]
+    dT = d.swapaxes(-1, -2)
+    idx = support[..., None, :]
+    G = d * np.take_along_axis(P, idx, axis=-1) * dT
     _add_to_diagonal(G, sigma2)
     # C is j x j: invert it and apply it to the j x M rows by one product
-    CP = (d * np.linalg.inv(G) * d.T) @ P
-    q = (sq - (P.conj() * CP).real.sum(axis=0)) / sigma2
+    CP = (d * np.linalg.inv(G) * dT) @ P
+    sigma2 = sigma2[..., None]
+    q = (sq - (P.conj() * CP).real.sum(axis=-2)) / sigma2
     # Re c^H (B^H Shat B c - 2 h), one elementwise pass over the rows
-    r = (s + (CP.conj() * (H[:, idx] @ CP - 2.0 * H)).real.sum(axis=0)) / sigma2**2
+    HC = np.take_along_axis(H, idx, axis=-1) @ CP
+    r = (s + (CP.conj() * (HC - 2.0 * H)).real.sum(axis=-2)) / sigma2**2
     return _check_positive(q), r, rows
 
 

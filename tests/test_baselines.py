@@ -8,7 +8,6 @@ from covlearn import (
     atom_forms,
     Dictionary,
     build_covariance,
-    cwo_update,
     iaa_update,
     matched_filter_powers,
     mle_single_source,
@@ -33,6 +32,7 @@ from covlearn import (
 from covlearn import baselines, clbcd, methods, model, scenario
 from util import (
     ULA_SHAPES,
+    cwo_update,
     dense_atom_forms,
     dense_mle_single_source,
     direct_nll,

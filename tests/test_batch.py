@@ -27,11 +27,12 @@ from covlearn import (
     steering_matrix,
     ula_grid,
 )
-from covlearn import clbcd
+from covlearn import baselines, clbcd, clomp
 from covlearn.clbcd import Batch, Problem
+from util import population_snapshots
 
 # The methods whose runners solve a Problem with the rest of its batch.
-BATCHED_TAGS = ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl")
+BATCHED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "music")
 
 # The exceptions the Monte-Carlo engine counts as a failed trial.
 COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
@@ -44,7 +45,8 @@ def _outcome(spec, data, d, k, peak):
         res = solve_trial(spec, data, d, k, peak, 1.0)
     except COUNTED as exc:
         return type(exc)
-    return (res.support, res.gamma.tobytes(), res.sigma2, res.iterations, res.converged)
+    gamma = None if res.gamma is None else res.gamma.tobytes()
+    return (res.support, gamma, res.sigma2, res.iterations, res.converged)
 
 
 def _stacked(spec, Ys, d, k, peak, first):
@@ -120,33 +122,58 @@ def _duplicate_atom_case():
     return d, [2.0 * a @ X + E, 2.0 * steering_matrix(6, [-41.0]) @ X + E, E]
 
 
+def _clomp_duplicate_atom_case():
+    """(dictionary, Ys) on which cl-omp picks the coinciding atoms 0 and 1 in
+    row 0, whose refit is then rank deficient. Row 0's noise is weaker than
+    its refit along the other atoms, so once atom 0 is fit no other atom
+    gains, and the tie goes to atom 1; rows 1 and 2 each carry a source on
+    another atom, which cl-omp picks first."""
+    rng = np.random.default_rng(59)
+    a, c = steering_matrix(6, [20.0]), steering_matrix(6, [-41.0, 60.0])
+    d = Dictionary(np.hstack([a, a, c]))
+    c_perp = np.linalg.qr(c - a @ (a.conj().T @ c) / 6.0)[0]  # span(c), a projected out
+    scm = 4.0 * a @ a.conj().T + np.eye(6) - 0.5 * c_perp @ c_perp.conj().T
+    X = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
+    E = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
+    return d, [population_snapshots(scm), 2.0 * c[:, :1] @ X + E, 2.0 * c[:, 1:] @ X + E]
+
+
 @pytest.mark.parametrize("tag", BATCHED_TAGS)
 def test_a_failing_row_fails_only_its_own_cell(tag):
-    d, Ys = _duplicate_atom_case()
+    d, Ys = _clomp_duplicate_atom_case() if tag == "cl-omp" else _duplicate_atom_case()
     spec = MethodSpec(tag, 100)
     alone = [_outcome(spec, Y, d, 2, False) for Y in Ys]
-    if tag in ("cl-bcd", "iaa", "sbl", "sbl1"):
+    if tag in ("cl-omp", "cl-bcd", "iaa", "sbl", "sbl1"):
         assert alone[0] is RankDeficientError
     assert all(isinstance(outcome, tuple) for outcome in alone[1:])
     for first in range(len(Ys)):
         assert _stacked(spec, Ys, d, 2, False, first) == alone
 
 
-def test_the_engine_solves_a_trials_snr_cells_as_one_stack(monkeypatch):
+def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):
+    # a chunk holds 12 // len(snr_db) trials on the shared steering grid and
+    # one trial on gaussian-ssr, whose trials each draw their own dictionary
     stack_sizes = []
-    build = clbcd.build_covariance
+    for module, name in ((clomp, "_clomp"), (clbcd, "_clbcd"), (baselines, "_iaa"),
+                         (baselines, "_music")):
+        def counting(problems, *args, _solve=getattr(module, name)):
+            stack_sizes.append(len(problems))
+            return _solve(problems, *args)
 
-    def counting(dictionary, gamma, sigma2):
-        stack_sizes.append(len(gamma))
-        return build(dictionary, gamma, sigma2)
-
-    monkeypatch.setattr(clbcd, "build_covariance", counting)
+        monkeypatch.setattr(module, name, counting)
+    tags = ["cl-omp", "cl-bcd", "iaa", "music"]
     cfg = ScenarioConfig(
-        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=2
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=5
     )
-    records = run_monte_carlo(cfg, ["cl-bcd", "iaa"])
-    assert all(r.failures == 0 for r in records)
-    assert max(stack_sizes) == 3
+    assert all(r.failures == 0 for r in run_monte_carlo(cfg, tags))
+    assert stack_sizes == [12] * 4 + [3] * 4
+    stack_sizes.clear()
+    run_monte_carlo(cfg, tags, threads=2)  # the chunks do not follow the thread count
+    assert sorted(stack_sizes) == [3] * 4 + [12] * 4
+    stack_sizes.clear()
+    cfg = ScenarioConfig("gaussian-ssr", 8, 40, 16, 2, (0.0, 5.0, 10.0), trials=3)
+    assert all(r.failures == 0 for r in run_monte_carlo(cfg, tags[:3]))
+    assert stack_sizes == [3] * 9
 
 
 def test_the_engine_builds_every_cells_forms_outside_the_methods(monkeypatch):

@@ -457,7 +457,26 @@ class TestSupportAtomForms:
             q0, r0, _ = support_atom_forms(d, scm, support[:j], gamma_sub[:j], sigma2)
             npt.assert_allclose(q, q0, rtol=1e-12)
             npt.assert_allclose(r, r0, rtol=1e-12)
-        assert rows[0] == support and rows[3].shape == rows[4].shape == (4, 256)
+        assert tuple(rows[0]) == support and rows[3].shape == rows[4].shape == (4, 256)
+
+    @pytest.mark.parametrize("case", ["gaussian", "ula-adjacent"])
+    def test_a_stack_gives_each_rows_lone_forms(self, case):
+        # three models over one dictionary, grown one atom at a time in lockstep
+        d, support, gamma_sub, sigma2, scm = _support_model(case)
+        supports = np.array([support, support[::-1], np.roll(support, 1)])
+        gammas = np.array([gamma_sub, 2.0 * gamma_sub, gamma_sub[::-1]])
+        sigma2s = np.array([sigma2, 0.5 * sigma2, 3.0 * sigma2])
+        scms = np.array([scm, 2.0 * scm, scm.conj()])
+        rows, lone_rows = None, [None] * 3
+        for j in range(len(support) + 1):
+            q, r, rows = support_atom_forms(
+                d, scms, supports[:, :j], gammas[:, :j], sigma2s, rows
+            )
+            for i in range(3):
+                q0, r0, lone_rows[i] = support_atom_forms(
+                    d, scms[i], supports[i, :j], gammas[i, :j], sigma2s[i], lone_rows[i]
+                )
+                assert q[i].tobytes() == q0.tobytes() and r[i].tobytes() == r0.tobytes()
 
     def test_invalid_arguments(self):
         d, support, gamma_sub, sigma2, scm = _support_model("gaussian")

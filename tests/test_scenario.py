@@ -266,13 +266,24 @@ class TestRunMonteCarlo:
         doa = ScenarioConfig(
             "ula-doa", 8, 181, 16, 2, (0.0, 10.0), true_doas_deg=(-20.0, 12.3), seed=21, trials=6
         )
-        for cfg, tags in [(ssr, ["cl-omp", "cl-bcd"]), (doa, ["cl-omp", "cl-bcd", "iaa", "music"])]:
+        # chunks of 4 trials at 3 SNRs: 5 trials cross a chunk boundary
+        doa_chunks = ScenarioConfig(
+            "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 10.0), true_doas_deg=(-20.0, 12.3), seed=22,
+            trials=5,
+        )
+        doa_tags = ["cl-omp", "cl-bcd", "iaa", "music"]
+        for cfg, tags, threads in [
+            (ssr, ["cl-omp", "cl-bcd"], (4,)),
+            (doa, doa_tags, (4,)),
+            (doa_chunks, doa_tags, (2, 3)),
+        ]:
             a = run_monte_carlo(cfg, tags, threads=1)
-            b = run_monte_carlo(cfg, tags, threads=4)
             assert len(a) == len(tags) * len(cfg.snr_db)
-            assert [replace(x, mean_runtime_s=None) for x in a] == [
-                replace(y, mean_runtime_s=None) for y in b
-            ]
+            for n in threads:
+                b = run_monte_carlo(cfg, tags, threads=n)
+                assert [replace(x, mean_runtime_s=None) for x in a] == [
+                    replace(y, mean_runtime_s=None) for y in b
+                ]
 
     def test_doa_mode_metrics_present(self):
         cfg = ScenarioConfig(
@@ -434,6 +445,11 @@ def _replay(cfg, tag):
     )
 
 
+def _untimed(trial_cells):
+    """A trial's cells without their runtimes."""
+    return {key: replace(c, runtime_s=None) for key, c in trial_cells.items()}
+
+
 class TestEngineReplay:
     """The synthesis functions and the metric trio are the engine's oracles."""
 
@@ -464,19 +480,33 @@ class TestEngineReplay:
             _replay(cfg, tag) for tag in tags
         ]
 
+    def test_chunks_give_each_trial_its_own_cells_in_trial_order(self, monkeypatch):
+        # 5 trials at 3 SNRs run as chunks of 4 and 1
+        cfg = ScenarioConfig("ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 10.0),
+                             true_doas_deg=(-20.0, 12.3), seed=22, trials=5)
+        specs = methods.resolve_methods(["cl-omp", "cl-bcd", "iaa", "music"])
+        merged = []
+        aggregate = scenario._aggregate
+
+        def keeping(config, specs, cells_by_trial):
+            merged.append(cells_by_trial)
+            return aggregate(config, specs, cells_by_trial)
+
+        monkeypatch.setattr(scenario, "_aggregate", keeping)
+        run_monte_carlo(cfg, specs)
+        alone = [scenario._solve_chunk(cfg, specs, [t])[0] for t in range(cfg.trials)]
+        assert [_untimed(c) for c in merged[0]] == [_untimed(c) for c in alone]
+
     def test_stages_and_cells_pickle(self):
         cfg = ScenarioConfig("ula-doa", 8, 181, 16, 2, (0.0, 10.0), true_doas_deg=(-20.0, 12.3),
                              seed=2, trials=2)
         specs = methods.resolve_methods(["cl-omp", "cl-bcd", "music"])
-        solve = functools.partial(scenario._solve_trial, cfg, specs)
-        cells = [solve(t) for t in range(cfg.trials)]
-        assert len(cells[0]) == len(specs) * len(cfg.snr_db)
+        solve = functools.partial(scenario._solve_chunk, cfg, specs)
+        cells = solve(range(cfg.trials))
+        assert len(cells) == cfg.trials and len(cells[0]) == len(specs) * len(cfg.snr_db)
         assert pickle.loads(pickle.dumps(cells)) == cells
 
-        def untimed(trial_cells):
-            return {key: replace(c, runtime_s=None) for key, c in trial_cells.items()}
-
         clone = pickle.loads(pickle.dumps(solve))
-        assert [untimed(clone(t)) for t in range(cfg.trials)] == [untimed(c) for c in cells]
+        assert [_untimed(c) for c in clone(range(cfg.trials))] == [_untimed(c) for c in cells]
         records = [replace(r, mean_runtime_s=None) for r in scenario._aggregate(cfg, specs, cells)]
         assert records == [replace(r, mean_runtime_s=None) for r in run_monte_carlo(cfg, specs)]

@@ -120,6 +120,20 @@ def dense_clomp(scm, dictionary, k):
     return tuple(chosen), gamma, sigma2
 
 
+def cwo_update(state, scm, i):
+    """CWO's exact coordinatewise step gamma_i <- gamma_i + max(r/q^2 - 1/q, -gamma_i).
+
+    q = a_i^H Sigma^-1 a_i and r = a_i^H Sigma^-1 Shat Sigma^-1 a_i are
+    evaluated from one linear solve against the state's covariance, not from
+    its cached inverse.
+    """
+    a = state.dictionary.atom(i)
+    sa = np.linalg.solve(state.sigma, a)
+    q = np.vdot(a, sa).real
+    r = np.vdot(sa, scm @ sa).real
+    return float(state.gamma[i] + max(r / q**2 - 1.0 / q, -state.gamma[i]))
+
+
 def sorting_hard_threshold(gamma, k, peak=False):
     """hard_threshold by a full stable sort: the support indices, ascending.
 
