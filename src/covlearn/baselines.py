@@ -15,6 +15,7 @@ from .clbcd import (
     Problem,
     SolverConfig,
     SolverResult,
+    _noise_refits,
     _stack_results,
     iaa_update,
     iterate,
@@ -130,7 +131,7 @@ def _iaa(problems, k: int, config: SolverConfig) -> list:
         config.tol,
     )
     supports = [hard_threshold(g, k, config.peak) for g in gamma]
-    sigma2 = [p.noise_mle(support) for p, support in zip(problems, supports)]
+    sigma2 = _noise_refits(problems, supports)
     return _stack_results(supports, gamma, sigma2, iterations, converged)
 
 
@@ -152,7 +153,7 @@ def _ratio_method(problems, k: int, config: SolverConfig, noise_rule: str, b: fl
         if noise_rule == "samv2":
             return gamma, np.maximum(samv2_noise_update(state, scm[rows]), noise_floor[rows])
         supports = [hard_threshold(g, k, config.peak) for g in gamma]
-        return gamma, np.array([problems[i].noise_mle(s) for i, s in zip(rows, supports)])
+        return gamma, _noise_refits([problems[i] for i in rows], supports)
 
     out = iterate(
         problems[0].dictionary,

@@ -216,18 +216,10 @@ class Problem:
     def noise_mle(self, support: SupportSet) -> float:
         """:func:`noise_mle` on a support, memoised by the support's indices.
 
-        noise_mle is a pure function of scm and the support, and the top-K
-        support of successive iterates rarely changes, so each distinct
-        support is refit once per Problem. A refit that raises is not
-        memoised: it raises again for every caller.
+        The one-row case of :func:`_noise_refits`: each distinct support is
+        refit once per Problem, and a refit that raises is not memoised.
         """
-        sigma2 = self._noise.get(support.indices)
-        if sigma2 is None:
-            atoms = self.dictionary.take(support.indices)
-            sigma2 = self._noise[support.indices] = noise_mle(
-                self.scm, atoms, self.dictionary.n_sensors
-            )
-        return sigma2
+        return _noise_refits([self], [support])[0]
 
     def solve(self, key, solve_stack):
         """This problem's result of ``solve_stack``, solved with its batch.
@@ -259,6 +251,27 @@ class Problem:
                         problem._solved[key] = result
                 return results[rows.index(self)]
         return solve_stack([self])[0]
+
+
+def _noise_refits(problems, supports) -> np.ndarray:
+    """:func:`noise_mle` of each problem on its support of one size, memoised
+    per Problem by the support's indices.
+
+    noise_mle is a pure function of scm and the support, and the top-K
+    support of successive iterates rarely changes, so each distinct support
+    is refit once per Problem. The memo misses of all the problems are
+    refit in one stacked call; if it raises, none of them is memoised and
+    the error propagates.
+    """
+    memo = [p._noise.get(s.indices) for p, s in zip(problems, supports)]
+    misses = [i for i, sigma2 in enumerate(memo) if sigma2 is None]
+    if misses:
+        dictionary = problems[0].dictionary
+        scm = np.array([problems[i].scm for i in misses])
+        atoms = dictionary.take([supports[i].indices for i in misses])
+        for i, sigma2 in zip(misses, noise_mle(scm, atoms, dictionary.n_sensors)):
+            memo[i] = problems[i]._noise[supports[i].indices] = sigma2
+    return np.array(memo)
 
 
 def relative_change(new: np.ndarray, old: np.ndarray):
@@ -352,7 +365,7 @@ def _clbcd(problems, k: int, config: SolverConfig):
     # as :func:`iterate` would against the zero start.
     gamma = np.array([p.matched_filter for p in problems])
     supports = [hard_threshold(g, k, config.peak) for g in gamma]
-    sigma2 = np.array([p.noise_mle(s) for p, s in zip(problems, supports)])
+    sigma2 = _noise_refits(problems, supports)
     iterations = np.ones(len(problems), dtype=int)
     converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
     live = np.flatnonzero(~converged) if config.max_iter > 1 else []
@@ -361,11 +374,11 @@ def _clbcd(problems, k: int, config: SolverConfig):
 
         def step(state, rows):
             gamma = iaa_update(state, scm[rows])
-            refits = []
-            for g, i in zip(gamma, live[rows]):
+            running = live[rows]
+            for g, i in zip(gamma, running):
                 supports[i] = hard_threshold(g, k, config.peak)
-                refits.append(problems[i].noise_mle(supports[i]))
-            return gamma, np.array(refits)
+            refits = _noise_refits([problems[i] for i in running], [supports[i] for i in running])
+            return gamma, refits
 
         # the last step's support is the support of the returned powers
         out = iterate(

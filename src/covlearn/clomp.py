@@ -113,8 +113,8 @@ def _clomp(problems, k: int) -> list:
     """cl-omp on a stack of problems over one dictionary, one result per problem.
 
     The K greedy steps run in lockstep: each evaluates every row's forms from
-    its support's Gram rows in one stacked call, then sweeps, picks and
-    refits row by row.
+    its support's Gram rows in one stacked call, sweeps and picks row by
+    row, and refits every row's grown support in one stacked call.
     """
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
@@ -130,15 +130,12 @@ def _clomp(problems, k: int) -> list:
 
     for _ in range(k):
         q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
-        fits = []
-        for support, q_row, r_row, scm_row in zip(chosen, q, r, scm):
+        for support, q_row, r_row in zip(chosen, q, r):
             sweep = _sweep(q_row, r_row, support)
             if not np.any(np.isfinite(sweep.errors)):
                 raise ValueError("no candidate atoms remain for the sweep")
             support.append(int(np.argmin(sweep.errors)))  # lowest index wins ties
-            fits.append(provisional_mle(scm_row, dictionary.take(support), n))
-        gamma_sub = np.array([g for g, _ in fits])
-        sigma2 = np.array([s2 for _, s2 in fits])
+        gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
 
     results = []
     for support, g, s2 in zip(chosen, gamma_sub, sigma2):

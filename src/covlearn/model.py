@@ -192,8 +192,9 @@ class Dictionary:
         return self.atoms[:, i]
 
     def take(self, indices) -> np.ndarray:
-        """Submatrix restricted to the given atom indices (in that order)."""
-        return self.atoms[:, list(indices)]
+        """Submatrix restricted to the given atom indices (in that order); S
+        rows of j indices give the stack of S submatrices, (S, N, j)."""
+        return np.moveaxis(self.atoms[:, np.array(list(indices), dtype=np.intp)], 0, -2)
 
 
 @dataclass(frozen=True)
@@ -478,16 +479,20 @@ def _qr_full_rank(B: np.ndarray):
     """Reduced QR of B after verifying full column rank (cond(B) < _COND_LIMIT).
 
     The condition number is read off the small factor R, whose singular
-    values are those of B because Q has orthonormal columns.
+    values are those of B because Q has orthonormal columns. A stack of
+    matrices (S, N, j) is factored by one batched QR and one batched SVD,
+    and raises if any of its matrices is rank deficient.
     """
     B = np.asarray(B, dtype=np.complex128)
-    if B.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if B.shape[1] > B.shape[0]:
+    if B.ndim not in (2, 3):
+        raise ValueError("expected a matrix or a stack of matrices")
+    if B.shape[-1] > B.shape[-2]:
         raise RankDeficientError("matrix has more columns than rows")
     Q, R = np.linalg.qr(B)
     s = np.linalg.svd(R, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] >= _COND_LIMIT:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deficient = (s[..., -1] <= 0.0) | (s[..., 0] / s[..., -1] >= _COND_LIMIT)
+    if deficient.any():
         raise RankDeficientError("matrix does not have (numerical) full column rank")
     return Q, R
 
@@ -507,7 +512,9 @@ def _noise_floor(tr_scm: float, n_sensors: int) -> float:
     return 1e-15 * tr_scm / n_sensors
 
 
-def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor=None) -> float:
+def noise_mle(
+    scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor=None
+) -> float | np.ndarray:
     """Noise-variance MLE on a fixed support: tr((I - P) Shat) / (N - k).
 
     P is the orthogonal projector onto the span of the support atoms; an
@@ -515,21 +522,25 @@ def noise_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int, factor
     :func:`_noise_floor`.
     ``factor`` is the reduced QR (Q, R) of the support atoms when the
     caller has already computed it; otherwise it is computed here.
+
+    A stack of sample covariances (S, N, N) with supports of one size
+    (S, N, k) gives one value per row, (S,), through one batched QR; every
+    row gets the bits it gets alone.
     """
     scm = np.asarray(scm, dtype=np.complex128)
-    tr_scm = np.trace(scm).real
+    tr_scm = np.trace(scm, axis1=-2, axis2=-1).real
     B = np.asarray(support_atoms, dtype=np.complex128)
     if B.ndim == 1:
         B = B[:, None]
-    k = B.shape[1] if B.size else 0
+    k = B.shape[-1] if B.size else 0
     if k >= n_sensors:
         raise ValueError(f"support size {k} must be smaller than n_sensors={n_sensors}")
     if k == 0:
         resid = tr_scm
     else:
         Q, _ = _qr_full_rank(B) if factor is None else factor
-        resid = tr_scm - np.einsum("ij,ij->", Q.conj(), scm @ Q).real
-    return max(resid / (n_sensors - k), _noise_floor(tr_scm, n_sensors))
+        resid = tr_scm - np.einsum("...ij,...ij->...", Q.conj(), scm @ Q).real
+    return np.maximum(resid / (n_sensors - k), _noise_floor(tr_scm, n_sensors))
 
 
 def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
@@ -538,6 +549,9 @@ def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
     sigma2 is the projector-residual MLE of :func:`noise_mle`; the support
     powers are diag(B^+ (Shat - sigma2 I) B^+H) with negative entries
     clipped to zero (consistent, though not exactly the constrained MLE).
+    A stack of sample covariances (S, N, N) with supports (S, N, j) gives
+    powers (S, j) and noise variances (S,) through one batched QR and one
+    batched solve; every row gets the bits it gets alone.
     """
     scm = np.asarray(scm, dtype=np.complex128)
     B = np.asarray(support_atoms, dtype=np.complex128)
@@ -545,8 +559,8 @@ def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
         B = B[:, None]
     Q, R = _qr_full_rank(B)
     sigma2 = noise_mle(scm, B, n_sensors, factor=(Q, R))
-    pinv = np.linalg.solve(R, Q.conj().T)
-    shift = scm - sigma2 * np.eye(n_sensors)
-    G = pinv @ shift @ pinv.conj().T
-    gamma = np.maximum(np.diag(G).real, 0.0)
+    pinv = np.linalg.solve(R, Q.conj().swapaxes(-1, -2))
+    shift = scm - np.asarray(sigma2)[..., None, None] * np.eye(n_sensors)
+    G = pinv @ shift @ pinv.conj().swapaxes(-1, -2)
+    gamma = np.maximum(np.diagonal(G, axis1=-2, axis2=-1).real, 0.0)
     return gamma, sigma2

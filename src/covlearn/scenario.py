@@ -80,12 +80,13 @@ def gaussian_dictionary(n_sensors: int, n_atoms: int, seed) -> Dictionary:
 
 
 def _source_chol(powers: np.ndarray, rho: float) -> np.ndarray:
-    """Cholesky factor of the (possibly correlated) source covariance."""
+    """Cholesky factor of the (possibly correlated) source covariance, or
+    one factor per row of a stack of powers (S, k) through one batched call."""
     powers = np.asarray(powers, dtype=np.float64)
     s = np.sqrt(powers)
-    corr = np.full((powers.size, powers.size), float(rho))
+    corr = np.full((powers.shape[-1],) * 2, float(rho))
     np.fill_diagonal(corr, 1.0)
-    cov = s[:, None] * corr * s[None, :]
+    cov = s[..., :, None] * corr * s[..., None, :]
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -189,6 +190,13 @@ class ScenarioConfig:
         if len(offsets) != self.k:
             raise ValueError(f"source_offsets_db must have k={self.k} entries")
         object.__setattr__(self, "source_offsets_db", offsets)
+        try:  # the draw factors the source covariance at every SNR
+            _source_chol([self.source_powers(snr_db) for snr_db in snr], self.rho)
+        except ValueError as exc:
+            raise ValueError(
+                f"rho={self.rho} leaves the source covariance of k={self.k} sources "
+                "without a Cholesky factor"
+            ) from exc
         if self.kind == "ula-doa":
             if self.true_doas_deg is None:
                 raise ValueError("ula-doa scenarios require true_doas_deg")
@@ -369,15 +377,15 @@ def _draw_trial(config: ScenarioConfig, t: int):
     waveforms = _complex_gaussian(rng, (k, L))
     noise = _complex_gaussian(rng, (n, L))
     draws = []
-    for snr in config.snr_db:
-        powers = config.source_powers(snr)
+    powers_per_snr = [config.source_powers(snr) for snr in config.snr_db]
+    chols = _source_chol(powers_per_snr, config.rho)
+    for powers, chol in zip(powers_per_snr, chols):
         if config.kind == "gaussian-ssr":
             gamma = np.zeros(m)
             gamma[support] = powers
             truth = _Truth(true_support, gamma)
         else:
             truth = _Truth(true_support, powers[order], theta)
-        chol = _source_chol(powers, config.rho)
         draws.append((_snapshots(src_atoms, chol, waveforms, noise, config.noise_var), truth))
     return dictionary, draws
 

@@ -110,6 +110,63 @@ def test_rows_leave_the_stack_as_they_converge(monkeypatch):
     assert stack_sizes == [4] * 5 + [1] * 2
 
 
+def _stack_sizes(monkeypatch, module, name):
+    """Patch module.name, a refit taking sample covariances first, to record
+    the number of rows of every call; returns the record."""
+    sizes, refit = [], getattr(module, name)
+
+    def counting(scm, *args):
+        sizes.append(len(scm))
+        return refit(scm, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return sizes
+
+
+def test_cl_omp_refits_a_stack_once_per_greedy_step(monkeypatch):
+    d, k, Ys = _snapshots(True, 4, (-5.5, -9.5, -13.5))
+    spec = MethodSpec("cl-omp")
+    alone = [_outcome(spec, Y, d, k, True) for Y in Ys]
+    sizes = _stack_sizes(monkeypatch, clomp, "provisional_mle")
+    assert _stacked(spec, Ys, d, k, True, 1) == alone
+    assert sizes == [len(Ys)] * k
+
+
+# draws on which a later step has two or more rows whose top-K support is new
+@pytest.mark.parametrize("ula, seed", [(True, 10), (False, 8)])
+def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
+    d, k, Ys = _snapshots(ula, seed, (-5.5, -9.5, -13.5, 0.0))
+    spec = MethodSpec("cl-bcd")
+    alone = [_outcome(spec, Y, d, k, ula) for Y in Ys]
+    batch = Batch()
+    problems = [Problem(Y, d, batch) for Y in Ys]
+    update = clbcd.iaa_update
+    memo_sizes = []
+
+    def counting_update(state, scm):
+        # runs before the step's refit: the memo holds every earlier refit
+        memo_sizes.append(sum(len(p._noise) for p in problems))
+        return update(state, scm)
+
+    sizes = _stack_sizes(monkeypatch, clbcd, "noise_mle")
+    monkeypatch.setattr(clbcd, "iaa_update", counting_update)
+    assert [_outcome(spec, p, d, k, ula) for p in problems] == alone
+    memo_sizes.append(sum(len(p._noise) for p in problems))
+    # the misses of the closed-form first iterate, then of each later step
+    misses = np.diff([0] + memo_sizes)
+    assert sizes == [m for m in misses if m]
+    assert sizes[0] == len(Ys) and max(sizes[1:]) >= 2
+
+
+def test_iaa_refits_a_stacks_final_supports_in_one_call(monkeypatch):
+    d, k, Ys = _snapshots(False, 8, (-5.5, -9.5, -13.5, 0.0))
+    spec = MethodSpec("iaa")
+    alone = [_outcome(spec, Y, d, k, False) for Y in Ys]
+    sizes = _stack_sizes(monkeypatch, clbcd, "noise_mle")
+    assert _stacked(spec, Ys, d, k, False, 0) == alone
+    assert sizes == [len(Ys)]
+
+
 def _duplicate_atom_case():
     """(dictionary, Ys): atoms 0 and 1 coincide. A strong source there makes
     every top-2 support {0, 1}, whose noise refit is rank deficient; the

@@ -299,16 +299,19 @@ class TestMain:
 
     def test_negative_seed_and_singular_source_covariance_exit_2(self, tmp_path, capsys):
         # each once passed validate and then crashed run after creating --out
+        # rho next to 1 passes |rho| < 1, yet leaves the source covariance without a Cholesky factor
         bad = {
-            "seed": MINI.replace("seed = 21", "seed = -1"),
-            "rho": MINI.replace("k = 2", "k = 3") + "rho = -0.9\n",
+            "seed": ("seed", MINI.replace("seed = 21", "seed = -1")),
+            "rho": ("rho", MINI.replace("k = 2", "k = 3") + "rho = -0.9\n"),
+            "rho-near-one": ("rho", MINI.replace("k = 2", "k = 3") + "rho = 0.9999999999999999\n"),
         }
-        for key, text in bad.items():
-            cfg = write(tmp_path, text, f"{key}.cfg")
+        for name, (key, text) in bad.items():
+            cfg = write(tmp_path, text, f"{name}.cfg")
             assert main(["validate", "--config", str(cfg)]) == 2
             assert f"{key}=" in capsys.readouterr().err
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / key)]) == 2
-            assert not (tmp_path / key).exists()
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+            assert f"{key}=" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
         cfg = write(tmp_path, MINI)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
         assert "seed=-1" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covlearn import (
     CovarianceState,
@@ -11,6 +13,7 @@ from covlearn import (
     atom_forms,
     atom_quadratic_forms,
     build_covariance,
+    gaussian_dictionary,
     loo_quadratic_form,
     negative_llf,
     nll_gradient,
@@ -109,6 +112,9 @@ class TestDictionary:
         d = Dictionary(np.arange(6, dtype=complex).reshape(2, 3))
         npt.assert_array_equal(d.atom(1), [1.0, 4.0])
         npt.assert_array_equal(d.take([2, 0]), [[2.0, 0.0], [5.0, 3.0]])
+        assert d.take(()).shape == (2, 0)
+        # rows of indices give a stack of submatrices
+        npt.assert_array_equal(d.take([[2, 0], [1, 2]]), [d.take([2, 0]), d.take([1, 2])])
 
 
 class TestBuildCovariance:
@@ -599,3 +605,74 @@ class TestProvisionalMle:
         gamma, s2 = provisional_mle(scm, Q, 5)
         npt.assert_allclose(s2, 1.0, rtol=1e-10)
         npt.assert_allclose(gamma, [5.0], rtol=1e-10)
+
+
+def _refit_stack(ula: bool, seed: int, rows: int, j: int):
+    """(dictionary, sample covariances (S, N, N), supports (S, N, j)) at a
+    shipped shape: the ULA grid N=20/M=1801 or a Gaussian N=32/M=256."""
+    rng = np.random.default_rng(seed)
+    d = ula_grid(20, 1801) if ula else gaussian_dictionary(32, 256, rng)
+    n, snapshots = d.n_sensors, rng.choice([3, 25, 125])
+    Ys = rng.standard_normal((rows, n, snapshots)) + 1j * rng.standard_normal((rows, n, snapshots))
+    scm = np.array([sample_covariance(Y) for Y in Ys])
+    supports = np.array([rng.choice(d.n_atoms, j, replace=False) for _ in range(rows)])
+    return d, scm, d.atoms.T[supports].swapaxes(-1, -2)
+
+
+class TestStackedRefits:
+    """_qr_full_rank, noise_mle and provisional_mle take a stack of supports."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ula=st.booleans(),
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 12),
+        j=st.integers(1, 4),
+    )
+    def test_a_stack_gives_each_rows_lone_bits(self, ula, seed, rows, j):
+        d, scm, B = _refit_stack(ula, seed, rows, j)
+        n = d.n_sensors
+        try:
+            lone_qr = [_qr_full_rank(b) for b in B]
+        except RankDeficientError:  # the grid's +-90 deg endpoints are one atom
+            with pytest.raises(RankDeficientError):
+                noise_mle(scm, B, n)
+            return
+        Q, R = _qr_full_rank(B)
+        sigma2 = noise_mle(scm, B, n)
+        gamma, fit_sigma2 = provisional_mle(scm, B, n)
+        assert sigma2.shape == fit_sigma2.shape == (rows,) and gamma.shape == (rows, j)
+        for i in range(rows):
+            Qi, Ri = lone_qr[i]
+            assert Q[i].tobytes() == Qi.tobytes() and R[i].tobytes() == Ri.tobytes()
+            lone = noise_mle(scm[i], B[i], n)
+            assert type(lone) is np.float64 and sigma2[i].tobytes() == lone.tobytes()
+            gi, si = provisional_mle(scm[i], B[i], n)
+            assert type(si) is np.float64 and fit_sigma2[i].tobytes() == si.tobytes()
+            assert gamma[i].tobytes() == gi.tobytes()
+        # a stack of one is the 2-D call, bit for bit
+        assert _qr_full_rank(B[:1])[1][0].tobytes() == _qr_full_rank(B[0])[1].tobytes()
+        assert noise_mle(scm[:1], B[:1], n)[0].tobytes() == noise_mle(scm[0], B[0], n).tobytes()
+        g1, s1 = provisional_mle(scm[:1], B[:1], n)
+        g0, s0 = provisional_mle(scm[0], B[0], n)
+        assert g1[0].tobytes() == g0.tobytes() and s1[0].tobytes() == s0.tobytes()
+
+    @pytest.mark.parametrize("ula", [True, False])
+    def test_one_rank_deficient_row_fails_the_stack(self, ula):
+        d, scm, B = _refit_stack(ula, 7, 5, 3)
+        n = d.n_sensors
+        for i in range(5):
+            noise_mle(scm[i], B[i], n)  # every row alone is full rank
+        B[3, :, 2] = B[3, :, 0]  # row 3 repeats an atom
+        with pytest.raises(RankDeficientError):
+            noise_mle(scm[3], B[3], n)
+        with pytest.raises(RankDeficientError):
+            _qr_full_rank(B)
+        with pytest.raises(RankDeficientError):
+            noise_mle(scm, B, n)
+        with pytest.raises(RankDeficientError):
+            provisional_mle(scm, B, n)
+
+    def test_an_empty_support_stack_gives_the_trace_per_row(self):
+        scm = np.array([np.diag([2.0, 3.0, 4.0]), np.diag([1.0, 1.0, 4.0])]).astype(complex)
+        npt.assert_array_equal(noise_mle(scm, np.zeros((2, 3, 0)), 3), [3.0, 2.0])

@@ -210,6 +210,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="rho"):
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 3, (1.0,), rho=-0.5)
         ScenarioConfig("gaussian-ssr", 8, 32, 8, 3, (1.0,), rho=-0.45)
+        # |rho| < 1, yet the equicorrelated covariance of these powers rounds
+        # to singular, and the draw would fail on its first trial
+        with pytest.raises(ValueError, match="rho=0.9999999999999999"):
+            ScenarioConfig("gaussian-ssr", 10, 30, 12, 3, (4.0, 8.0), rho=0.9999999999999999)
+        ScenarioConfig("gaussian-ssr", 10, 30, 12, 3, (4.0, 8.0), rho=0.999999)
 
     def test_offsets_default_and_length_check(self):
         cfg = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,))
