@@ -15,8 +15,6 @@ Library layout:
 """
 
 from .baselines import (
-    iaa_update,
-    matched_filter_powers,
     mle_single_source,
     msbl_update,
     music_doas,
@@ -35,6 +33,8 @@ from .clbcd import (
     Problem,
     SolverConfig,
     SolverResult,
+    iaa_update,
+    matched_filter_powers,
     relative_change,
     run_clbcd,
 )

@@ -19,7 +19,6 @@ from .clbcd import (
     _stack_results,
     iaa_update,
     iterate,
-    matched_filter_powers,
 )
 from .model import (
     CovarianceState,
@@ -34,11 +33,9 @@ from .scenario import grid_angles_deg, ula_grid
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
-    "iaa_update",
     "ratio_update",
     "samv2_noise_update",
     "msbl_update",
-    "matched_filter_powers",
     "run_iaa",
     "run_samv2",
     "run_sbl",
@@ -114,9 +111,7 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
     carries no explicit noise term). The reported sigma2 is the
     projector-residual MLE on the final support.
     """
-    config = config or SolverConfig()
-    problem = Problem.of(Y, dictionary, k)
-    return problem.solve(("iaa", k, config), lambda problems: _iaa(problems, k, config))
+    return Problem.of(Y, dictionary, k).solve(_iaa, k, config or SolverConfig())
 
 
 def _iaa(problems, k: int, config: SolverConfig) -> list:
@@ -133,14 +128,6 @@ def _iaa(problems, k: int, config: SolverConfig) -> list:
     supports = [hard_threshold(g, k, config.peak) for g in gamma]
     sigma2 = _noise_refits(problems, supports)
     return _stack_results(supports, gamma, sigma2, iterations, converged)
-
-
-def _run_ratio_method(Y, dictionary, k, config, noise_rule: str, b: float) -> SolverResult:
-    problem = Problem.of(Y, dictionary, k)
-    return problem.solve(
-        (noise_rule, b, k, config),
-        lambda problems: _ratio_method(problems, k, config, noise_rule, b),
-    )
 
 
 def _ratio_method(problems, k: int, config: SolverConfig, noise_rule: str, b: float) -> list:
@@ -168,7 +155,7 @@ def _ratio_method(problems, k: int, config: SolverConfig, noise_rule: str, b: fl
 
 def run_samv2(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
     """Power-ratio update (b=1) paired with the trace-ratio noise rule."""
-    return _run_ratio_method(Y, dictionary, k, config or SolverConfig(), "samv2", b=1.0)
+    return Problem.of(Y, dictionary, k).solve(_ratio_method, k, config or SolverConfig(), "samv2", 1.0)
 
 
 def run_sbl(
@@ -179,7 +166,7 @@ def run_sbl(
     b = 1 gives the standard variant and b = 1/2 the square-root flavor
     (the ``sbl1`` tag); :func:`ratio_update` rejects any other exponent.
     """
-    return _run_ratio_method(Y, dictionary, k, config or SolverConfig(), "support", b)
+    return Problem.of(Y, dictionary, k).solve(_ratio_method, k, config or SolverConfig(), "support", b)
 
 
 def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
@@ -190,8 +177,7 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverR
     """
     if config.known_sigma2 is None:
         raise ValueError("msbl requires a known_sigma2")
-    problem = Problem.of(Y, dictionary, k)
-    return problem.solve(("msbl", k, config), lambda problems: _msbl(problems, k, config))
+    return Problem.of(Y, dictionary, k).solve(_msbl, k, config)
 
 
 def _msbl(problems, k: int, config: SolverConfig) -> list:
@@ -289,8 +275,7 @@ def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
     :func:`noise_mle` so it stays positive when L <= K leaves them at zero
     up to rounding. One eigendecomposition counts as one iteration.
     """
-    problem = Problem.of(Y, grid, k)
-    return problem.solve(("music", k), lambda problems: _music(problems, k))
+    return Problem.of(Y, grid, k).solve(_music, k)
 
 
 def _music(problems, k: int) -> list:

@@ -44,7 +44,6 @@ __all__ = [
     "matched_filter_powers",
     "relative_change",
     "run_clbcd",
-    "noise_mle",
 ]
 
 
@@ -161,7 +160,8 @@ class Problem:
     tr(Shat) > 0 (else ValueError). Three things are evaluated on first use
     and then kept: the per-atom forms a_i^H Shat a_i (:attr:`forms`), the
     matched-filter spectrum derived from them (:attr:`matched_filter`) and
-    the noise-variance refit of each support asked for (:meth:`noise_mle`).
+    the noise-variance refit of each support asked for (see
+    :func:`_noise_refits`).
     Y, scm and the cached arrays are read-only, so every method of a
     Monte-Carlo cell can solve one Problem and get the results it gets
     from Y alone. A Problem built with a :class:`Batch` over the same
@@ -213,26 +213,20 @@ class Problem:
         powers.flags.writeable = False
         return powers
 
-    def noise_mle(self, support: SupportSet) -> float:
-        """:func:`noise_mle` on a support, memoised by the support's indices.
-
-        The one-row case of :func:`_noise_refits`: each distinct support is
-        refit once per Problem, and a refit that raises is not memoised.
-        """
-        return _noise_refits([self], [support])[0]
-
-    def solve(self, key, solve_stack):
+    def solve(self, solve_stack, *args):
         """This problem's result of ``solve_stack``, solved with its batch.
 
-        ``solve_stack(problems)`` returns one result per problem of a list
-        over this dictionary, and ``key`` names what it computes (runner,
-        k and config). The first call of a key solves, as one stack, this
-        problem and every member of its batch with no result waiting for the
-        key; the others' results wait until they ask. If that stacked solve
-        raises a counted error (ArithmeticError, LinAlgError, ValueError),
-        every member solves the key alone from then on, so each gets exactly
-        the result or the exception class of its lone solve.
+        ``solve_stack(problems, *args)`` returns one result per problem of a
+        list over this dictionary, and ``(solve_stack, *args)`` names what it
+        computes, so the arguments must be hashable. The first call of a name
+        solves, as one stack, this problem and every member of its batch
+        with no result waiting for the name; the others' results wait until
+        they ask. If that stacked solve raises a counted error
+        (ArithmeticError, LinAlgError, ValueError), every member solves the
+        name alone from then on, so each gets exactly the result or the
+        exception class of its lone solve.
         """
+        key = (solve_stack, *args)
         result = self._solved.pop(key, None)
         if result is not None:
             return result
@@ -242,7 +236,7 @@ class Problem:
             rows = [p for p in batch.problems if p is self or key not in p._solved]
         if len(rows) > 1:
             try:
-                results = solve_stack(rows)
+                results = solve_stack(rows, *args)
             except _COUNTED:
                 batch._alone.add(key)
             else:
@@ -250,7 +244,7 @@ class Problem:
                     if problem is not self:
                         problem._solved[key] = result
                 return results[rows.index(self)]
-        return solve_stack([self])[0]
+        return solve_stack([self], *args)[0]
 
 
 def _noise_refits(problems, supports) -> np.ndarray:
@@ -352,9 +346,7 @@ def run_clbcd(
 
     A Problem of a :class:`Batch` is solved with the rest of its batch
     (see :meth:`Problem.solve`); the result is the one it gets alone."""
-    problem = Problem.of(Y, dictionary, k)
-    config = config or SolverConfig()
-    return problem.solve(("cl-bcd", k, config), lambda problems: _clbcd(problems, k, config))
+    return Problem.of(Y, dictionary, k).solve(_clbcd, k, config or SolverConfig())
 
 
 def _clbcd(problems, k: int, config: SolverConfig):

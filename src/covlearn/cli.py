@@ -20,14 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .clbcd import SolverConfig
-from .methods import (
-    ITERATIVE_TAGS,
-    METHOD_DESCRIPTIONS,
-    METHOD_TAGS,
-    MethodSpec,
-    check_methods,
-    resolve_methods,
-)
+from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, check_methods, resolve_methods
 from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
 
 try:  # pragma: no cover - metadata lookup
@@ -169,13 +162,13 @@ def parse_spec(path) -> ExperimentSpec:
             true_doas_deg=lists.get("true_doas_deg"),
             seed=scalars.get("seed", 0),
             trials=scalars.get("trials", 100),
+            max_iter=scalars.get("max_iter", SolverConfig.max_iter),
         )
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
-    max_iter = scalars.get("max_iter", SolverConfig.max_iter)
     try:
-        methods = resolve_methods(MethodSpec(tag, max_iter) for tag in lists["methods"])
+        methods = resolve_methods(lists["methods"])
         check_methods(methods, scenario.kind, scenario.k)
     except ValueError as exc:
         raise SpecError(f"{path}:{entries['methods'][1]}: key 'methods': {exc}") from exc
@@ -242,8 +235,7 @@ def run_experiment(
 
     meta = {
         "scenario": asdict(spec.scenario),
-        # the iteration cap is echoed only for the methods that read it
-        "methods": [asdict(m) if m.tag in ITERATIVE_TAGS else {"tag": m.tag} for m in spec.methods],
+        "methods": [m.tag for m in spec.methods],
         "emit": list(spec.emit),
         "seed": spec.scenario.seed,
         "build_version": BUILD_VERSION,
@@ -312,12 +304,9 @@ def main(argv=None) -> int:
         print(f"{args.config}: ok")
         return 0
 
-    scenario = spec.scenario
+    overrides = {"seed": args.seed, "trials": args.trials}
     try:
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        if args.trials is not None:
-            scenario = replace(scenario, trials=args.trials)
+        scenario = replace(spec.scenario, **{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,6 @@ __all__ = [
     "SweepResult",
     "conditional_gamma_star",
     "sweep_errors",
-    "provisional_mle",
     "run_clomp",
 ]
 
@@ -105,8 +104,7 @@ def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
     A Problem of a :class:`~covlearn.clbcd.Batch` is solved with the rest of
     its batch (see :meth:`~covlearn.clbcd.Problem.solve`); the result is the
     one it gets alone."""
-    problem = Problem.of(Y, dictionary, k)
-    return problem.solve(("cl-omp", k), lambda problems: _clomp(problems, k))
+    return Problem.of(Y, dictionary, k).solve(_clomp, k)
 
 
 def _clomp(problems, k: int) -> list:

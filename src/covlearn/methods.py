@@ -50,30 +50,18 @@ def _iterative_runners() -> dict:
     }
 
 
-# The methods that iterate, the only ones that read MethodSpec.max_iter.
-ITERATIVE_TAGS = tuple(_iterative_runners())
-
-
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method tag and the iteration cap its solver runs at.
-
-    max_iter defaults to and passes the check of :class:`SolverConfig` at
-    construction, so a cap every solve would reject fails before any
-    trial. The tolerance is :class:`SolverConfig`'s, the support rule
-    follows the scenario and msbl/cwo get the scenario's noise variance
-    (see :func:`solve_trial`); none of them is set per method.
-    """
+    """A method tag. Everything else of a solve is the run's: the iteration
+    cap, the support rule and the noise variance (see :func:`solve_trial`)."""
 
     tag: str
-    max_iter: int = SolverConfig.max_iter
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValueError(
                 f"unknown method tag {self.tag!r}; supported: {', '.join(METHOD_TAGS)}"
             )
-        SolverConfig(self.max_iter)
 
 
 def resolve_methods(methods) -> tuple:
@@ -113,22 +101,25 @@ def solve_trial(
     k: int,
     peak: bool,
     noise_var: float,
+    max_iter: int = SolverConfig.max_iter,
 ) -> SolverResult:
     """Run one method on one batch of snapshots.
 
     Y is an N x L snapshot matrix or a :class:`~covlearn.clbcd.Problem` over
     ``dictionary``; the Monte-Carlo engine passes one Problem to every method
     of a cell, so the sample covariance and what is cached on it are formed
-    once. The iterative methods run at ``spec``'s iteration cap with
-    :class:`SolverConfig`'s tolerance, the scenario's support rule ``peak``
-    and, for msbl and cwo, the scenario's noise variance ``noise_var``.
+    once. The iterative methods (cl-bcd, iaa, samv2, sbl, sbl1, msbl, cwo)
+    run at the run's iteration cap ``max_iter`` with :class:`SolverConfig`'s
+    tolerance, the scenario's support rule ``peak`` and, for msbl and cwo,
+    the scenario's noise variance ``noise_var``; the other methods read none
+    of the three.
     """
     tag = spec.tag
     problem = Problem.of(Y, dictionary, k)
 
     runner = _iterative_runners().get(tag)
     if runner is not None:
-        config = SolverConfig(spec.max_iter, peak=peak, known_sigma2=noise_var)
+        config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
         return runner(problem, dictionary, k, config)
 
     if tag == "cl-omp":

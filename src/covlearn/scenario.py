@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .clbcd import _COUNTED, Batch, Problem, SolverConfig
 from .model import Dictionary
 
 SCENARIO_KINDS = ("gaussian-ssr", "ula-doa")
@@ -146,7 +147,8 @@ class ScenarioConfig:
     the per-source levels relative to the first source. true_doas_deg is
     required for "ula-doa" and rejected for "gaussian-ssr", whose supports
     are drawn per trial. The support rule follows the kind (see
-    :attr:`peak`) and is not a field.
+    :attr:`peak`) and is not a field. max_iter caps every iterative method
+    of the run and must pass :class:`~covlearn.clbcd.SolverConfig`'s check.
     """
 
     kind: str
@@ -161,6 +163,7 @@ class ScenarioConfig:
     true_doas_deg: tuple | None = None
     seed: int = 0
     trials: int = 100
+    max_iter: int = SolverConfig.max_iter
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -173,8 +176,9 @@ class ScenarioConfig:
             raise ValueError("n_snapshots must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be positive")
+        if not 0 < self.noise_var < np.inf:
+            raise ValueError(f"noise_var={self.noise_var} must be positive and finite")
+        SolverConfig(self.max_iter)
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be at least 0")
         if not abs(self.rho) < 1:
@@ -189,6 +193,8 @@ class ScenarioConfig:
         offsets = (0.0,) * self.k if offsets is None else tuple(float(o) for o in offsets)
         if len(offsets) != self.k:
             raise ValueError(f"source_offsets_db must have k={self.k} entries")
+        if not all(np.isfinite(offsets)):
+            raise ValueError(f"source_offsets_db={offsets} must be finite")
         object.__setattr__(self, "source_offsets_db", offsets)
         try:  # the draw factors the source covariance at every SNR
             _source_chol([self.source_powers(snr_db) for snr_db in snr], self.rho)
@@ -436,7 +442,6 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
     fail every method of their cell; a solve that raises a counted
     exception fails its cell.
     """
-    from .clbcd import _COUNTED, Batch, Problem
     from .methods import solve_trial  # looked up per call, so a patched module attribute runs
 
     grid_deg = grid_angles_deg(config.n_atoms) if config.kind == "ula-doa" else None
@@ -461,7 +466,7 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
                 t0 = time.thread_time()
                 try:
                     outcome = solve_trial(spec, problem, dictionary, config.k, config.peak,
-                                          config.noise_var)
+                                          config.noise_var, config.max_iter)
                     cell = replace(_score(outcome, truth, grid_deg),
                                    runtime_s=time.thread_time() - t0)
                 except _COUNTED:
@@ -501,10 +506,14 @@ def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
 def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     """Run every requested method on identical per-trial data; aggregate metrics.
 
-    ``methods`` is a sequence of tags or MethodSpec objects. Returns one
-    MetricsRecord per (method, snr_db), in that nesting order. Results are
-    independent of ``threads``, which must be at least 1. Each (trial, SNR)
-    builds one :class:`~covlearn.clbcd.Problem` from its snapshots, which
+    ``methods`` is a sequence of tags or MethodSpec objects, and the run
+    specifies every solve (see :func:`covlearn.methods.solve_trial`): each
+    iterative method stops at ``config.max_iter`` and reads the support rule
+    ``config.peak``, and msbl and cwo take ``config.noise_var`` as their known
+    noise variance. Returns one MetricsRecord per (method, snr_db), in that
+    nesting order. Results are independent of ``threads``, which must be at
+    least 1. Each (trial, SNR) builds one :class:`~covlearn.clbcd.Problem`
+    from its snapshots, which
     every method solves; building it, with its per-atom forms and matched
     filter, is not part of any method's runtime. The trials run in chunks of
     consecutive trials, whose size never depends on ``threads``: on

@@ -21,6 +21,7 @@ from covlearn import (
     MethodSpec,
     RankDeficientError,
     ScenarioConfig,
+    SolverConfig,
     gaussian_dictionary,
     run_monte_carlo,
     solve_trial,
@@ -38,23 +39,23 @@ BATCHED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "musi
 COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
 
 
-def _outcome(spec, data, d, k, peak):
+def _outcome(spec, data, d, k, peak, max_iter=SolverConfig.max_iter):
     """Every field of the solve's SolverResult, powers as bytes, or the
     class of the counted exception it raised."""
     try:
-        res = solve_trial(spec, data, d, k, peak, 1.0)
+        res = solve_trial(spec, data, d, k, peak, 1.0, max_iter)
     except COUNTED as exc:
         return type(exc)
     gamma = None if res.gamma is None else res.gamma.tobytes()
     return (res.support, gamma, res.sigma2, res.iterations, res.converged)
 
 
-def _stacked(spec, Ys, d, k, peak, first):
+def _stacked(spec, Ys, d, k, peak, first, max_iter=SolverConfig.max_iter):
     """Outcomes of solving Ys as one batch, asked first for row ``first``."""
     batch = Batch()
     problems = [Problem(Y, d, batch) for Y in Ys]
     order = [first] + [i for i in range(len(Ys)) if i != first]
-    out = {i: _outcome(spec, problems[i], d, k, peak) for i in order}
+    out = {i: _outcome(spec, problems[i], d, k, peak, max_iter) for i in order}
     return [out[i] for i in range(len(Ys))]
 
 
@@ -84,18 +85,31 @@ def _snapshots(ula, seed, snrs):
 )
 def test_a_solve_in_a_stack_equals_the_solve_alone(ula, seed, snrs, tag, max_iter, data):
     d, k, Ys = _snapshots(ula, seed, snrs)
-    spec = MethodSpec(tag, max_iter)
+    spec = MethodSpec(tag)
     first = data.draw(st.integers(0, len(Ys) - 1), label="first")
-    alone = [_outcome(spec, Y, d, k, ula) for Y in Ys]
-    assert _stacked(spec, Ys, d, k, ula, first) == alone
+    alone = [_outcome(spec, Y, d, k, ula, max_iter) for Y in Ys]
+    assert _stacked(spec, Ys, d, k, ula, first, max_iter) == alone
+
+
+def test_a_batch_keeps_each_solves_rows_apart():
+    # a stacked solve's rows wait under its stacked solver and every argument
+    # of it: another method, cap, noise rule or exponent never reads them
+    d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5))
+    asks = [(tag, cap) for tag in ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl") for cap in (1, 8)]
+    batch = Batch()
+    problems = [Problem(Y, d, batch) for Y in Ys]
+    for i, problem in enumerate(problems):
+        for tag, cap in asks[i:] + asks[:i]:  # each row asks in another order
+            spec = MethodSpec(tag)
+            assert _outcome(spec, problem, d, k, True, cap) == _outcome(spec, Ys[i], d, k, True, cap)
 
 
 def test_rows_leave_the_stack_as_they_converge(monkeypatch):
     # cl-bcd converges at iteration 6 on the three benchmark SNRs and would
     # need 10 at 10 dB, so a cap of 8 stops that row unconverged
     d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5, 10.0))
-    spec = MethodSpec("cl-bcd", 8)
-    alone = [_outcome(spec, Y, d, k, True) for Y in Ys]
+    spec = MethodSpec("cl-bcd")
+    alone = [_outcome(spec, Y, d, k, True, 8) for Y in Ys]
     assert [outcome[3:] for outcome in alone] == [(6, True)] * 3 + [(8, False)]
     stack_sizes = []
     build = clbcd.build_covariance
@@ -105,7 +119,7 @@ def test_rows_leave_the_stack_as_they_converge(monkeypatch):
         return build(dictionary, gamma, sigma2)
 
     monkeypatch.setattr(clbcd, "build_covariance", counting)
-    assert _stacked(spec, Ys, d, k, True, 2) == alone
+    assert _stacked(spec, Ys, d, k, True, 2, 8) == alone
     # iteration 1 is in closed form; iterations 2-6 run all four rows
     assert stack_sizes == [4] * 5 + [1] * 2
 
@@ -198,13 +212,13 @@ def _clomp_duplicate_atom_case():
 @pytest.mark.parametrize("tag", BATCHED_TAGS)
 def test_a_failing_row_fails_only_its_own_cell(tag):
     d, Ys = _clomp_duplicate_atom_case() if tag == "cl-omp" else _duplicate_atom_case()
-    spec = MethodSpec(tag, 100)
-    alone = [_outcome(spec, Y, d, 2, False) for Y in Ys]
+    spec = MethodSpec(tag)
+    alone = [_outcome(spec, Y, d, 2, False, 100) for Y in Ys]
     if tag in ("cl-omp", "cl-bcd", "iaa", "sbl", "sbl1"):
         assert alone[0] is RankDeficientError
     assert all(isinstance(outcome, tuple) for outcome in alone[1:])
     for first in range(len(Ys)):
-        assert _stacked(spec, Ys, d, 2, False, first) == alone
+        assert _stacked(spec, Ys, d, 2, False, first, 100) == alone
 
 
 def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from covlearn import MethodSpec, SolverConfig
+from covlearn import MethodSpec, ScenarioConfig, SolverConfig
 from covlearn.cli import SpecError, main, parse_spec, run_experiment
 
 ROOT = Path(__file__).parent.parent
@@ -57,13 +57,11 @@ class TestParseSpec:
         assert spec.scenario.trials == 6
         assert spec.emit == ("csv", "json")
         assert spec.methods == (MethodSpec("cl-omp"), MethodSpec("somp"))
-        for m in spec.methods:
-            assert m.max_iter == 500
+        assert spec.scenario.max_iter == 500
 
     def test_unset_knobs_take_solver_config_defaults(self, tmp_path):
         cfg = MINI.replace("cl-omp, somp", "cl-bcd, msbl")
-        methods = parse_spec(write(tmp_path, cfg)).methods
-        assert [m.max_iter for m in methods] == [SolverConfig().max_iter] * 2
+        assert parse_spec(write(tmp_path, cfg)).scenario.max_iter == SolverConfig().max_iter
 
     def test_sparsity_constraint_named(self, tmp_path):
         bad = MINI.replace("k = 2", "k = 10")
@@ -96,8 +94,11 @@ class TestParseSpec:
             parse_spec(write(tmp_path, bad))
 
     def test_top_level_max_iter_applies_to_every_method(self, tmp_path):
+        # one cap for the run; the methods are tags only
         cfg = MINI.replace("cl-omp, somp", "cl-bcd, somp") + "max_iter = 7\n"
-        assert [m.max_iter for m in parse_spec(write(tmp_path, cfg)).methods] == [7, 7]
+        spec = parse_spec(write(tmp_path, cfg))
+        assert spec.scenario.max_iter == 7
+        assert spec.methods == (MethodSpec("cl-bcd"), MethodSpec("somp"))
 
     # per-method overrides (method.<tag>.<field>) are not part of the grammar
     @pytest.mark.parametrize(
@@ -185,7 +186,7 @@ class TestParseSpec:
         assert spec.methods
         assert spec.scenario.trials >= 100  # full-scale experiments; perfbench sets its own
         if suffix:
-            assert {m.max_iter for m in spec.methods} == {2}
+            assert spec.scenario.max_iter == 2
 
 
 class TestRunExperiment:
@@ -216,18 +217,14 @@ class TestRunExperiment:
             assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
             assert json.loads((out / "meta.json").read_text())["runtime_clock"] == "thread_time"
 
-    def test_meta_echoes_the_iteration_cap_only_for_methods_that_iterate(self, tmp_path):
+    def test_meta_lists_the_tags_and_echoes_the_cap_once(self, tmp_path):
         spec = parse_spec(ROOT / "scripts" / "doa_single_source.cfg")
-        spec = replace(spec, scenario=replace(spec.scenario, trials=1, snr_db=(0.0,)))
+        spec = replace(spec, scenario=replace(spec.scenario, trials=1, snr_db=(0.0,), max_iter=9))
         run_experiment(spec, tmp_path / "meta")
-        methods = json.loads((tmp_path / "meta" / "meta.json").read_text())["methods"]
-        assert methods == [
-            {"tag": "cl-omp"},
-            {"tag": "cl-bcd", "max_iter": 500},
-            {"tag": "iaa", "max_iter": 500},
-            {"tag": "music"},
-            {"tag": "mle1"},
-        ]
+        meta = json.loads((tmp_path / "meta" / "meta.json").read_text())
+        assert meta["methods"] == ["cl-omp", "cl-bcd", "iaa", "music", "mle1"]
+        assert meta["scenario"]["max_iter"] == 9
+        assert "max_iter" not in meta
 
     def test_csv_only_emit(self, tmp_path):
         spec = parse_spec(write(tmp_path, MINI + "emit = csv\n"))
@@ -298,12 +295,19 @@ class TestMain:
         assert not (tmp_path / "x").exists()
 
     def test_negative_seed_and_singular_source_covariance_exit_2(self, tmp_path, capsys):
-        # each once passed validate and then crashed run after creating --out
+        # each once passed validate and then crashed run after creating --out, or
+        # (the non-finite levels) ran with every cell counted as failed
         # rho next to 1 passes |rho| < 1, yet leaves the source covariance without a Cholesky factor
+        doa = DOA.replace("k = 1", "k = 2").replace("-24.8", "-24.8, 10.2") + "methods = cl-omp\n"
         bad = {
             "seed": ("seed", MINI.replace("seed = 21", "seed = -1")),
             "rho": ("rho", MINI.replace("k = 2", "k = 3") + "rho = -0.9\n"),
             "rho-near-one": ("rho", MINI.replace("k = 2", "k = 3") + "rho = 0.9999999999999999\n"),
+            "noise-var-inf": ("noise_var", MINI + "noise_var = inf\n"),
+            "offset-inf": ("source_offsets_db", MINI + "source_offsets_db = 0, inf\n"),
+            "doa-noise-var-inf": ("noise_var", doa + "noise_var = inf\n"),
+            "doa-offset-inf": ("source_offsets_db", doa + "source_offsets_db = 0, inf\n"),
+            "doa-offset-minus-inf": ("source_offsets_db", doa + "source_offsets_db = 0, -inf\n"),
         }
         for name, (key, text) in bad.items():
             cfg = write(tmp_path, text, f"{name}.cfg")
@@ -316,6 +320,20 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
         assert "seed=-1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_run_with_seed_and_trials_validates_the_scenario_twice(self, tmp_path, monkeypatch):
+        # once in parse_spec, once for both overrides together
+        check, checks = ScenarioConfig.__post_init__, []
+
+        def counting(self):
+            checks.append(self.seed)
+            check(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counting)
+        argv = ["run", "--config", str(write(tmp_path, MINI)), "--out", str(tmp_path / "o"),
+                "--seed", "5", "--trials", "2"]
+        assert main(argv) == 0
+        assert checks == [21, 5]
 
     def test_run_trials_zero_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MINI)

@@ -47,7 +47,7 @@ def test_singular_sample_covariance_has_one_outcome(problem, tag):
     one of the exceptions the engine counts as a failure."""
     Y, d, k, peak = problem
     try:
-        res = solve_trial(MethodSpec(tag, max_iter=40), Y, d, k, peak, noise_var=1.0)
+        res = solve_trial(MethodSpec(tag), Y, d, k, peak, noise_var=1.0, max_iter=40)
     except COUNTED:
         return
     assert np.isfinite(res.sigma2) and res.sigma2 > 0

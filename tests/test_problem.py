@@ -56,12 +56,12 @@ def _case(kind):
 @pytest.mark.parametrize("kind", ["ula", "gaussian"])
 def test_shared_problem_matches_solving_from_snapshots(kind):
     d, Y, k, peak, tags = _case(kind)
-    spec = {tag: MethodSpec(tag, max_iter=100) for tag in tags}
-    alone = {tag: _fields(solve_trial(spec[tag], Y, d, k, peak, 1.0)) for tag in tags}
+    spec = {tag: MethodSpec(tag) for tag in tags}
+    alone = {tag: _fields(solve_trial(spec[tag], Y, d, k, peak, 1.0, 100)) for tag in tags}
     for order in (tags, tags[::-1]):
         problem = Problem(Y, d)
         for tag in order:
-            assert _fields(solve_trial(spec[tag], problem, d, k, peak, 1.0)) == alone[tag], tag
+            assert _fields(solve_trial(spec[tag], problem, d, k, peak, 1.0, 100)) == alone[tag], tag
 
 
 def test_problem_over_another_dictionary_rejected():
@@ -101,7 +101,7 @@ def test_rank_deficient_refit_raises_for_every_method_that_asks(monkeypatch):
             solve_trial(MethodSpec(tag), problem, d, 2, False, 1.0)
         assert len(refits) == before + 1, tag  # refit again, not read from the memo
     with pytest.raises(RankDeficientError):
-        problem.noise_mle(SupportSet((0, 1)))
+        clbcd._noise_refits([problem], [SupportSet((0, 1))])
 
 
 @pytest.mark.parametrize("workload, cells", [("doa", 3), ("ssr", 5)])

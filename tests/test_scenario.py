@@ -222,6 +222,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="source_offsets_db"):
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), source_offsets_db=(0.0,))
 
+    @pytest.mark.parametrize("kind", ["gaussian-ssr", "ula-doa"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("noise_var", np.inf),
+            ("noise_var", np.nan),
+            ("source_offsets_db", (0.0, np.inf)),
+            ("source_offsets_db", (0.0, -np.inf)),
+            ("source_offsets_db", (np.nan, 0.0)),
+        ],
+    )
+    def test_non_finite_levels_named_before_the_cholesky(self, monkeypatch, kind, field, value):
+        # each once passed validation, or was blamed on rho, and then failed
+        # every cell of the run with RuntimeWarnings
+        def factor(*args):
+            raise AssertionError("the source covariance was factored before the check")
+
+        monkeypatch.setattr(scenario, "_source_chol", factor)
+        doas = (-20.0, 30.0) if kind == "ula-doa" else None
+        with pytest.raises(ValueError, match=rf"^{field}=.* must be .*finite"):
+            ScenarioConfig(kind, 8, 181, 16, 2, (0.0,), true_doas_deg=doas, **{field: value})
+
     def test_first_source_anchor(self):
         cfg = ScenarioConfig(
             "gaussian-ssr", 32, 256, 32, 4, (3.0,), source_offsets_db=(0.0, -1.0, -2.0, -4.0)
@@ -343,17 +365,28 @@ class TestRunMonteCarlo:
         assert calls == []
 
     @pytest.mark.parametrize("override", [{"max_iter": 0}])
-    def test_value_every_trial_rejects_raises_before_any_trial(self, monkeypatch, override):
-        calls = []
-        monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
-        cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
-        with pytest.raises(ValueError, match="must be"):
-            run_monte_carlo(cfg, ["cl-omp", MethodSpec("msbl", **override)])
-        assert calls == []
+    def test_value_every_trial_rejects_raises_before_any_trial(self, override):
+        # the run's cap is checked with the scenario, before a run can start
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2, **override)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    @pytest.mark.parametrize("kind", ["gaussian-ssr", "ula-doa"])
+    def test_the_run_level_cap_reaches_every_solver(self, kind, cap):
+        # uncapped, every iterative method takes at least 6 iterations on these draws
+        doas = (-20.0, 30.0) if kind == "ula-doa" else None
+        cfg = ScenarioConfig(kind, 8, 91, 16, 2, (0.0, 10.0), true_doas_deg=doas, seed=4,
+                             trials=2, max_iter=cap)
+        iterative = ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo")
+        fixed = {"cl-omp": cfg.k, "somp": cfg.k, "music": 1}  # greedy steps, one eigh
+        records = run_monte_carlo(cfg, [*iterative, *fixed])
+        assert all(r.failures == 0 for r in records)
+        for r in records:
+            assert r.mean_iters == (cap if r.method in iterative else fixed[r.method]), r
 
     def test_repeated_method_tag_raises_before_any_trial(self, monkeypatch):
         with pytest.raises(ValueError, match="repeated: iaa"):
-            methods.resolve_methods(["iaa", MethodSpec("iaa", max_iter=1)])
+            methods.resolve_methods(["iaa", MethodSpec("iaa")])
         calls = []
         monkeypatch.setattr(methods, "solve_trial", lambda *args: calls.append(args))
         cfg = ScenarioConfig("gaussian-ssr", 10, 30, 12, 2, (10.0,), seed=3, trials=2)
