@@ -16,19 +16,12 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .clbcd import SolverConfig
 from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, check_methods, resolve_methods
-from .scenario import SCENARIO_KINDS, ScenarioConfig, run_monte_carlo
-
-try:  # pragma: no cover - metadata lookup
-    from importlib.metadata import version as _pkg_version
-
-    BUILD_VERSION = _pkg_version("covlearn")
-except Exception:  # pragma: no cover
-    BUILD_VERSION = "unknown"
+from .scenario import SCENARIO_KINDS, MetricsRecord, ScenarioConfig, run_monte_carlo
 
 CSV_COLUMNS = (
     "method",
@@ -42,6 +35,9 @@ CSV_COLUMNS = (
 )
 
 EMIT_FORMATS = ("csv", "json")
+
+_RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord))
+_SCENARIO_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
 _SCALAR_KEYS = {
     "kind": str,
@@ -202,6 +198,25 @@ def _record_row(rec, timings: bool) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=1)
+def build_version() -> str:
+    """The installed covlearn distribution's version, or "unknown".
+
+    Looked up once per process, when the first meta.json is written:
+    importing importlib.metadata takes longer than a small run."""
+    try:  # pragma: no cover - metadata lookup
+        from importlib.metadata import version
+
+        return version("covlearn")
+    except Exception:  # pragma: no cover
+        return "unknown"
+
+
+def _write_json(path: Path, obj) -> None:
+    """obj as indented JSON plus a newline, in one write."""
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def run_experiment(
     spec: ExperimentSpec,
     out_dir,
@@ -219,26 +234,22 @@ def run_experiment(
         with open(out / "results.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                writer.writerow(_record_row(rec, timings))
+            writer.writerows(_record_row(rec, timings) for rec in records)
 
     if "json" in spec.emit:
-        rows = []
-        for rec in records:
-            row = asdict(rec)
-            if not timings:
+        # every field is a scalar, so a shallow dict serializes as asdict's copy does
+        rows = [{name: getattr(rec, name) for name in _RECORD_FIELDS} for rec in records]
+        if not timings:
+            for row in rows:
                 row["mean_runtime_s"] = None
-            rows.append(row)
-        with open(out / "results.json", "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "results.json", rows)
 
     meta = {
-        "scenario": asdict(spec.scenario),
+        "scenario": {name: getattr(spec.scenario, name) for name in _SCENARIO_FIELDS},
         "methods": [m.tag for m in spec.methods],
         "emit": list(spec.emit),
         "seed": spec.scenario.seed,
-        "build_version": BUILD_VERSION,
+        "build_version": build_version(),
         "wall_time_s": wall,
         "threads": threads,
         "timings": timings,
@@ -247,9 +258,7 @@ def run_experiment(
             f"{rec.method}@{rec.snr_db}": rec.failures for rec in records if rec.failures
         },
     }
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)
     return 0
 
 

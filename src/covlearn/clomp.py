@@ -25,6 +25,7 @@ from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
+    _check_positive,
     atom_quadratic_forms,
     provisional_mle,
     support_atom_forms,
@@ -117,17 +118,20 @@ def _clomp(problems, k: int) -> list:
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
     scm = np.array([p.scm for p in problems])
-    # the first sweep (empty support) reads the problems' cached a_i^H Shat a_i
     forms = np.array([p.forms for p in problems])
 
-    # noise-only start: Sigma = (tr(Shat)/n) I, empty support
+    # noise-only start: Sigma = s2 I with s2 = tr(Shat)/n, empty support.
+    # Its forms are closed: q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2,
+    # read off the problems' cached a_i^H Shat a_i.
     chosen = [[] for _ in problems]
-    gamma_sub = np.zeros((len(problems), 0))
     sigma2 = np.array([np.trace(p.scm).real / n for p in problems])
+    q = _check_positive(dictionary._norms2 / sigma2[:, None])
+    r = forms / (sigma2**2)[:, None]
     rows = None
 
-    for _ in range(k):
-        q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
+    for step in range(k):
+        if step:
+            q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
         for support, q_row, r_row in zip(chosen, q, r):
             sweep = _sweep(q_row, r_row, support)
             if not np.any(np.isfinite(sweep.errors)):

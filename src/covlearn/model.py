@@ -276,7 +276,8 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2) -> CovarianceState:
         sigma = hermitize(sigma)
     else:
         # Sigma[p, q] = sum_i gamma_i z_i^(p-q): Hermitian Toeplitz in c = A gamma
-        c = np.stack([A @ g for g in rows.astype(np.complex128)])
+        # each real row is cast to complex inside its own product, not as a stacked copy
+        c = np.stack([A @ g for g in rows])
         c[:, 0] = c[:, 0].real
         sigma = np.concatenate((c[:, ::-1], c[:, 1:].conj()), axis=1)[:, vdm.lags]
     sigma = sigma.reshape(*gamma.shape[:-1], *sigma.shape[1:])
@@ -419,22 +420,33 @@ def support_atom_forms(
         raise ValueError("rows were computed for a support that is not a prefix of this one")
     if support.shape[-1] > j:
         Bt = A.T[support[..., j:]]  # the new atoms as rows
-        P = np.concatenate((P, Bt.conj() @ A), axis=-2)
         ShB = scm @ Bt.swapaxes(-1, -2)
-        H = np.concatenate((H, ShB.conj().swapaxes(-1, -2) @ A), axis=-2)
+        new = (Bt.conj() @ A, ShB.conj().swapaxes(-1, -2) @ A)
+        P, H = (np.concatenate(pair, axis=-2) for pair in zip((P, H), new)) if j else new
         rows = (support, sq, s, P, H)
     d = np.sqrt(gamma)[..., None]
     dT = d.swapaxes(-1, -2)
     idx = support[..., None, :]
     G = d * np.take_along_axis(P, idx, axis=-1) * dT
     _add_to_diagonal(G, sigma2)
-    # C is j x j: invert it and apply it to the j x M rows by one product
+    # C is j x j: invert it and apply it to the j x M rows by one product.
+    # The j x M passes below run in place on one work buffer W, in the
+    # operand order of the formulas above, so they round as those do.
     CP = (d * np.linalg.inv(G) * dT) @ P
     sigma2 = sigma2[..., None]
-    q = (sq - (P.conj() * CP).real.sum(axis=-2)) / sigma2
+    W = np.conjugate(P)
+    W *= CP
+    q = W.real.sum(axis=-2)
+    np.subtract(sq, q, out=q)
+    q /= sigma2
     # Re c^H (B^H Shat B c - 2 h), one elementwise pass over the rows
     HC = np.take_along_axis(H, idx, axis=-1) @ CP
-    r = (s + (CP.conj() * (HC - 2.0 * H)).real.sum(axis=-2)) / sigma2**2
+    HC -= np.multiply(H, 2.0, out=W)
+    np.conjugate(CP, out=W)
+    W *= HC
+    r = W.real.sum(axis=-2)
+    np.add(s, r, out=r)
+    r /= sigma2**2
     return _check_positive(q), r, rows
 
 

@@ -14,9 +14,9 @@ order or thread count.
 from __future__ import annotations
 
 import functools
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,18 @@ def ula_grid(n_sensors: int, n_points: int, /) -> Dictionary:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """(X + 1j Y) / sqrt(2) for standard normal X, then Y, of the given shape.
+
+    Both parts come from one draw, which consumes the stream as the two draws
+    do. numpy divides a complex array by a real through the reciprocal, so the
+    in-place product by 1/sqrt(2) gives the quotient's bits without its
+    temporaries."""
+    xy = rng.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = xy[0]
+    z.imag = xy[1]
+    z *= 1.0 / np.sqrt(2.0)
+    return z
 
 
 def gaussian_dictionary(n_sensors: int, n_atoms: int, seed) -> Dictionary:
@@ -186,18 +197,26 @@ class ScenarioConfig:
         if not 1 + (self.k - 1) * self.rho > 0:  # the equicorrelated source covariance is PD
             raise ValueError(f"rho={self.rho} must exceed -1/(k-1) for k={self.k} sources")
         snr = tuple(float(s) for s in self.snr_db)
-        if not snr or not all(np.isfinite(snr)):
+        if not snr or not all(map(math.isfinite, snr)):
             raise ValueError("snr_db must be a non-empty list of finite values")
         object.__setattr__(self, "snr_db", snr)
         offsets = self.source_offsets_db
         offsets = (0.0,) * self.k if offsets is None else tuple(float(o) for o in offsets)
         if len(offsets) != self.k:
             raise ValueError(f"source_offsets_db must have k={self.k} entries")
-        if not all(np.isfinite(offsets)):
+        if not all(map(math.isfinite, offsets)):
             raise ValueError(f"source_offsets_db={offsets} must be finite")
         object.__setattr__(self, "source_offsets_db", offsets)
+        with np.errstate(over="ignore"):  # an overflow is reported below, by key
+            powers = [self.source_powers(snr_db) for snr_db in snr]
+        for snr_db, p in zip(snr, powers):
+            if not (p.min() > 0.0 and p.max() < np.inf):
+                raise ValueError(
+                    f"snr_db={snr_db} gives source powers {p.tolist()}; "
+                    "they must be positive and finite"
+                )
         try:  # the draw factors the source covariance at every SNR
-            _source_chol([self.source_powers(snr_db) for snr_db in snr], self.rho)
+            _source_chol(powers, self.rho)
         except ValueError as exc:
             raise ValueError(
                 f"rho={self.rho} leaves the source covariance of k={self.k} sources "
@@ -248,7 +267,7 @@ class MetricsRecord:
     def __post_init__(self):
         for name in ("per", "rmse_theta_deg", "nmse_gamma", "mean_iters", "mean_runtime_s"):
             v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
+            if v is not None and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite when present")
         if self.per is not None and not 0.0 <= self.per <= 1.0:
             raise ValueError("per must lie in [0, 1]")
@@ -276,19 +295,31 @@ def _per_trial_pairs(est_list, truth):
     return zip(est_list, truth)
 
 
+def _norm2(x: np.ndarray) -> float:
+    """||x||^2 of a 1-D array: np.sum's pairwise sum of x**2, without its wrapper."""
+    return float(np.add.reduce(x * x))
+
+
 def _sq_error(est: np.ndarray, true: np.ndarray) -> float:
     """Squared Euclidean error ||est - true||^2 of one trial."""
-    return float(np.sum((est - true) ** 2))
+    return _norm2(est - true)
 
 
-def _power_ratio2(est: np.ndarray, true: np.ndarray) -> float:
-    """Normalized squared power error ||est - true||^2 / ||true||^2 of one trial."""
-    return _sq_error(est, true) / float(np.sum(true**2))
+def _power_ratio2(est: np.ndarray, true: np.ndarray, power2: float) -> float:
+    """Normalized squared power error ||est - true||^2 / ||true||^2 of one
+    trial, given power2 = ||true||^2."""
+    return _sq_error(est, true) / power2
+
+
+def _mean(values) -> float:
+    """np.mean of a non-empty list of numbers, bit for bit: the same pairwise
+    sum over the same float64 array, divided by the count."""
+    return float(np.add.reduce(np.array(values, dtype=np.float64))) / len(values)
 
 
 def _rms(values) -> float:
     """Root of the mean of per-trial squared errors."""
-    return float(np.sqrt(np.mean(values)))
+    return math.sqrt(_mean(values))
 
 
 def doa_rmse(est_angles, true_angles) -> float:
@@ -321,7 +352,7 @@ def power_nmse(est_powers, true_powers) -> float:
             raise ValueError("estimated and true power counts differ")
         if not t.any():
             raise ValueError("true powers must not all be zero")
-        ratios2.append(_power_ratio2(e, t))
+        ratios2.append(_power_ratio2(e, t, _norm2(t)))
     if not ratios2:
         raise ValueError("no trials supplied")
     return _rms(ratios2)
@@ -338,16 +369,22 @@ class _Truth:
     should report (the drawn one, or the grid points nearest the true
     directions), the true directions in ascending order ("ula-doa" only),
     and the source powers in that order, or else gamma over the dictionary.
+    power2 is ||powers||^2, the denominator of every power NMSE of the cell.
     """
 
     support: frozenset
     powers: np.ndarray
     theta_deg: np.ndarray | None = None
+    power2: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "power2", _norm2(self.powers))
 
 
 @dataclass(frozen=True)
 class _TrialCell:
-    """Per (trial, method, snr) outcome summary."""
+    """Per (trial, method, snr) outcome summary; runtime_s is the CPU time
+    of the solve."""
 
     ok: bool
     per_hit: bool | None = None
@@ -357,12 +394,47 @@ class _TrialCell:
     runtime_s: float | None = None
 
 
-def _draw_trial(config: ScenarioConfig, t: int):
+_FAILED = _TrialCell(ok=False)
+
+
+@dataclass(frozen=True)
+class _ChunkConstants:
+    """What every trial of a run shares, per SNR in snr_db order: the source
+    powers and the Cholesky factors of their covariance, stacked (S, k, k).
+    On "ula-doa" also the true steering atoms, the grid angles and the
+    cells' truths, which no draw changes; on "gaussian-ssr" those three are
+    None, and each trial's truths follow its drawn support.
+    """
+
+    powers: tuple
+    chols: np.ndarray
+    src_atoms: np.ndarray | None = None
+    grid_deg: np.ndarray | None = None
+    truths: tuple | None = None
+
+
+def _chunk_constants(config: ScenarioConfig) -> _ChunkConstants:
+    """The :class:`_ChunkConstants` of ``config``, computed once per chunk of trials."""
+    powers = tuple(config.source_powers(snr) for snr in config.snr_db)
+    chols = _source_chol(powers, config.rho)
+    if config.kind == "gaussian-ssr":
+        return _ChunkConstants(powers, chols)
+    doas = config.true_doas_deg
+    grid_deg = grid_angles_deg(config.n_atoms)
+    order = np.argsort(doas)
+    theta = np.asarray(doas)[order]
+    support = frozenset(int(np.argmin(np.abs(grid_deg - th))) for th in doas)
+    truths = tuple(_Truth(support, p[order], theta) for p in powers)
+    return _ChunkConstants(powers, chols, steering_matrix(config.n_sensors, doas), grid_deg, truths)
+
+
+def _draw_trial(config: ScenarioConfig, constants: _ChunkConstants, t: int):
     """The dictionary of trial t and one (Y, truth) per SNR, in snr_db order.
 
     The (config.seed, t) generator draws the dictionary and the support
     ("gaussian-ssr" only), then the unit-power source waveforms and the
-    noise, which every SNR rescales, so a sweep is smooth in the SNR.
+    noise, which every SNR's Cholesky factor in ``constants`` rescales, so
+    a sweep is smooth in the SNR.
     """
     n, m, k, L = config.n_sensors, config.n_atoms, config.k, config.n_snapshots
     rng = np.random.default_rng((config.seed, t))
@@ -370,35 +442,28 @@ def _draw_trial(config: ScenarioConfig, t: int):
         dictionary = gaussian_dictionary(n, m, rng)
         support = rng.choice(m, size=k, replace=False)  # draw order = source order
         src_atoms = dictionary.atoms[:, support]
-        true_support = frozenset(int(i) for i in support)
-    else:
-        dictionary = ula_grid(n, m)
-        src_atoms = steering_matrix(n, config.true_doas_deg)
-        order = np.argsort(config.true_doas_deg)
-        theta = np.asarray(config.true_doas_deg)[order]
-        grid_deg = grid_angles_deg(m)
-        true_support = frozenset(
-            int(np.argmin(np.abs(grid_deg - th))) for th in config.true_doas_deg
-        )
-    waveforms = _complex_gaussian(rng, (k, L))
-    noise = _complex_gaussian(rng, (n, L))
-    draws = []
-    powers_per_snr = [config.source_powers(snr) for snr in config.snr_db]
-    chols = _source_chol(powers_per_snr, config.rho)
-    for powers, chol in zip(powers_per_snr, chols):
-        if config.kind == "gaussian-ssr":
+        true_support = frozenset(support.tolist())
+        truths = []
+        for powers in constants.powers:
             gamma = np.zeros(m)
             gamma[support] = powers
-            truth = _Truth(true_support, gamma)
-        else:
-            truth = _Truth(true_support, powers[order], theta)
-        draws.append((_snapshots(src_atoms, chol, waveforms, noise, config.noise_var), truth))
-    return dictionary, draws
+            truths.append(_Truth(true_support, gamma))
+    else:
+        dictionary = ula_grid(n, m)
+        src_atoms = constants.src_atoms
+        truths = constants.truths
+    waveforms = _complex_gaussian(rng, (k, L))
+    noise = _complex_gaussian(rng, (n, L))
+    return dictionary, [
+        (_snapshots(src_atoms, chol, waveforms, noise, config.noise_var), truth)
+        for chol, truth in zip(constants.chols, truths)
+    ]
 
 
-def _score(outcome, truth: _Truth, grid_deg) -> _TrialCell:
-    """Reduce one solver outcome to scalar per-trial metric contributions;
-    a support is scored by the angles grid_deg of its atoms ("ula-doa")."""
+def _score(outcome, truth: _Truth, grid_deg, runtime_s) -> _TrialCell:
+    """Reduce one solver outcome, which took runtime_s of CPU time, to its
+    cell: scalar per-trial metric contributions and the runtime. A support
+    is scored by the angles grid_deg of its atoms ("ula-doa")."""
     support = outcome.support
     per_hit = None if support is None else support.as_set() == truth.support
     theta_err2 = nmse_ratio2 = theta_hat = powers_hat = None
@@ -407,22 +472,21 @@ def _score(outcome, truth: _Truth, grid_deg) -> _TrialCell:
             gamma_hat = np.zeros_like(truth.powers)
             idx = list(support.indices)
             gamma_hat[idx] = outcome.gamma[idx]
-            nmse_ratio2 = _power_ratio2(gamma_hat, truth.powers)
+            nmse_ratio2 = _power_ratio2(gamma_hat, truth.powers, truth.power2)
     elif outcome.theta_deg is not None:
         theta_hat = np.sort(np.asarray(outcome.theta_deg, dtype=np.float64))
         if outcome.powers is not None:
             powers_hat = np.asarray(outcome.powers, dtype=np.float64)
     elif support is not None:
-        idx = np.asarray(support.sorted_indices, dtype=int)
+        idx = sorted(support.indices)
         theta_hat = grid_deg[idx]  # ascending index == ascending angle
         if outcome.gamma is not None:
             powers_hat = outcome.gamma[idx]
     if theta_hat is not None and theta_hat.size == truth.theta_deg.size:
         theta_err2 = _sq_error(theta_hat, truth.theta_deg)
         if powers_hat is not None:
-            nmse_ratio2 = _power_ratio2(powers_hat, truth.powers)
-    return _TrialCell(ok=True, per_hit=per_hit, theta_err2=theta_err2,
-                      nmse_ratio2=nmse_ratio2, iterations=outcome.iterations)
+            nmse_ratio2 = _power_ratio2(powers_hat, truth.powers, truth.power2)
+    return _TrialCell(True, per_hit, theta_err2, nmse_ratio2, outcome.iterations, runtime_s)
 
 
 # Rows of a stacked solve on a shared steering grid. At N=20, M=1801 a
@@ -444,10 +508,10 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
     """
     from .methods import solve_trial  # looked up per call, so a patched module attribute runs
 
-    grid_deg = grid_angles_deg(config.n_atoms) if config.kind == "ula-doa" else None
+    constants = _chunk_constants(config)
     batches, chunk = {}, []
     for t in trials:
-        dictionary, draws = _draw_trial(config, t)
+        dictionary, draws = _draw_trial(config, constants, t)
         batch = batches.setdefault(id(dictionary), Batch())
         cells, problems = {}, {}
         for si, (Y, truth) in enumerate(draws):
@@ -456,7 +520,7 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
                 problem.matched_filter  # with the forms, outside every clock
                 problems[si] = (problem, truth)
             except _COUNTED:
-                cells.update(((mi, si), _TrialCell(ok=False)) for mi in range(len(specs)))
+                cells.update(((mi, si), _FAILED) for mi in range(len(specs)))
         chunk.append((dictionary, cells, problems))
     for dictionary, cells, problems in chunk:
         for si, (problem, truth) in problems.items():
@@ -467,11 +531,11 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
                 try:
                     outcome = solve_trial(spec, problem, dictionary, config.k, config.peak,
                                           config.noise_var, config.max_iter)
-                    cell = replace(_score(outcome, truth, grid_deg),
-                                   runtime_s=time.thread_time() - t0)
                 except _COUNTED:
-                    cell = _TrialCell(ok=False)
-                cells[(mi, si)] = cell
+                    cells[(mi, si)] = _FAILED
+                    continue
+                runtime_s = time.thread_time() - t0
+                cells[(mi, si)] = _score(outcome, truth, constants.grid_deg, runtime_s)
     return [cells for _, cells, _ in chunk]
 
 
@@ -495,8 +559,8 @@ def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
                     per=(sum(hits) / len(hits)) if hits else None,
                     rmse_theta_deg=_rms(errs2) if errs2 else None,
                     nmse_gamma=_rms(ratios2) if ratios2 else None,
-                    mean_iters=float(np.mean(iters)) if iters else None,
-                    mean_runtime_s=float(np.mean(times)) if times else None,
+                    mean_iters=_mean(iters) if iters else None,
+                    mean_runtime_s=_mean(times) if times else None,
                     failures=len(cells_by_trial) - len(good),
                 )
             )
@@ -541,6 +605,8 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     chunks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
     solve = functools.partial(_solve_chunk, config, specs)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its import costs a small run's time
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cells_by_chunk = list(pool.map(solve, chunks))
     else:

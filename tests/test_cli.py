@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from util import json_outputs
 
-from covlearn import MethodSpec, ScenarioConfig, SolverConfig
+from covlearn import MethodSpec, ScenarioConfig, SolverConfig, cli, methods
 from covlearn.cli import SpecError, main, parse_spec, run_experiment
 
 ROOT = Path(__file__).parent.parent
@@ -308,6 +313,11 @@ class TestMain:
             "doa-noise-var-inf": ("noise_var", doa + "noise_var = inf\n"),
             "doa-offset-inf": ("source_offsets_db", doa + "source_offsets_db = 0, inf\n"),
             "doa-offset-minus-inf": ("source_offsets_db", doa + "source_offsets_db = 0, -inf\n"),
+            # finite levels whose powers overflow to inf or underflow to 0
+            "snr-high": ("snr_db", MINI.replace("snr_db = 4, 8", "snr_db = 4, 4000")),
+            "snr-low": ("snr_db", MINI.replace("snr_db = 4, 8", "snr_db = -4000")),
+            "doa-snr-high": ("snr_db", doa.replace("snr_db = 0", "snr_db = 4000")),
+            "doa-snr-low": ("snr_db", doa.replace("snr_db = 0", "snr_db = 0, -4000")),
         }
         for name, (key, text) in bad.items():
             cfg = write(tmp_path, text, f"{name}.cfg")
@@ -339,3 +349,66 @@ class TestMain:
         cfg = write(tmp_path, MINI)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--trials", "0"]) == 2
         assert "trials" in capsys.readouterr().err
+
+
+class TestOutputBytes:
+    """results.json and meta.json keep the bytes of the deep-copying writer."""
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_json_files_match_the_asdict_writer(self, tmp_path, monkeypatch, timings):
+        runs = []
+
+        def keeping(*args, **kwargs):
+            runs.append(run_monte_carlo(*args, **kwargs))
+            return runs[-1]
+
+        music, calls = methods.baselines.music_doas, []
+
+        def flaky_music(*args, **kwargs):  # every other solve fails, so failures are counted
+            calls.append(None)
+            if len(calls) % 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return music(*args, **kwargs)
+
+        run_monte_carlo = cli.run_monte_carlo
+        monkeypatch.setattr(cli, "run_monte_carlo", keeping)
+        monkeypatch.setattr(methods.baselines, "music_doas", flaky_music)
+        text = DOA.replace("k = 1", "k = 2").replace("-24.8", "-24.8, 10.2").replace(
+            "snr_db = 0", "snr_db = 0, 6.5").replace("trials = 2", "trials = 3")
+        cfg = write(tmp_path, text + "methods = cl-omp, cl-bcd, music\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--threads", "1"]
+        assert main(argv + ["--timings"] * timings) == 0
+        (records,) = runs
+        assert any(r.failures for r in records) and any(r.trials for r in records)
+        # the wall time is the one value the oracle cannot know: read it back
+        wall = json.loads((out / "meta.json").read_text())["wall_time_s"]
+        results, meta = json_outputs(parse_spec(cfg), records, 1, timings, wall,
+                                     cli.build_version())
+        assert (out / "results.json").read_bytes() == results.encode()
+        assert (out / "meta.json").read_bytes() == meta.encode()
+        assert json.loads(meta)["failures"]
+
+
+def test_importing_the_cli_loads_no_metadata_or_pool_module():
+    # importlib.metadata (with email and socket) and concurrent.futures (with
+    # logging) cost more to import than a small run takes; meta.json and
+    # --threads > 1 import them when they need them
+    probe = (
+        "import sys, covlearn.cli; "
+        "print(sorted(m for m in ('importlib.metadata', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_build_version_is_the_distribution_version():
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        expected = version("covlearn")
+    except PackageNotFoundError:
+        expected = "unknown"
+    assert cli.build_version() == expected

@@ -231,6 +231,9 @@ class TestScenarioConfig:
             ("source_offsets_db", (0.0, np.inf)),
             ("source_offsets_db", (0.0, -np.inf)),
             ("source_offsets_db", (np.nan, 0.0)),
+            # finite, but the powers overflow to inf or underflow to 0
+            ("snr_db", (0.0, 4000.0)),
+            ("snr_db", (-4000.0,)),
         ],
     )
     def test_non_finite_levels_named_before_the_cholesky(self, monkeypatch, kind, field, value):
@@ -241,8 +244,9 @@ class TestScenarioConfig:
 
         monkeypatch.setattr(scenario, "_source_chol", factor)
         doas = (-20.0, 30.0) if kind == "ula-doa" else None
+        levels = {"snr_db": (0.0,), field: value}
         with pytest.raises(ValueError, match=rf"^{field}=.* must be .*finite"):
-            ScenarioConfig(kind, 8, 181, 16, 2, (0.0,), true_doas_deg=doas, **{field: value})
+            ScenarioConfig(kind, 8, 181, 16, 2, true_doas_deg=doas, **levels)
 
     def test_first_source_anchor(self):
         cfg = ScenarioConfig(

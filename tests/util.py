@@ -5,6 +5,10 @@ Oracle code here deliberately avoids the library's own evaluation paths
 tests cross-check the implementation rather than echo it.
 """
 
+import io
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 from covlearn import (
@@ -217,3 +221,37 @@ def dense_mle_single_source(scm, angles_deg):
     A = steering_matrix(scm.shape[0], angles)
     power = np.einsum("ij,ij->j", A.conj(), scm @ A).real
     return float(angles[int(np.argmax(power))])
+
+
+def json_outputs(spec, records, threads, timings, wall, build_version):
+    """(results.json, meta.json) text as the CLI wrote them before its writers
+    went shallow: ``json.dump`` of ``dataclasses.asdict`` deep copies with
+    indent 2, streamed to the file, then a newline."""
+
+    def dumped(obj):
+        fh = io.StringIO()
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+        return fh.getvalue()
+
+    rows = []
+    for rec in records:
+        row = asdict(rec)
+        if not timings:
+            row["mean_runtime_s"] = None
+        rows.append(row)
+    meta = {
+        "scenario": asdict(spec.scenario),
+        "methods": [m.tag for m in spec.methods],
+        "emit": list(spec.emit),
+        "seed": spec.scenario.seed,
+        "build_version": build_version,
+        "wall_time_s": wall,
+        "threads": threads,
+        "timings": timings,
+        "runtime_clock": "thread_time",
+        "failures": {
+            f"{rec.method}@{rec.snr_db}": rec.failures for rec in records if rec.failures
+        },
+    }
+    return dumped(rows), dumped(meta)
