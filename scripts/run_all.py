@@ -6,6 +6,14 @@ Usage:
 
 Full-scale sweeps (trials = 500) take a while; pass --trials 50 for a
 quick look. Results land in each config's output_dir.
+
+The default is 4 engine threads, so pin BLAS to one thread, as in
+
+    OPENBLAS_NUM_THREADS=1 python scripts/run_all.py --trials 50
+
+(OMP_NUM_THREADS or MKL_NUM_THREADS for other BLAS builds): with more than
+one engine thread, unpinned BLAS threads oversubscribe the cores and the
+run takes longer than a serial one.
 """
 
 import argparse

@@ -5,9 +5,9 @@ Library layout:
 - :mod:`covlearn.model`: covariance model, likelihood, rank-one identities
 - :mod:`covlearn.sparsity`: top-K element/peak selection
 - :mod:`covlearn.clbcd`: cl-bcd solver; the problem (snapshots, their
-  validated sample covariance and its caches) and the batch of problems
-  solved as one stack, the stacked iteration loop ``iterate``, config and
-  result type shared by every solver
+  validated sample covariance and its caches, and the rows a stacked solve
+  kept for it), the stacked iteration loop ``iterate``, config and result
+  type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit
 - :mod:`covlearn.baselines`: comparison methods (IAA, SAMV2, SBL, ...)
 - :mod:`covlearn.scenario`: experiment synthesis, metrics, Monte-Carlo engine
@@ -28,7 +28,6 @@ from .baselines import (
     somp,
 )
 from .clbcd import (
-    Batch,
     ClBcdConfig,
     Problem,
     SolverConfig,
@@ -39,7 +38,7 @@ from .clbcd import (
     run_clbcd,
 )
 from .clomp import conditional_gamma_star, run_clomp, sweep_errors
-from .methods import MethodSpec, solve_trial
+from .methods import MethodSpec, solve_stack, solve_trial
 from .model import (
     CovarianceState,
     DegenerateDowndateError,

@@ -92,9 +92,10 @@ def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
 
 # Each runner takes Y as an N x L snapshot matrix or as a clbcd.Problem over
 # the same dictionary, which the methods of one Monte-Carlo cell share. All
-# but cwo solve a Problem with the rest of its batch (clbcd.Problem.solve):
-# their steps act elementwise or row by row, so a stack of rows iterates as
-# one. cwo's sweep is sequential over the atoms and runs one row.
+# but cwo read the row a stacked solve kept on a Problem, if any
+# (clbcd.Problem.solve): their steps act elementwise or row by row, so a
+# stack of rows iterates as one. cwo's sweep is sequential over the atoms
+# and runs one row.
 
 
 def _stack(problems):
@@ -266,11 +267,11 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
 def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
     """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
 
-    Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``; a
-    Problem of a batch is solved with the rest of its batch. The
-    noise subspace is spanned by the eigenvectors of the N-K smallest
-    sample-covariance eigenvalues; :meth:`Problem.of` requires K < N, so
-    that subspace is non-empty, and a sample covariance with energy. The
+    Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``, which
+    reads the row a stacked solve kept for it, if any. The noise subspace
+    is spanned by the eigenvectors of the N-K smallest sample-covariance
+    eigenvalues; :meth:`Problem.of` requires K < N, so that subspace is
+    non-empty, and a sample covariance with energy. The
     reported sigma2 is the mean of those eigenvalues, clamped like
     :func:`noise_mle` so it stays positive when L <= K leaves them at zero
     up to rounding. One eigendecomposition counts as one iteration.

@@ -8,14 +8,13 @@ closed-form noise-variance refit on the current top-K support, until the
 power iterates stop moving in relative sup-norm.
 
 Problems over one dictionary can be solved as one stack: :func:`iterate`
-runs every row together and drops each row once it has converged, and a
-:class:`Batch` lets the first solve asked of any of its problems solve them
-all, each row with the bits it gets alone.
+runs every row together and drops each row once it has converged, and
+:meth:`Problem.solve_together` keeps each row on its problem until that
+problem's solve asks for it, each row with the bits it gets alone.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +33,6 @@ from .model import (
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
-    "Batch",
     "ClBcdConfig",
     "Problem",
     "SolverConfig",
@@ -125,30 +123,9 @@ def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray
 
 
 # The exceptions a solve may raise for its data: the engine counts each as a
-# failed cell, and a stacked solve that raises one is redone row by row.
+# failed cell, and a stacked solve that raises one keeps no row, so each of
+# its problems is solved alone.
 _COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
-
-
-class Batch:
-    """Problems over one dictionary that the stacked solvers solve together.
-
-    A :class:`Problem` built with a batch joins it once its sample
-    covariance has passed validation. :meth:`Problem.solve` then solves
-    every member that has no result waiting for the same key as one stack,
-    and keeps each other member's result until that member asks for it.
-    The batch holds its members weakly: each problem holds its batch, and a
-    reference cycle would keep every trial's arrays of a Monte-Carlo run
-    alive until the cyclic garbage collector ran, raising peak memory.
-    """
-
-    def __init__(self):
-        self._members = []
-        self._alone = set()  # keys whose stacked solve raised: solved row by row
-
-    @property
-    def problems(self) -> list:
-        """The members still alive, in the order they joined."""
-        return [p for p in (ref() for ref in self._members) if p is not None]
 
 
 class Problem:
@@ -164,15 +141,10 @@ class Problem:
     :func:`_noise_refits`).
     Y, scm and the cached arrays are read-only, so every method of a
     Monte-Carlo cell can solve one Problem and get the results it gets
-    from Y alone. A Problem built with a :class:`Batch` over the same
-    dictionary object joins it (else ValueError); without one it forms a
-    batch of its own.
+    from Y alone.
     """
 
-    def __init__(self, Y, dictionary: Dictionary, batch: Batch | None = None):
-        batch = Batch() if batch is None else batch
-        if any(p.dictionary is not dictionary for p in batch.problems):
-            raise ValueError("a batch holds problems over one dictionary")
+    def __init__(self, Y, dictionary: Dictionary):
         Y = np.asarray(Y, dtype=np.complex128).view()
         Y.flags.writeable = False
         scm = _check_scm(sample_covariance(Y), dictionary)
@@ -181,9 +153,7 @@ class Problem:
         self.dictionary = dictionary
         self.scm = scm
         self._noise = {}
-        self._solved = {}
-        self._batch = batch
-        batch._members.append(weakref.ref(self))
+        self._solved = {}  # (solve_stack, *args) -> this problem's row of a stacked solve
 
     @classmethod
     def of(cls, data, dictionary: Dictionary, k: int) -> Problem:
@@ -214,37 +184,34 @@ class Problem:
         return powers
 
     def solve(self, solve_stack, *args):
-        """This problem's result of ``solve_stack``, solved with its batch.
-
-        ``solve_stack(problems, *args)`` returns one result per problem of a
-        list over this dictionary, and ``(solve_stack, *args)`` names what it
-        computes, so the arguments must be hashable. The first call of a name
-        solves, as one stack, this problem and every member of its batch
-        with no result waiting for the name; the others' results wait until
-        they ask. If that stacked solve raises a counted error
-        (ArithmeticError, LinAlgError, ValueError), every member solves the
-        name alone from then on, so each gets exactly the result or the
-        exception class of its lone solve.
+        """This problem's result of ``solve_stack``: the row a
+        :meth:`solve_together` of the same ``(solve_stack, *args)`` kept for
+        it, which it reads once, else ``solve_stack([self], *args)[0]``.
         """
+        result = self._solved.pop((solve_stack, *args), None)
+        return solve_stack([self], *args)[0] if result is None else result
+
+    @staticmethod
+    def solve_together(problems, solve_stack, *args) -> None:
+        """Solve ``problems``, over one dictionary object (else ValueError), as
+        one stack and keep each one's row for its :meth:`solve` of the same
+        ``(solve_stack, *args)``, which names what ``solve_stack(problems,
+        *args)`` computes, so the arguments must be hashable. Fewer than two
+        problems, or a stack that raises a counted error (ArithmeticError,
+        LinAlgError, ValueError), keep nothing: each problem then gets the
+        result or the exception class of its lone solve.
+        """
+        if any(p.dictionary is not problems[0].dictionary for p in problems):
+            raise ValueError("a stack holds problems over one dictionary")
+        if len(problems) < 2:
+            return
+        try:
+            results = solve_stack(problems, *args)
+        except _COUNTED:
+            return
         key = (solve_stack, *args)
-        result = self._solved.pop(key, None)
-        if result is not None:
-            return result
-        batch = self._batch
-        rows = [self]
-        if key not in batch._alone:
-            rows = [p for p in batch.problems if p is self or key not in p._solved]
-        if len(rows) > 1:
-            try:
-                results = solve_stack(rows, *args)
-            except _COUNTED:
-                batch._alone.add(key)
-            else:
-                for problem, result in zip(rows, results):
-                    if problem is not self:
-                        problem._solved[key] = result
-                return results[rows.index(self)]
-        return solve_stack([self], *args)[0]
+        for problem, result in zip(problems, results):
+            problem._solved[key] = result
 
 
 def _noise_refits(problems, supports) -> np.ndarray:
@@ -344,8 +311,8 @@ def run_clbcd(
     """Recover a K-sparse power vector and its support from snapshots Y
     (an N x L matrix or a :class:`Problem` over ``dictionary``).
 
-    A Problem of a :class:`Batch` is solved with the rest of its batch
-    (see :meth:`Problem.solve`); the result is the one it gets alone."""
+    A Problem reads the row a stacked solve kept for it, if any (see
+    :meth:`Problem.solve`); the result is the one it gets alone."""
     return Problem.of(Y, dictionary, k).solve(_clbcd, k, config or SolverConfig())
 
 

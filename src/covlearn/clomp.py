@@ -11,7 +11,7 @@ powers, so :func:`covlearn.model.support_atom_forms` evaluates the per-atom
 forms from the support's Gram rows, one row pair appended per chosen atom.
 A solve costs O(N^2 M + KNM) on a dense dictionary (O(N^2 + KNM) on a
 steering grid) instead of K dense form passes and K + 1 covariance inverses.
-The problems of a batch take their K steps in lockstep, as one stack.
+The problems of a stack take their K steps in lockstep.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def run_clomp(Y: np.ndarray, dictionary: Dictionary, k: int) -> SolverResult:
     """Recover a K-sparse support from snapshots Y (an N x L matrix or a
     :class:`~covlearn.clbcd.Problem` over ``dictionary``) by greedy pursuit.
 
-    A Problem of a :class:`~covlearn.clbcd.Batch` is solved with the rest of
-    its batch (see :meth:`~covlearn.clbcd.Problem.solve`); the result is the
-    one it gets alone."""
+    A Problem reads the row a stacked solve kept for it, if any (see
+    :meth:`~covlearn.clbcd.Problem.solve`); the result is the one it gets
+    alone."""
     return Problem.of(Y, dictionary, k).solve(_clomp, k)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clbcd import _COUNTED, Batch, Problem, SolverConfig
+from .clbcd import _COUNTED, Problem, SolverConfig
 from .model import Dictionary
 
 SCENARIO_KINDS = ("gaussian-ssr", "ula-doa")
@@ -501,27 +501,37 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
 
     Every trial is drawn and its valid Problems are built first, each with
     its per-atom forms and matched filter outside every method's clock, and
-    the Problems over one dictionary form one Batch: a stacked solve reads
-    them for every cell of the chunk. Snapshots that give no valid Problem
-    fail every method of their cell; a solve that raises a counted
-    exception fails its cell.
+    grouped by dictionary. Each method then solves every group as one stack
+    (:func:`~covlearn.methods.solve_stack`), whose thread time is booked
+    evenly across the group's cells, before each cell's solve reads its row.
+    Snapshots that give no valid Problem fail every method of their cell; a
+    solve that raises a counted exception fails its cell.
     """
-    from .methods import solve_trial  # looked up per call, so a patched module attribute runs
+    # looked up per call, so a patched module attribute runs
+    from .methods import solve_stack, solve_trial
 
     constants = _chunk_constants(config)
-    batches, chunk = {}, []
+    groups, chunk = {}, []  # groups: id(dictionary) -> (dictionary, its valid Problems)
     for t in trials:
         dictionary, draws = _draw_trial(config, constants, t)
-        batch = batches.setdefault(id(dictionary), Batch())
         cells, problems = {}, {}
         for si, (Y, truth) in enumerate(draws):
             try:
-                problem = Problem(Y, dictionary, batch)
+                problem = Problem(Y, dictionary)
                 problem.matched_filter  # with the forms, outside every clock
-                problems[si] = (problem, truth)
             except _COUNTED:
                 cells.update(((mi, si), _FAILED) for mi in range(len(specs)))
+                continue
+            problems[si] = (problem, truth)
+            groups.setdefault(id(dictionary), (dictionary, []))[1].append(problem)
         chunk.append((dictionary, cells, problems))
+    shares = {}  # (id(dictionary), method index) -> CPU time of the stack per row
+    for dictionary, group in groups.values():
+        for mi, spec in enumerate(specs):
+            t0 = time.thread_time()
+            solve_stack(spec, group, dictionary, config.k, config.peak, config.noise_var,
+                        config.max_iter)
+            shares[id(dictionary), mi] = (time.thread_time() - t0) / len(group)
     for dictionary, cells, problems in chunk:
         for si, (problem, truth) in problems.items():
             for mi, spec in enumerate(specs):
@@ -534,7 +544,7 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
                 except _COUNTED:
                     cells[(mi, si)] = _FAILED
                     continue
-                runtime_s = time.thread_time() - t0
+                runtime_s = shares[id(dictionary), mi] + (time.thread_time() - t0)
                 cells[(mi, si)] = _score(outcome, truth, constants.grid_deg, runtime_s)
     return [cells for _, cells, _ in chunk]
 
@@ -583,11 +593,9 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     consecutive trials, whose size never depends on ``threads``: on
     "ula-doa", whose trials share one steering grid, max(1, 12 // len(snr_db))
     trials; on "gaussian-ssr", whose trials each draw their own dictionary,
-    one trial. A chunk's Problems over one dictionary share one
-    :class:`~covlearn.clbcd.Batch`, so the first cell of a chunk that asks
-    for a batched method (cl-omp, cl-bcd, iaa, samv2, sbl, sbl1, msbl and
-    music) solves every cell of the chunk as one stack, and its runtime
-    includes the others' rows.
+    one trial. Each stacking method (cl-omp, cl-bcd, iaa, samv2, sbl, sbl1,
+    msbl and music) solves a chunk's Problems over one dictionary as one
+    stack, and each cell's runtime carries an even share of its stack.
     A solve that raises a numerical error (ArithmeticError, LinAlgError or
     ValueError) is counted as a failure of its cell, and a Problem that
     cannot be built (non-finite snapshots, no energy) as one failure of

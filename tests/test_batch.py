@@ -1,14 +1,18 @@
 """A solve in a stack equals the same solve alone.
 
-Problems built with one :class:`covlearn.clbcd.Batch` are solved together:
-the first solve asked of any of them iterates all of them as one stack, and
-each row leaves the stack once it has converged. These tests pin that every
-batched method returns, for every row, exactly what a lone solve of that row
-returns (support, powers bit for bit, noise variance, iterations,
-convergence), and that a row that fails fails only its own cell, with the
-exception class of its lone solve.
+:func:`covlearn.methods.solve_stack` solves Problems over one dictionary as
+one stack, each row leaving the stack once it has converged, and keeps each
+row on its Problem; the next :func:`covlearn.methods.solve_trial` of that
+Problem returns it. The Monte-Carlo engine takes that path for every chunk
+of trials. These tests pin that every stacked method returns, for every row,
+exactly what a lone solve of that row returns (support, powers bit for bit,
+noise variance, iterations, convergence), that a row that fails fails only
+its own cell, with the exception class of its lone solve, and that the
+engine stacks and books each chunk's cells as it says.
 """
 
+import csv
+import types
 import weakref
 
 import numpy as np
@@ -28,12 +32,16 @@ from covlearn import (
     steering_matrix,
     ula_grid,
 )
-from covlearn import baselines, clbcd, clomp
-from covlearn.clbcd import Batch, Problem
+from covlearn import baselines, clbcd, cli, clomp, methods, scenario, solve_stack
+from covlearn.clbcd import Problem
 from util import population_snapshots
 
-# The methods whose runners solve a Problem with the rest of its batch.
-BATCHED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "music")
+# The methods whose runners read a row solve_stack kept on a Problem.
+STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "music")
+
+# Each stacked tag's stacked solver, by module and name.
+STACKED_SOLVERS = ((clomp, "_clomp"), (clbcd, "_clbcd"), (baselines, "_iaa"),
+                   (baselines, "_ratio_method"), (baselines, "_msbl"), (baselines, "_music"))
 
 # The exceptions the Monte-Carlo engine counts as a failed trial.
 COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
@@ -51,9 +59,10 @@ def _outcome(spec, data, d, k, peak, max_iter=SolverConfig.max_iter):
 
 
 def _stacked(spec, Ys, d, k, peak, first, max_iter=SolverConfig.max_iter):
-    """Outcomes of solving Ys as one batch, asked first for row ``first``."""
-    batch = Batch()
-    problems = [Problem(Y, d, batch) for Y in Ys]
+    """Outcomes of solving Ys as one stack through solve_stack, each row then
+    read by solve_trial, row ``first`` first."""
+    problems = [Problem(Y, d) for Y in Ys]
+    solve_stack(spec, problems, d, k, peak, 1.0, max_iter)
     order = [first] + [i for i in range(len(Ys)) if i != first]
     out = {i: _outcome(spec, problems[i], d, k, peak, max_iter) for i in order}
     return [out[i] for i in range(len(Ys))]
@@ -79,7 +88,7 @@ def _snapshots(ula, seed, snrs):
     ula=st.booleans(),
     seed=st.integers(0, 2**16),
     snrs=st.lists(st.floats(-15.0, 20.0), min_size=2, max_size=4),
-    tag=st.sampled_from(BATCHED_TAGS),
+    tag=st.sampled_from(STACKED_TAGS),
     max_iter=st.sampled_from([1, 2, 8, 40]),
     data=st.data(),
 )
@@ -91,13 +100,14 @@ def test_a_solve_in_a_stack_equals_the_solve_alone(ula, seed, snrs, tag, max_ite
     assert _stacked(spec, Ys, d, k, ula, first, max_iter) == alone
 
 
-def test_a_batch_keeps_each_solves_rows_apart():
+def test_a_stack_keeps_each_solves_rows_apart():
     # a stacked solve's rows wait under its stacked solver and every argument
     # of it: another method, cap, noise rule or exponent never reads them
     d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5))
     asks = [(tag, cap) for tag in ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl") for cap in (1, 8)]
-    batch = Batch()
-    problems = [Problem(Y, d, batch) for Y in Ys]
+    problems = [Problem(Y, d) for Y in Ys]
+    for tag, cap in asks:
+        solve_stack(MethodSpec(tag), problems, d, k, True, 1.0, cap)
     for i, problem in enumerate(problems):
         for tag, cap in asks[i:] + asks[:i]:  # each row asks in another order
             spec = MethodSpec(tag)
@@ -152,8 +162,7 @@ def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
     d, k, Ys = _snapshots(ula, seed, (-5.5, -9.5, -13.5, 0.0))
     spec = MethodSpec("cl-bcd")
     alone = [_outcome(spec, Y, d, k, ula) for Y in Ys]
-    batch = Batch()
-    problems = [Problem(Y, d, batch) for Y in Ys]
+    problems = [Problem(Y, d) for Y in Ys]
     update = clbcd.iaa_update
     memo_sizes = []
 
@@ -164,6 +173,7 @@ def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
 
     sizes = _stack_sizes(monkeypatch, clbcd, "noise_mle")
     monkeypatch.setattr(clbcd, "iaa_update", counting_update)
+    solve_stack(spec, problems, d, k, ula, 1.0)
     assert [_outcome(spec, p, d, k, ula) for p in problems] == alone
     memo_sizes.append(sum(len(p._noise) for p in problems))
     # the misses of the closed-form first iterate, then of each later step
@@ -209,7 +219,7 @@ def _clomp_duplicate_atom_case():
     return d, [population_snapshots(scm), 2.0 * c[:, :1] @ X + E, 2.0 * c[:, 1:] @ X + E]
 
 
-@pytest.mark.parametrize("tag", BATCHED_TAGS)
+@pytest.mark.parametrize("tag", STACKED_TAGS)
 def test_a_failing_row_fails_only_its_own_cell(tag):
     d, Ys = _clomp_duplicate_atom_case() if tag == "cl-omp" else _duplicate_atom_case()
     spec = MethodSpec(tag)
@@ -221,17 +231,24 @@ def test_a_failing_row_fails_only_its_own_cell(tag):
         assert _stacked(spec, Ys, d, 2, False, first, 100) == alone
 
 
-def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):
-    # a chunk holds 12 // len(snr_db) trials on the shared steering grid and
-    # one trial on gaussian-ssr, whose trials each draw their own dictionary
+def _count_stacks(monkeypatch):
+    """Patch every stacked solver to record the rows of each call; returns
+    the record."""
     stack_sizes = []
-    for module, name in ((clomp, "_clomp"), (clbcd, "_clbcd"), (baselines, "_iaa"),
-                         (baselines, "_music")):
+    for module, name in STACKED_SOLVERS:
         def counting(problems, *args, _solve=getattr(module, name)):
             stack_sizes.append(len(problems))
             return _solve(problems, *args)
 
         monkeypatch.setattr(module, name, counting)
+    return stack_sizes
+
+
+def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):
+    # a chunk holds 12 // len(snr_db) trials on the shared steering grid and
+    # one trial on gaussian-ssr, whose trials each draw their own dictionary;
+    # a runner whose key drifted from its table entry would solve alone
+    stack_sizes = _count_stacks(monkeypatch)
     tags = ["cl-omp", "cl-bcd", "iaa", "music"]
     cfg = ScenarioConfig(
         "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=5
@@ -247,40 +264,80 @@ def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):
     assert stack_sizes == [3] * 9
 
 
+@pytest.mark.parametrize("kind", ["ula-doa", "gaussian-ssr"])
+def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind):
+    # every cell of a healthy chunk reads the row its stack kept: no size-1
+    # solve, for each of the eight stacked tags
+    stack_sizes = _count_stacks(monkeypatch)
+    doas = (-20.0, 30.0) if kind == "ula-doa" else None
+    cfg = ScenarioConfig(kind, 8, 91, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=doas, trials=5,
+                         max_iter=8)
+    assert all(r.failures == 0 for r in run_monte_carlo(cfg, STACKED_TAGS))
+    chunks = [12, 3] if kind == "ula-doa" else [3] * 5
+    assert stack_sizes == [rows for rows in chunks for _ in STACKED_TAGS]
+
+
+def test_each_cell_carries_its_share_of_its_stack(tmp_path, monkeypatch):
+    # on a clock that only a stacked solve advances, by one second per row,
+    # each cell's --timings runtime is one second: its own share of the
+    # stack, where the chunk's first cell used to carry all of it
+    now = [0.0]
+
+    def advancing(problems, *args, _solve=clbcd._clbcd):
+        now[0] += len(problems)
+        return _solve(problems, *args)
+
+    monkeypatch.setattr(clbcd, "_clbcd", advancing)
+    monkeypatch.setattr(scenario, "time", types.SimpleNamespace(thread_time=lambda: now[0]))
+    cfg = tmp_path / "doa.cfg"
+    cfg.write_text("kind = ula-doa\nn = 8\nm = 181\nl = 16\nk = 2\nsnr_db = -5, 0, 5\n"
+                   "true_doas_deg = -20, 30\ntrials = 5\nmethods = cl-bcd, somp\n")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--timings"]
+    assert cli.main(argv) == 0
+    assert now[0] == 12 + 3  # one stack of 4 trials x 3 SNRs, one of 1 x 3
+    with open(tmp_path / "out" / "results.csv") as fh:
+        runtimes = {(r["method"], r["snr_db"]): r["mean_runtime_s"] for r in csv.DictReader(fh)}
+    assert runtimes == {("cl-bcd", snr): "1" for snr in ("-5", "0", "5")} | {
+        ("somp", snr): "0" for snr in ("-5", "0", "5")
+    }
+
+
 def test_the_engine_builds_every_cells_forms_outside_the_methods(monkeypatch):
     # a stacked solve reads every cell's matched filter: were it built on
-    # first use, the first batched method would pay for the other cells' forms
-    from covlearn import methods
-
-    solve = methods.solve_trial
+    # first use, the first stacked method would pay for the other cells' forms
+    stack = methods.solve_stack
     seen = []
 
-    def checking(spec, problem, *args):
-        seen.append(all("matched_filter" in p.__dict__ for p in problem._batch.problems))
-        return solve(spec, problem, *args)
+    def checking(spec, problems, *args):
+        seen.append(all("matched_filter" in p.__dict__ for p in problems))
+        return stack(spec, problems, *args)
 
-    monkeypatch.setattr(methods, "solve_trial", checking)
+    monkeypatch.setattr(methods, "solve_stack", checking)
     cfg = ScenarioConfig(
         "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=2
     )
     run_monte_carlo(cfg, ["cl-omp", "cl-bcd"])
-    assert len(seen) == 12 and all(seen)
+    assert seen == [True, True]  # one chunk of 2 trials x 3 SNRs, two methods
 
 
-def test_a_batch_holds_problems_over_one_dictionary():
-    batch = Batch()
+def test_a_stack_holds_problems_over_one_dictionary():
     Y = np.random.default_rng(5).standard_normal((6, 10)).astype(complex)
-    member = Problem(Y, ula_grid(6, 91), batch)
+    grid, other = ula_grid(6, 91), gaussian_dictionary(6, 91, 1)
+    problems = [Problem(Y, grid), Problem(Y, other)]
     with pytest.raises(ValueError, match="one dictionary"):
-        Problem(Y, gaussian_dictionary(6, 91, 1), batch)
-    assert batch.problems == [member]
+        Problem.solve_together(problems, clomp._clomp, 2)
+    with pytest.raises(ValueError, match="another dictionary"):
+        solve_stack(MethodSpec("cl-omp"), problems, grid, 2, True, 1.0)
+    assert all(not p._solved for p in problems)
 
 
-def test_a_batch_does_not_keep_its_problems_alive():
-    # no reference cycle: a problem is freed as soon as its last user lets go
-    batch = Batch()
+def test_a_kept_row_does_not_keep_its_problem_alive():
+    # no reference cycle: a problem is freed as soon as its last user lets go,
+    # with the rows a stacked solve kept on it
     Y = np.random.default_rng(6).standard_normal((6, 10)).astype(complex)
-    kept = Problem(Y, ula_grid(6, 91), batch)
-    dropped = weakref.ref(Problem(2.0 * Y, ula_grid(6, 91), batch))
+    d = ula_grid(6, 91)
+    problems = [Problem(Y, d), Problem(2.0 * Y, d)]
+    solve_stack(MethodSpec("cl-bcd"), problems, d, 2, True, 1.0)
+    assert all(p._solved for p in problems)
+    dropped = weakref.ref(problems.pop())
     assert dropped() is None
-    assert batch.problems == [kept]
