@@ -14,6 +14,8 @@ Library layout:
 - :mod:`covlearn.cli`: batch benchmark runner (``covlearn run ...``)
 """
 
+__version__ = "0.1.0"  # the one version string; pyproject.toml reads it
+
 from .baselines import (
     mle_single_source,
     msbl_update,
@@ -71,5 +73,3 @@ from .scenario import (
     ula_grid,
 )
 from .sparsity import SupportSet, hard_threshold, peak_mask
-
-__version__ = "0.1.0"

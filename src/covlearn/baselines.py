@@ -111,6 +111,12 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
     loading of 1e-12 tr(Shat)/N (invertibility guard only; the recursion
     carries no explicit noise term). The reported sigma2 is the
     projector-residual MLE on the final support.
+
+    The loading, not the data, decides the outcome on a dictionary whose
+    atoms span fewer than N directions (N = M = 6 with one atom duplicated,
+    with or without a source on it): a^H Theta a of an atom rounds to 0 and
+    the solve raises :class:`NumericError`, a counted failure. The loading
+    stays fixed because every recorded IAA output depends on it.
     """
     return Problem.of(Y, dictionary, k).solve(_iaa, k, config or SolverConfig())
 
@@ -250,12 +256,13 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     """
     Y = Problem.of(Y, dictionary, k).Y
     A = dictionary.atoms
+    A_h = A.conj().T  # one conjugated copy for every step
     norms = np.sqrt(dictionary._norms2)
 
     chosen: list[int] = []
     residual = Y
     for _ in range(k):
-        score = np.linalg.norm(A.conj().T @ residual, axis=1) / norms
+        score = np.linalg.norm(A_h @ residual, axis=1) / norms
         score[chosen] = -np.inf
         best = int(np.argmax(score))  # lowest index wins ties
         chosen.append(best)

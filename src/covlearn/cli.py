@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from . import __version__
 from .clbcd import SolverConfig
 from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, check_methods, resolve_methods
 from .scenario import SCENARIO_KINDS, MetricsRecord, ScenarioConfig, run_monte_carlo
@@ -198,20 +199,6 @@ def _record_row(rec, timings: bool) -> list:
     ]
 
 
-@functools.lru_cache(maxsize=1)
-def build_version() -> str:
-    """The installed covlearn distribution's version, or "unknown".
-
-    Looked up once per process, when the first meta.json is written:
-    importing importlib.metadata takes longer than a small run."""
-    try:  # pragma: no cover - metadata lookup
-        from importlib.metadata import version
-
-        return version("covlearn")
-    except Exception:  # pragma: no cover
-        return "unknown"
-
-
 def _write_json(path: Path, obj) -> None:
     """obj as indented JSON plus a newline, in one write."""
     path.write_text(json.dumps(obj, indent=2) + "\n")
@@ -249,7 +236,7 @@ def run_experiment(
         "methods": [m.tag for m in spec.methods],
         "emit": list(spec.emit),
         "seed": spec.scenario.seed,
-        "build_version": build_version(),
+        "build_version": __version__,
         "wall_time_s": wall,
         "threads": threads,
         "timings": timings,

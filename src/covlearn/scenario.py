@@ -229,7 +229,9 @@ class ScenarioConfig:
             if len(doas) != self.k:
                 raise ValueError(f"true_doas_deg must have k={self.k} entries")
             if any(not -90.0 <= t < 90.0 for t in doas):
-                raise ValueError("true DOAs must lie in [-90, 90) deg")
+                raise ValueError(
+                    "true DOAs must lie in [-90, 90) deg; +90 deg has -90 deg's steering vector"
+                )
             object.__setattr__(self, "true_doas_deg", doas)
         elif self.true_doas_deg is not None:
             raise ValueError("true_doas_deg applies only to ula-doa scenarios")

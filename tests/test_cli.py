@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from util import json_outputs
 
+import covlearn
 from covlearn import MethodSpec, ScenarioConfig, SolverConfig, cli, methods
 from covlearn.cli import SpecError, main, parse_spec, run_experiment
 
@@ -384,18 +385,21 @@ class TestOutputBytes:
         # the wall time is the one value the oracle cannot know: read it back
         wall = json.loads((out / "meta.json").read_text())["wall_time_s"]
         results, meta = json_outputs(parse_spec(cfg), records, 1, timings, wall,
-                                     cli.build_version())
+                                     covlearn.__version__)
         assert (out / "results.json").read_bytes() == results.encode()
         assert (out / "meta.json").read_bytes() == meta.encode()
         assert json.loads(meta)["failures"]
 
 
-def test_importing_the_cli_loads_no_metadata_or_pool_module():
+def test_importing_the_cli_loads_no_metadata_or_pool_module(tmp_path):
     # importlib.metadata (with email and socket) and concurrent.futures (with
-    # logging) cost more to import than a small run takes; meta.json and
-    # --threads > 1 import them when they need them
+    # logging) cost more to import than a small run takes; meta.json's version
+    # is covlearn.__version__, and only --threads > 1 imports the pool
+    cfg = write(tmp_path, MINI)
     probe = (
         "import sys, covlearn.cli; "
+        f"assert covlearn.cli.main(['run', '--config', {str(cfg)!r}, '--out', "
+        f"{str(tmp_path / 'o')!r}, '--threads', '1']) == 0; "
         "print(sorted(m for m in ('importlib.metadata', 'concurrent.futures') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -404,11 +408,15 @@ def test_importing_the_cli_loads_no_metadata_or_pool_module():
     assert done.stdout.strip() == "[]"
 
 
-def test_build_version_is_the_distribution_version():
+def test_build_version_is_the_distribution_version(tmp_path):
     from importlib.metadata import PackageNotFoundError, version
 
-    try:
-        expected = version("covlearn")
-    except PackageNotFoundError:
-        expected = "unknown"
-    assert cli.build_version() == expected
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write(tmp_path, MINI)), "--out", str(out),
+                 "--trials", "1"]) == 0
+    written = json.loads((out / "meta.json").read_text())["build_version"]
+    try:  # an installed distribution is built with the package's string
+        installed = version("covlearn")
+    except PackageNotFoundError:  # a source checkout
+        installed = covlearn.__version__
+    assert written == covlearn.__version__ == installed
