@@ -193,18 +193,16 @@ class Problem:
 
     @staticmethod
     def solve_together(problems, solve_stack, *args) -> None:
-        """Solve ``problems``, over one dictionary object (else ValueError), as
-        one stack and keep each one's row for its :meth:`solve` of the same
-        ``(solve_stack, *args)``, which names what ``solve_stack(problems,
-        *args)`` computes, so the arguments must be hashable. Fewer than two
-        problems, or a stack that raises a counted error (ArithmeticError,
-        LinAlgError, ValueError), keep nothing: each problem then gets the
-        result or the exception class of its lone solve.
+        """Solve ``problems``, one or more over one dictionary object (else
+        ValueError), as one stack and keep each one's row, a lone problem's
+        too, for its :meth:`solve` of the same ``(solve_stack, *args)``,
+        which names what ``solve_stack(problems, *args)`` computes, so the
+        arguments must be hashable. A stack that raises a counted error
+        (ArithmeticError, LinAlgError, ValueError) keeps nothing: each
+        problem then gets the result or the exception class of its lone solve.
         """
-        if any(p.dictionary is not problems[0].dictionary for p in problems):
-            raise ValueError("a stack holds problems over one dictionary")
-        if len(problems) < 2:
-            return
+        if len({id(p.dictionary) for p in problems}) != 1:
+            raise ValueError("a stack holds one or more problems over one dictionary")
         try:
             results = solve_stack(problems, *args)
         except _COUNTED:

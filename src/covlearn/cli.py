@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .clbcd import SolverConfig
 from .methods import METHOD_DESCRIPTIONS, METHOD_TAGS, check_methods, resolve_methods
-from .scenario import SCENARIO_KINDS, MetricsRecord, ScenarioConfig, run_monte_carlo
+from .scenario import MetricsRecord, ScenarioConfig, run_monte_carlo
 
 CSV_COLUMNS = (
     "method",
@@ -61,6 +61,8 @@ _LIST_KEYS = {
     "emit": str,
 }
 _REQUIRED_KEYS = ("kind", "n", "m", "l", "k", "snr_db", "methods")
+# the config keys whose ScenarioConfig field has another name
+_FIELD_OF_KEY = {"n": "n_sensors", "m": "n_atoms", "l": "n_snapshots"}
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class ExperimentSpec:
     scenario: ScenarioConfig
     methods: tuple
     output_dir: str = "results"
-    emit: tuple = ("csv", "json")
+    emit: tuple = EMIT_FORMATS
 
 
 class SpecError(ValueError):
@@ -87,7 +89,9 @@ def _parse_value(kind, raw, where):
 def parse_spec(path) -> ExperimentSpec:
     """Parse and validate a config file into an ExperimentSpec.
 
-    Every diagnostic names the offending key and its line number.
+    Every diagnostic names the offending key and its line number. A key the
+    config does not set takes the default of its ScenarioConfig or
+    ExperimentSpec field.
     """
     path = Path(path)
     try:
@@ -111,79 +115,51 @@ def parse_spec(path) -> ExperimentSpec:
             raise SpecError(f"{path}:{ln}: key {key!r} already set on line {entries[key][1]}")
         entries[key] = (value, ln)
 
-    scalars: dict = {}
-    lists: dict = {}
+    values: dict = {}
     for key, (value, ln) in entries.items():
         where = f"{path}:{ln}: key {key!r}"
         if key in _SCALAR_KEYS:
-            scalars[key] = _parse_value(_SCALAR_KEYS[key], value, where)
+            values[key] = _parse_value(_SCALAR_KEYS[key], value, where)
         elif key in _LIST_KEYS:
             items = [v.strip() for v in value.split(",") if v.strip()]
             if not items:
                 raise SpecError(f"{where}: empty list")
-            lists[key] = tuple(_parse_value(_LIST_KEYS[key], v, where) for v in items)
+            values[key] = tuple(_parse_value(_LIST_KEYS[key], v, where) for v in items)
         else:
             raise SpecError(f"{where}: unknown key")
         if key == "max_iter":
             # a cap every trial would reject is a config error
             try:
-                SolverConfig(max_iter=scalars[key])
+                SolverConfig(max_iter=values[key])
             except ValueError as exc:
                 raise SpecError(f"{where}: {exc}") from None
 
     for key in _REQUIRED_KEYS:
-        if key not in scalars and key not in lists:
+        if key not in values:
             raise SpecError(f"{path}: missing required key {key!r}")
 
-    if scalars.get("kind") not in SCENARIO_KINDS:
-        raise SpecError(
-            f"{path}: key 'kind' must be one of {', '.join(SCENARIO_KINDS)}"
-        )
-
-    emit = lists.get("emit", EMIT_FORMATS)
-    for fmt in emit:
+    tags = values.pop("methods")
+    destination = {key: values.pop(key) for key in ("output_dir", "emit") if key in values}
+    for fmt in destination.get("emit", ()):
         if fmt not in EMIT_FORMATS:
             raise SpecError(f"{path}: key 'emit' entries must be in {EMIT_FORMATS}")
 
     try:
-        scenario = ScenarioConfig(
-            kind=scalars["kind"],
-            n_sensors=scalars["n"],
-            n_atoms=scalars["m"],
-            n_snapshots=scalars["l"],
-            k=scalars["k"],
-            snr_db=lists["snr_db"],
-            source_offsets_db=lists.get("source_offsets_db"),
-            rho=scalars.get("rho", 0.0),
-            noise_var=scalars.get("noise_var", 1.0),
-            true_doas_deg=lists.get("true_doas_deg"),
-            seed=scalars.get("seed", 0),
-            trials=scalars.get("trials", 100),
-            max_iter=scalars.get("max_iter", SolverConfig.max_iter),
-        )
+        scenario = ScenarioConfig(**{_FIELD_OF_KEY.get(k, k): v for k, v in values.items()})
     except ValueError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
     try:
-        methods = resolve_methods(lists["methods"])
+        methods = resolve_methods(tags)
         check_methods(methods, scenario.kind, scenario.k)
     except ValueError as exc:
         raise SpecError(f"{path}:{entries['methods'][1]}: key 'methods': {exc}") from exc
 
-    return ExperimentSpec(
-        scenario=scenario,
-        methods=methods,
-        output_dir=scalars.get("output_dir", "results"),
-        emit=tuple(emit),
-    )
+    return ExperimentSpec(scenario, methods, **destination)
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return "" if value is None else format(value, ".12g")
 
 
 def _record_row(rec, timings: bool) -> list:

@@ -25,7 +25,6 @@ from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
-    _check_positive,
     atom_quadratic_forms,
     provisional_mle,
     support_atom_forms,
@@ -91,7 +90,7 @@ def _sweep(q: np.ndarray, r: np.ndarray, excluded) -> SweepResult:
     gamma = _power_star(q, r)
     u = gamma * q
     errors = np.log1p(u) - u
-    idx = list(excluded.indices if isinstance(excluded, SupportSet) else excluded)
+    idx = list(excluded)
     if idx:
         gamma[idx] = 0.0
         errors[idx] = np.inf
@@ -113,25 +112,22 @@ def _clomp(problems, k: int) -> list:
 
     The K greedy steps run in lockstep: each evaluates every row's forms from
     its support's Gram rows in one stacked call, sweeps and picks row by
-    row, and refits every row's grown support in one stacked call.
+    row, and refits every row's grown support in one stacked call. The first
+    step evaluates the noise-only start, an empty support, the same way.
     """
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
     scm = np.array([p.scm for p in problems])
     forms = np.array([p.forms for p in problems])
 
-    # noise-only start: Sigma = s2 I with s2 = tr(Shat)/n, empty support.
-    # Its forms are closed: q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2,
-    # read off the problems' cached a_i^H Shat a_i.
+    # noise-only start: Sigma = s2 I with s2 = tr(Shat)/n on the empty support
     chosen = [[] for _ in problems]
+    gamma_sub = np.empty((len(problems), 0))
     sigma2 = np.array([np.trace(p.scm).real / n for p in problems])
-    q = _check_positive(dictionary._norms2 / sigma2[:, None])
-    r = forms / (sigma2**2)[:, None]
     rows = None
 
-    for step in range(k):
-        if step:
-            q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
+    for _ in range(k):
+        q, r, rows = support_atom_forms(dictionary, scm, chosen, gamma_sub, sigma2, rows, forms)
         for support, q_row, r_row in zip(chosen, q, r):
             sweep = _sweep(q_row, r_row, support)
             if not np.any(np.isfinite(sweep.errors)):

@@ -164,10 +164,10 @@ def solve_stack(
     noise_var: float,
     max_iter: int = SolverConfig.max_iter,
 ) -> None:
-    """Solve ``problems``, a list of Problems over ``dictionary``, as one stack
-    of spec's method, and keep each row on its Problem for the next
-    :func:`solve_trial` of it with the same arguments: the result it gets
-    alone. Only cl-omp, cl-bcd, iaa, samv2, sbl, sbl1, msbl and music stack
+    """Solve ``problems``, a list of one or more Problems over ``dictionary``,
+    as one stack of spec's method, and keep each row on its Problem for the
+    next :func:`solve_trial` of it with the same arguments: the result it
+    gets alone. Only cl-omp, cl-bcd, iaa, samv2, sbl, sbl1, msbl and music stack
     (see :meth:`~covlearn.clbcd.Problem.solve_together`).
     """
     stack = _METHODS[spec.tag][1]

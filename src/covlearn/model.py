@@ -529,9 +529,9 @@ def noise_mle(
 ) -> float | np.ndarray:
     """Noise-variance MLE on a fixed support: tr((I - P) Shat) / (N - k).
 
-    P is the orthogonal projector onto the span of the support atoms; an
-    empty support gives tr(Shat)/N. The result is clamped below at
-    :func:`_noise_floor`.
+    P is the orthogonal projector onto the columns of the N x k support
+    atoms; an empty support (N x 0) gives tr(Shat)/N. The result is clamped
+    below at :func:`_noise_floor`.
     ``factor`` is the reduced QR (Q, R) of the support atoms when the
     caller has already computed it; otherwise it is computed here.
 
@@ -542,9 +542,7 @@ def noise_mle(
     scm = np.asarray(scm, dtype=np.complex128)
     tr_scm = np.trace(scm, axis1=-2, axis2=-1).real
     B = np.asarray(support_atoms, dtype=np.complex128)
-    if B.ndim == 1:
-        B = B[:, None]
-    k = B.shape[-1] if B.size else 0
+    k = B.shape[-1]
     if k >= n_sensors:
         raise ValueError(f"support size {k} must be smaller than n_sensors={n_sensors}")
     if k == 0:
@@ -556,7 +554,7 @@ def noise_mle(
 
 
 def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
-    """Closed-form (gamma_support, sigma2) fit on a fixed support.
+    """Closed-form (gamma_support, sigma2) fit on the N x j atoms of a fixed support.
 
     sigma2 is the projector-residual MLE of :func:`noise_mle`; the support
     powers are diag(B^+ (Shat - sigma2 I) B^+H) with negative entries
@@ -567,8 +565,6 @@ def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
     """
     scm = np.asarray(scm, dtype=np.complex128)
     B = np.asarray(support_atoms, dtype=np.complex128)
-    if B.ndim == 1:
-        B = B[:, None]
     Q, R = _qr_full_rank(B)
     sigma2 = noise_mle(scm, B, n_sensors, factor=(Q, R))
     pinv = np.linalg.solve(R, Q.conj().swapaxes(-1, -2))

@@ -117,8 +117,9 @@ def generate_snapshots(source_atoms, powers, rho, sigma2, n_snapshots, seed) -> 
     Parameters
     ----------
     source_atoms : ndarray, shape (n_sensors, n_sources)
-        Exact response vectors of the true sources (for off-grid
-        directions these are the exact steering vectors, not grid atoms).
+        Exact response vectors of the true sources, one column each (for
+        off-grid directions these are the exact steering vectors, not grid
+        atoms).
     powers : sequence of float
         Per-source signal powers.
     rho : float
@@ -131,8 +132,8 @@ def generate_snapshots(source_atoms, powers, rho, sigma2, n_snapshots, seed) -> 
         Seed (or generator) for the draw; a fixed seed reproduces Y bitwise.
     """
     atoms = np.asarray(source_atoms, dtype=np.complex128)
-    if atoms.ndim == 1:
-        atoms = atoms[:, None]
+    if atoms.ndim != 2:
+        raise ValueError("source_atoms must be an n_sensors x n_sources matrix")
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     if not sigma2 >= 0:
@@ -290,13 +291,6 @@ def per_metric(est_supports, true_supports) -> float:
     return hits / len(est)
 
 
-def _per_trial_pairs(est_list, truth):
-    truth = list(truth)
-    if len(truth) and np.ndim(truth[0]) == 0:
-        truth = [truth] * len(list(est_list))
-    return zip(est_list, truth)
-
-
 def _norm2(x: np.ndarray) -> float:
     """||x||^2 of a 1-D array: np.sum's pairwise sum of x**2, without its wrapper."""
     return float(np.add.reduce(x * x))
@@ -329,11 +323,11 @@ def doa_rmse(est_angles, true_angles) -> float:
 
     per-trial errors are Euclidean norms over the K sources (no 1/K
     normalization); estimates and truths are matched by ascending angle.
-    true_angles may be a single angle list (shared by all trials) or one
-    list per trial.
+    true_angles holds one angle list per trial, paired with est_angles trial
+    by trial; a different trial count raises ValueError.
     """
     errors2 = []
-    for est, true in _per_trial_pairs(est_angles, true_angles):
+    for est, true in zip(est_angles, true_angles, strict=True):
         e = np.sort(np.asarray(est, dtype=np.float64))
         t = np.sort(np.asarray(true, dtype=np.float64))
         if e.shape != t.shape:
@@ -345,9 +339,10 @@ def doa_rmse(est_angles, true_angles) -> float:
 
 
 def power_nmse(est_powers, true_powers) -> float:
-    """Root NMSE sqrt(mean_t ||p_hat - p||^2 / ||p||^2) over trials."""
+    """Root NMSE sqrt(mean_t ||p_hat - p||^2 / ||p||^2) over trials, one
+    true power list per trial (a different trial count raises ValueError)."""
     ratios2 = []
-    for est, true in _per_trial_pairs(est_powers, true_powers):
+    for est, true in zip(est_powers, true_powers, strict=True):
         e = np.asarray(est, dtype=np.float64)
         t = np.asarray(true, dtype=np.float64)
         if e.shape != t.shape:

@@ -331,6 +331,25 @@ def test_a_stack_holds_problems_over_one_dictionary():
     assert all(not p._solved for p in problems)
 
 
+@pytest.mark.parametrize("tag", STACKED_TAGS)
+def test_a_stack_of_one_problem_keeps_its_row(tag):
+    # a group of one, such as a one-SNR chunk, is solved once, by its stack
+    d, k, (Y,) = _snapshots(True, 8, (-5.5,))
+    spec = MethodSpec(tag)
+    problem = Problem(Y, d)
+    solve_stack(spec, [problem], d, k, True, 1.0, 40)
+    (kept,) = problem._solved.values()
+    assert solve_trial(spec, problem, d, k, True, 1.0, 40) is kept
+    assert not problem._solved
+    assert _outcome(spec, problem, d, k, True, 40) == _outcome(spec, Y, d, k, True, 40)
+
+
+def test_an_empty_stack_is_rejected():
+    d = ula_grid(6, 91)
+    with pytest.raises(ValueError, match="one or more problems"):
+        solve_stack(MethodSpec("cl-omp"), [], d, 2, True, 1.0)
+
+
 def test_a_kept_row_does_not_keep_its_problem_alive():
     # no reference cycle: a problem is freed as soon as its last user lets go,
     # with the rows a stacked solve kept on it

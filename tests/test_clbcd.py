@@ -41,6 +41,12 @@ class TestFpGammaUpdate:
         npt.assert_allclose(iaa_update(st, SCALAR_SCM), [4.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+def test_solver_config_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SolverConfig(tol=tol)
+
+
 class TestRelativeChange:
     def test_zero_iterate_counts_as_converged(self):
         assert relative_change(np.zeros(4), np.ones(4)) == 0.0

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from util import json_outputs
 
 import covlearn
 from covlearn import MethodSpec, ScenarioConfig, SolverConfig, cli, methods
-from covlearn.cli import SpecError, main, parse_spec, run_experiment
+from covlearn.cli import ExperimentSpec, SpecError, main, parse_spec, run_experiment
 
 ROOT = Path(__file__).parent.parent
 SHIPPED_CONFIGS = sorted((ROOT / "scripts").glob("*.cfg"))
@@ -178,6 +178,42 @@ class TestParseSpec:
         spec = parse_spec(write(tmp_path, MINI + "output_dir = out/bench\n"))
         assert spec.output_dir == "out/bench"
         assert parse_spec(write(tmp_path, MINI, "d.cfg")).output_dir == "results"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read config"),
+            (MINI + "tracing\n", r":11: expected 'key = value', got 'tracing'"),
+            (MINI + "rho =\n", r":11: key 'rho' has no value"),
+            (MINI + "emit = ,\n", r":11: key 'emit': empty list"),
+            (MINI.replace("l = 12\n", ""), r": missing required key 'l'"),
+            (MINI + "emit = csv, xml\n", r": key 'emit' entries must be in \('csv', 'json'\)"),
+        ],
+    )
+    def test_malformed_config_is_a_spec_error(self, tmp_path, text, message):
+        path = tmp_path if text is None else write(tmp_path, text)  # a directory is unreadable
+        with pytest.raises(SpecError, match=message):
+            parse_spec(path)
+
+    def test_unknown_kind_is_a_spec_error_naming_kind(self, tmp_path, capsys):
+        cfg = write(tmp_path, MINI.replace("gaussian-ssr", "nonsense"))
+        with pytest.raises(SpecError, match="kind must be one of"):
+            parse_spec(cfg)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "kind must be one of" in capsys.readouterr().err
+
+    def test_unset_optional_keys_take_the_dataclass_defaults(self, tmp_path):
+        text = "kind = gaussian-ssr\nn = 10\nm = 30\nl = 12\nk = 2\nsnr_db = 4\nmethods = somp\n"
+        spec = parse_spec(write(tmp_path, text))
+
+        def defaults(cls):
+            return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+        required = dict(kind="gaussian-ssr", n_sensors=10, n_atoms=30, n_snapshots=12, k=2,
+                        snr_db=(4.0,))
+        assert spec.scenario == ScenarioConfig(**required, **defaults(ScenarioConfig))
+        assert defaults(ExperimentSpec) == {"output_dir": spec.output_dir, "emit": spec.emit}
+        assert spec.emit == cli.EMIT_FORMATS
 
     def test_doa_spec_round_trip(self, tmp_path):
         spec = parse_spec(write(tmp_path, DOA + "methods = cl-omp\n"))

@@ -9,8 +9,10 @@ from covlearn import (
     Dictionary,
     MethodSpec,
     NumericError,
+    RankDeficientError,
     ScenarioConfig,
     gaussian_dictionary,
+    model,
     run_monte_carlo,
     scenario,
     solve_trial,
@@ -164,3 +166,74 @@ def test_iaa_fails_on_a_duplicated_atom_by_its_fixed_loading():
     Y, d = _duplicated_atom_case(0, 20.0, 6.0)
     with pytest.raises(NumericError, match="must be positive"):
         solve_trial(MethodSpec("iaa"), Y, d, 2, False, noise_var=1.0)
+
+
+def test_adjacent_atoms_of_the_fine_grid_are_full_rank():
+    """Coherent adjacent atoms are a valid support: on ula_grid(20, 1801)
+    cond([a_i, a_i+1]) runs from about 63 at broadside to 7.2e4 at endfire,
+    far below the 1e6 limit of the support refits."""
+    d = ula_grid(20, 1801)
+    pairs = np.stack([d.atoms[:, :-1], d.atoms[:, 1:]], axis=-1).swapaxes(0, 1)
+    s = np.linalg.svd(pairs, compute_uv=False)
+    cond = s[:, 0] / s[:, 1]
+    assert 60.0 < cond[900] < 70.0 and cond.max() < 1e5 < model._COND_LIMIT
+    model._qr_full_rank(pairs)  # the refits' rank check passes every pair
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sources_on_adjacent_fine_grid_atoms_give_supports(seed):
+    # two sources 0.1 deg apart on atoms 900 and 901, five snapshots
+    d = ula_grid(20, 1801)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    E = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
+    Y = 3.0 * d.take([900, 901]) @ X + E
+    for tag in GRID_TAGS:
+        res = solve_trial(MethodSpec(tag), Y, d, 2, True, noise_var=1.0, max_iter=40)
+        assert len(res.support) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(METHOD_TAGS),
+    n=st.integers(3, 10),
+    more_atoms=st.integers(0, 171),
+    snapshots=st.integers(1, 30),
+    snr_db=st.floats(-10.0, 25.0),
+    where=st.integers(0, 2**16),
+    max_iter=st.integers(1, 40),
+)
+def test_sources_on_adjacent_atoms_have_one_outcome(tag, n, more_atoms, snapshots, snr_db, where,
+                                                    max_iter):
+    """Two sources on adjacent atoms of a small steering grid: every method
+    returns an estimate or a failure the engine counts. cl-omp and cl-bcd
+    reach a rank-deficient support only through the grid's two ends, which
+    are one steering vector (+-90 deg), never through the adjacent pair."""
+    d = ula_grid(n, n + more_atoms)
+    i = where % (d.n_atoms - 1)
+    rng = np.random.default_rng(where)
+    X = rng.standard_normal((2, snapshots)) + 1j * rng.standard_normal((2, snapshots))
+    E = rng.standard_normal((n, snapshots)) + 1j * rng.standard_normal((n, snapshots))
+    Y = 10.0 ** (snr_db / 20.0) * d.take([i, i + 1]) @ X + E
+    repeats = []
+    check = model._qr_full_rank
+
+    def recording(B):
+        try:
+            return check(B)
+        except RankDeficientError:
+            cols = np.asarray(B).reshape(-1, *np.shape(B)[-2:])
+            repeats.append(any(np.allclose(b[:, p], b[:, q], rtol=0.0, atol=1e-12)
+                               for b in cols for p in range(b.shape[1]) for q in range(p)))
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_qr_full_rank", recording)
+        try:
+            solve_trial(MethodSpec(tag), Y, d, 1 if tag == "mle1" else 2, True, noise_var=1.0,
+                        max_iter=max_iter)
+        except RankDeficientError:
+            if tag in ("cl-omp", "cl-bcd"):
+                assert repeats and all(repeats)
+        except COUNTED:
+            pass

@@ -455,6 +455,25 @@ class TestSupportAtomForms:
         npt.assert_allclose(q, dense_atom_forms(d.atoms, np.eye(32)) / 2.0, rtol=1e-13)
         npt.assert_allclose(r, dense_atom_forms(d.atoms, scm) / 4.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_empty_support_is_the_closed_form_bit_for_bit(self, grid):
+        # cl-omp's first step evaluates its noise-only start through this call:
+        # q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2, stacked or single
+        rng = np.random.default_rng(17)
+        d = ula_grid(20, 1801) if grid else gaussian_dictionary(32, 256, rng)
+        n = d.n_sensors
+        X = rng.standard_normal((3, n, 25)) + 1j * rng.standard_normal((3, n, 25))
+        scm = np.array([sample_covariance(x) for x in X])
+        forms = atom_forms(d, scm[:, None])[:, 0]
+        sigma2 = np.array([np.trace(s).real / n for s in scm])
+        norms2 = np.sum(np.abs(d.atoms) ** 2, axis=0)
+        q, r, _ = support_atom_forms(d, scm, [[]] * 3, np.empty((3, 0)), sigma2, None, forms)
+        for i in range(3):
+            q_i, r_i = norms2 / sigma2[i], forms[i] / sigma2[i] ** 2
+            assert q[i].tobytes() == q_i.tobytes() and r[i].tobytes() == r_i.tobytes()
+            q1, r1, _ = support_atom_forms(d, scm[i], (), np.empty(0), sigma2[i])
+            assert q1.tobytes() == q_i.tobytes() and r1.tobytes() == r_i.tobytes()
+
     def test_rows_grown_one_atom_at_a_time(self):
         d, support, gamma_sub, sigma2, scm = _support_model("gaussian")
         rows = None
@@ -495,6 +514,22 @@ class TestSupportAtomForms:
             support_atom_forms(d, scm, support, -gamma_sub, sigma2)
         with pytest.raises(ValueError):
             support_atom_forms(d, scm, support, gamma_sub, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Dictionary(np.ones(3)), "dictionary must be a non-empty 2-D matrix"),
+        (lambda: Dictionary(np.ones((3, 0))), "dictionary must be a non-empty 2-D matrix"),
+        (lambda: Dictionary(np.array([[1.0, np.nan]])), "dictionary entries must be finite"),
+        (lambda: Dictionary(np.ones((2, 2)), norm_mode="x"), "unknown norm_mode 'x'"),
+        (lambda: build_covariance(ula_grid(6, 91), np.ones((2, 91)), np.ones(3)),
+         "a stack of powers needs one noise variance per row"),
+    ],
+)
+def test_outside_input_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestPseudoInverseApply:

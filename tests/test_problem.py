@@ -71,6 +71,31 @@ def test_problem_over_another_dictionary_rejected():
         solve_trial(MethodSpec("cl-bcd"), Problem(Y, d), twin, k, peak, 1.0)
 
 
+def _overflowing_problem():
+    # finite snapshots whose Y Y^H overflows; the overflow itself is not the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        Problem(np.full((6, 4), 1e200 + 0j), ula_grid(6, 91))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Problem(np.ones((5, 4), dtype=complex), ula_grid(6, 91)),
+         "sample covariance shape does not match the dictionary"),
+        (_overflowing_problem, "sample covariance entries must be finite"),
+        (lambda: Problem.of(np.eye(6, 8, dtype=complex), gaussian_dictionary(6, 4, 0), 5),
+         "sparsity k=5 exceeds the number of atoms 4"),
+        (lambda: methods.resolve_methods([]), "at least one method is required"),
+        (lambda: solve_trial(MethodSpec("mle1"), np.eye(6, 8, dtype=complex), ula_grid(6, 91),
+                             2, True, 1.0),
+         "mle1 handles exactly one source"),
+    ],
+)
+def test_outside_input_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_problem_arrays_are_read_only():
     d, Y, _, _, _ = _case("gaussian")
     problem = Problem(Y, d)

@@ -177,6 +177,14 @@ class TestMetrics:
         assert power_nmse([[0.0, 0.0]], [[2.0, 3.0]]) == 1.0
         assert power_nmse([[4.0, 6.0]], [[2.0, 3.0]]) == 1.0
 
+    @pytest.mark.parametrize("metric", [doa_rmse, power_nmse])
+    def test_trials_pair_strictly(self, metric):
+        # one truth per trial: an unpaired trial is an error, never dropped
+        with pytest.raises(ValueError, match="shorter"):
+            metric([[1.0], [2.0]], [[1.0]])
+        with pytest.raises(ValueError, match="longer"):
+            metric([[1.0]], [[1.0], [2.0]])
+
     @given(st.permutations(range(6)))
     @settings(max_examples=50)
     def test_metrics_permutation_invariant_over_trials(self, perm):
@@ -186,6 +194,38 @@ class TestMetrics:
         base = doa_rmse(est, true)
         shuffled = doa_rmse([est[i] for i in perm], [true[i] for i in perm])
         npt.assert_allclose(base, shuffled)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: grid_angles_deg(1), "grid needs at least two points"),
+        (lambda: generate_snapshots(np.ones(3), [1.0], 0.0, 1.0, 5, 0),
+         "source_atoms must be an n_sensors x n_sources matrix"),
+        (lambda: generate_snapshots(np.ones((3, 1)), [1.0], 0.0, 1.0, 0, 0),
+         "need at least one snapshot"),
+        (lambda: generate_snapshots(np.ones((3, 1)), [1.0], 0.0, -1.0, 5, 0),
+         "noise variance must be nonnegative"),
+        (lambda: ScenarioConfig("gaussian-ssr", 6, 20, 0, 2, (0.0,)),
+         "n_snapshots must be at least 1"),
+        (lambda: ScenarioConfig("gaussian-ssr", 6, 20, 5, 2, ()),
+         "snr_db must be a non-empty list of finite values"),
+        (lambda: ScenarioConfig("gaussian-ssr", 6, 20, 5, 2, (0.0, np.inf)),
+         "snr_db must be a non-empty list of finite values"),
+        (lambda: ScenarioConfig("ula-doa", 6, 20, 5, 2, (0.0,), true_doas_deg=(1.0,)),
+         "true_doas_deg must have k=2 entries"),
+        (lambda: MetricsRecord("iaa", 0.0, 1, rmse_theta_deg=np.nan),
+         "rmse_theta_deg must be finite when present"),
+        (lambda: MetricsRecord("iaa", 0.0, 1, per=1.5), r"per must lie in \[0, 1\]"),
+        (lambda: per_metric([], []), "need matching, non-empty per-trial support lists"),
+        (lambda: doa_rmse([], []), "no trials supplied"),
+        (lambda: power_nmse([], []), "no trials supplied"),
+        (lambda: power_nmse([[1.0, 2.0]], [[0.0, 0.0]]), "true powers must not all be zero"),
+    ],
+)
+def test_outside_input_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestScenarioConfig:

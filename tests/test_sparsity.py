@@ -45,6 +45,11 @@ class TestHardThresholdElements:
         with pytest.raises(ValueError):
             hard_threshold([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("peak", [False, True])
+    def test_rejects_a_matrix(self, peak):
+        with pytest.raises(ValueError, match="power vector must be 1-D"):
+            hard_threshold(np.ones((2, 3)), 1, peak=peak)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("peak", [False, True])
     def test_rejects_non_finite_entries(self, bad, peak):
