@@ -256,7 +256,8 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     """
     Y = Problem.of(Y, dictionary, k).Y
     A = dictionary.atoms
-    A_h = A.conj().T  # one conjugated copy for every step
+    # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once
+    A_h = (A.conj() if dictionary._atoms_conj is None else dictionary._atoms_conj).T
     norms = np.sqrt(dictionary._norms2)
 
     chosen: list[int] = []

@@ -9,8 +9,9 @@ power iterates stop moving in relative sup-norm.
 
 Problems over one dictionary can be solved as one stack: :func:`iterate`
 runs every row together and drops each row once it has converged, and
-:meth:`Problem.solve_together` keeps each row on its problem until that
-problem's solve asks for it, each row with the bits it gets alone.
+:func:`covlearn.methods.solve_stack` keeps each row on its problem until
+that problem's :meth:`Problem.solve` asks for it, each row with the bits
+it gets alone.
 """
 
 from __future__ import annotations
@@ -184,32 +185,13 @@ class Problem:
         return powers
 
     def solve(self, solve_stack, *args):
-        """This problem's result of ``solve_stack``: the row a
-        :meth:`solve_together` of the same ``(solve_stack, *args)`` kept for
-        it, which it reads once, else ``solve_stack([self], *args)[0]``.
+        """This problem's result of ``solve_stack``: the row a stacked solve
+        of the same ``(solve_stack, *args)`` kept for it (see
+        :func:`covlearn.methods.solve_stack`), which it reads once, else
+        ``solve_stack([self], *args)[0]``.
         """
         result = self._solved.pop((solve_stack, *args), None)
         return solve_stack([self], *args)[0] if result is None else result
-
-    @staticmethod
-    def solve_together(problems, solve_stack, *args) -> None:
-        """Solve ``problems``, one or more over one dictionary object (else
-        ValueError), as one stack and keep each one's row, a lone problem's
-        too, for its :meth:`solve` of the same ``(solve_stack, *args)``,
-        which names what ``solve_stack(problems, *args)`` computes, so the
-        arguments must be hashable. A stack that raises a counted error
-        (ArithmeticError, LinAlgError, ValueError) keeps nothing: each
-        problem then gets the result or the exception class of its lone solve.
-        """
-        if len({id(p.dictionary) for p in problems}) != 1:
-            raise ValueError("a stack holds one or more problems over one dictionary")
-        try:
-            results = solve_stack(problems, *args)
-        except _COUNTED:
-            return
-        key = (solve_stack, *args)
-        for problem, result in zip(problems, results):
-            problem._solved[key] = result
 
 
 def _noise_refits(problems, supports) -> np.ndarray:

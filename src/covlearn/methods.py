@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, clbcd, clomp
-from .clbcd import Problem, SolverConfig, SolverResult
+from .clbcd import _COUNTED, Problem, SolverConfig, SolverResult
 from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle
 from .scenario import steering_matrix
 
@@ -164,14 +164,25 @@ def solve_stack(
     noise_var: float,
     max_iter: int = SolverConfig.max_iter,
 ) -> None:
-    """Solve ``problems``, a list of one or more Problems over ``dictionary``,
-    as one stack of spec's method, and keep each row on its Problem for the
-    next :func:`solve_trial` of it with the same arguments: the result it
-    gets alone. Only cl-omp, cl-bcd, iaa, samv2, sbl, sbl1, msbl and music stack
-    (see :meth:`~covlearn.clbcd.Problem.solve_together`).
+    """Solve ``problems``, a list of one or more Problems over ``dictionary``
+    (else ValueError), as one stack of spec's method, and keep each row on
+    its Problem for the next :func:`solve_trial` of it with the same
+    arguments: the result it gets alone. Only cl-omp, cl-bcd, iaa, samv2,
+    sbl, sbl1, msbl and music stack. A stack that raises a counted error
+    (ArithmeticError, LinAlgError, ValueError) keeps nothing: each Problem
+    then gets the result or the exception class of its lone solve.
     """
-    stack = _METHODS[spec.tag][1]
     problems = [Problem.of(p, dictionary, k) for p in problems]
-    if stack is not None:
-        config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
-        Problem.solve_together(problems, *stack(k, config))
+    if not problems:
+        raise ValueError("a stack holds one or more problems")
+    stack = _METHODS[spec.tag][1]
+    if stack is None:
+        return
+    # the key names what solve(problems, *args) computes, so args are hashable
+    solve, *args = key = stack(k, SolverConfig(max_iter, peak=peak, known_sigma2=noise_var))
+    try:
+        results = solve(problems, *args)
+    except _COUNTED:
+        return
+    for problem, result in zip(problems, results):
+        problem._solved[key] = result

@@ -398,13 +398,16 @@ _FAILED = _TrialCell(ok=False)
 class _ChunkConstants:
     """What every trial of a run shares, per SNR in snr_db order: the source
     powers and the Cholesky factors of their covariance, stacked (S, k, k).
-    On "ula-doa" also the true steering atoms, the grid angles and the
-    cells' truths, which no draw changes; on "gaussian-ssr" those three are
-    None, and each trial's truths follow its drawn support.
+    On "ula-doa" also the steering grid, the true steering atoms, the grid
+    angles and the cells' truths, which no draw changes, so every trial of
+    a chunk draws over one grid object; on "gaussian-ssr" those four are
+    None: each trial draws its own dictionary, and its truths follow its
+    drawn support.
     """
 
     powers: tuple
     chols: np.ndarray
+    grid: Dictionary | None = None
     src_atoms: np.ndarray | None = None
     grid_deg: np.ndarray | None = None
     truths: tuple | None = None
@@ -422,16 +425,17 @@ def _chunk_constants(config: ScenarioConfig) -> _ChunkConstants:
     theta = np.asarray(doas)[order]
     support = frozenset(int(np.argmin(np.abs(grid_deg - th))) for th in doas)
     truths = tuple(_Truth(support, p[order], theta) for p in powers)
-    return _ChunkConstants(powers, chols, steering_matrix(config.n_sensors, doas), grid_deg, truths)
+    return _ChunkConstants(powers, chols, ula_grid(config.n_sensors, config.n_atoms),
+                           steering_matrix(config.n_sensors, doas), grid_deg, truths)
 
 
 def _draw_trial(config: ScenarioConfig, constants: _ChunkConstants, t: int):
     """The dictionary of trial t and one (Y, truth) per SNR, in snr_db order.
 
     The (config.seed, t) generator draws the dictionary and the support
-    ("gaussian-ssr" only), then the unit-power source waveforms and the
-    noise, which every SNR's Cholesky factor in ``constants`` rescales, so
-    a sweep is smooth in the SNR.
+    ("gaussian-ssr" only; on "ula-doa" the dictionary is ``constants.grid``),
+    then the unit-power source waveforms and the noise, which every SNR's
+    Cholesky factor in ``constants`` rescales, so a sweep is smooth in the SNR.
     """
     n, m, k, L = config.n_sensors, config.n_atoms, config.k, config.n_snapshots
     rng = np.random.default_rng((config.seed, t))
@@ -446,7 +450,7 @@ def _draw_trial(config: ScenarioConfig, constants: _ChunkConstants, t: int):
             gamma[support] = powers
             truths.append(_Truth(true_support, gamma))
     else:
-        dictionary = ula_grid(n, m)
+        dictionary = constants.grid
         src_atoms = constants.src_atoms
         truths = constants.truths
     waveforms = _complex_gaussian(rng, (k, L))
@@ -496,22 +500,25 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
     """The cells {(method index, SNR index): _TrialCell} of each trial of
     ``trials``, in that order.
 
-    Every trial is drawn and its valid Problems are built first, each with
-    its per-atom forms and matched filter outside every method's clock, and
-    grouped by dictionary. Each method then solves every group as one stack
-    (:func:`~covlearn.methods.solve_stack`), whose thread time is booked
-    evenly across the group's cells, before each cell's solve reads its row.
-    Snapshots that give no valid Problem fail every method of their cell; a
-    solve that raises a counted exception fails its cell.
+    Every trial is drawn over the chunk's one dictionary, and every valid
+    Problem of the chunk is built first, each with its per-atom forms and
+    matched filter outside every method's clock. Each method then solves
+    all of them as one stack (:func:`~covlearn.methods.solve_stack`), whose
+    thread time is booked evenly across the Problems, and scores its cells,
+    each solve reading its row. Snapshots that give no valid Problem fail
+    every method of their cell, and a chunk with no valid Problem solves no
+    stack; a solve that raises a counted exception fails its cell. A second
+    dictionary in a chunk is a programming error: solve_stack's ValueError
+    propagates.
     """
     # looked up per call, so a patched module attribute runs
     from .methods import solve_stack, solve_trial
 
     constants = _chunk_constants(config)
-    groups, chunk = {}, []  # groups: id(dictionary) -> (dictionary, its valid Problems)
+    cells_by_trial, cases = [], []  # cases: (cells, SNR index, Problem, truth) of each valid cell
     for t in trials:
         dictionary, draws = _draw_trial(config, constants, t)
-        cells, problems = {}, {}
+        cells = {}
         for si, (Y, truth) in enumerate(draws):
             try:
                 problem = Problem(Y, dictionary)
@@ -519,31 +526,26 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
             except _COUNTED:
                 cells.update(((mi, si), _FAILED) for mi in range(len(specs)))
                 continue
-            problems[si] = (problem, truth)
-            groups.setdefault(id(dictionary), (dictionary, []))[1].append(problem)
-        chunk.append((dictionary, cells, problems))
-    shares = {}  # (id(dictionary), method index) -> CPU time of the stack per row
-    for dictionary, group in groups.values():
-        for mi, spec in enumerate(specs):
+            cases.append((cells, si, problem, truth))
+        cells_by_trial.append(cells)
+    problems = [problem for _, _, problem, _ in cases]
+    args = (dictionary, config.k, config.peak, config.noise_var, config.max_iter)
+    for mi, spec in enumerate(specs if problems else ()):
+        # CPU time of this thread: wall time in a pool thread would also
+        # count the other workers it waits behind
+        t0 = time.thread_time()
+        solve_stack(spec, problems, *args)
+        share = (time.thread_time() - t0) / len(problems)
+        for cells, si, problem, truth in cases:
             t0 = time.thread_time()
-            solve_stack(spec, group, dictionary, config.k, config.peak, config.noise_var,
-                        config.max_iter)
-            shares[id(dictionary), mi] = (time.thread_time() - t0) / len(group)
-    for dictionary, cells, problems in chunk:
-        for si, (problem, truth) in problems.items():
-            for mi, spec in enumerate(specs):
-                # CPU time of this thread: wall time in a pool thread would
-                # also count the other workers it waits behind
-                t0 = time.thread_time()
-                try:
-                    outcome = solve_trial(spec, problem, dictionary, config.k, config.peak,
-                                          config.noise_var, config.max_iter)
-                except _COUNTED:
-                    cells[(mi, si)] = _FAILED
-                    continue
-                runtime_s = shares[id(dictionary), mi] + (time.thread_time() - t0)
-                cells[(mi, si)] = _score(outcome, truth, constants.grid_deg, runtime_s)
-    return [cells for _, cells, _ in chunk]
+            try:
+                outcome = solve_trial(spec, problem, *args)
+            except _COUNTED:
+                cells[(mi, si)] = _FAILED
+                continue
+            runtime_s = share + (time.thread_time() - t0)
+            cells[(mi, si)] = _score(outcome, truth, constants.grid_deg, runtime_s)
+    return cells_by_trial
 
 
 def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
@@ -556,8 +558,6 @@ def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
             hits = [c.per_hit for c in good if c.per_hit is not None]
             errs2 = [c.theta_err2 for c in good if c.theta_err2 is not None]
             ratios2 = [c.nmse_ratio2 for c in good if c.nmse_ratio2 is not None]
-            iters = [c.iterations for c in good if c.iterations is not None]
-            times = [c.runtime_s for c in good if c.runtime_s is not None]
             records.append(
                 MetricsRecord(
                     method=spec.tag,
@@ -566,8 +566,8 @@ def _aggregate(config: ScenarioConfig, specs: tuple, cells_by_trial) -> list:
                     per=(sum(hits) / len(hits)) if hits else None,
                     rmse_theta_deg=_rms(errs2) if errs2 else None,
                     nmse_gamma=_rms(ratios2) if ratios2 else None,
-                    mean_iters=_mean(iters) if iters else None,
-                    mean_runtime_s=_mean(times) if times else None,
+                    mean_iters=_mean([c.iterations for c in good]) if good else None,
+                    mean_runtime_s=_mean([c.runtime_s for c in good]) if good else None,
                     failures=len(cells_by_trial) - len(good),
                 )
             )
@@ -591,8 +591,8 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     "ula-doa", whose trials share one steering grid, max(1, 12 // len(snr_db))
     trials; on "gaussian-ssr", whose trials each draw their own dictionary,
     one trial. Each stacking method (cl-omp, cl-bcd, iaa, samv2, sbl, sbl1,
-    msbl and music) solves a chunk's Problems over one dictionary as one
-    stack, and each cell's runtime carries an even share of its stack.
+    msbl and music) solves a chunk's Problems, which share one dictionary,
+    as one stack, and each cell's runtime carries an even share of its stack.
     A solve that raises a numerical error (ArithmeticError, LinAlgError or
     ValueError) is counted as a failure of its cell, and a Problem that
     cannot be built (non-finite snapshots, no energy) as one failure of

@@ -14,6 +14,7 @@ engine stacks and books each chunk's cells as it says.
 import csv
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +265,56 @@ def test_the_engine_solves_a_chunk_of_trials_as_one_stack(monkeypatch):
     assert stack_sizes == [3] * 9
 
 
+def test_a_chunk_stacks_over_one_grid_whatever_the_grid_memo_returns(monkeypatch):
+    # a chunk looks the steering grid up once, so a grid built afresh on
+    # every lookup still stacks the chunk's trials together, with the
+    # records of the memoised grid
+    tags = ["cl-omp", "cl-bcd", "iaa", "music"]
+    cfg = ScenarioConfig(
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=5
+    )
+    cached = [replace(r, mean_runtime_s=None) for r in run_monte_carlo(cfg, tags)]
+    stack_sizes = _count_stacks(monkeypatch)
+    monkeypatch.setattr(scenario, "ula_grid", scenario.ula_grid.__wrapped__)
+    records = run_monte_carlo(cfg, tags)
+    assert stack_sizes == [12] * 4 + [3] * 4
+    assert [replace(r, mean_runtime_s=None) for r in records] == cached
+
+
+def test_a_second_dictionary_in_a_chunk_is_a_programming_error(monkeypatch):
+    # not a counted failure: the run stops
+    draw = scenario._draw_trial
+
+    def redrawn(config, constants, t):
+        dictionary, draws = draw(config, constants, t)
+        return Dictionary(dictionary.atoms), draws
+
+    monkeypatch.setattr(scenario, "_draw_trial", redrawn)
+    cfg = ScenarioConfig(
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=2
+    )
+    with pytest.raises(ValueError, match="another dictionary"):
+        run_monte_carlo(cfg, ["cl-bcd"])
+
+
+def test_each_cell_finds_only_its_own_methods_row(monkeypatch):
+    # the engine solves and scores a chunk method by method, so a Problem
+    # holds at most one kept row when a cell's solve reads it
+    solve = methods.solve_trial
+    kept = []
+
+    def counting(spec, problem, *args):
+        kept.append(len(problem._solved))
+        return solve(spec, problem, *args)
+
+    monkeypatch.setattr(methods, "solve_trial", counting)
+    cfg = ScenarioConfig(
+        "ula-doa", 8, 181, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=(-20.0, 30.0), trials=5
+    )
+    assert all(r.failures == 0 for r in run_monte_carlo(cfg, ["cl-omp", "cl-bcd", "iaa", "music"]))
+    assert len(kept) == 4 * 5 * 3 and set(kept) == {1}
+
+
 @pytest.mark.parametrize("kind", ["ula-doa", "gaussian-ssr"])
 def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind):
     # every cell of a healthy chunk reads the row its stack kept: no size-1
@@ -324,8 +375,6 @@ def test_a_stack_holds_problems_over_one_dictionary():
     Y = np.random.default_rng(5).standard_normal((6, 10)).astype(complex)
     grid, other = ula_grid(6, 91), gaussian_dictionary(6, 91, 1)
     problems = [Problem(Y, grid), Problem(Y, other)]
-    with pytest.raises(ValueError, match="one dictionary"):
-        Problem.solve_together(problems, clomp._clomp, 2)
     with pytest.raises(ValueError, match="another dictionary"):
         solve_stack(MethodSpec("cl-omp"), problems, grid, 2, True, 1.0)
     assert all(not p._solved for p in problems)
@@ -344,10 +393,12 @@ def test_a_stack_of_one_problem_keeps_its_row(tag):
     assert _outcome(spec, problem, d, k, True, 40) == _outcome(spec, Y, d, k, True, 40)
 
 
-def test_an_empty_stack_is_rejected():
+@pytest.mark.parametrize("tag", methods.METHOD_TAGS)
+def test_an_empty_stack_is_rejected(tag):
+    # also by the methods that do not stack
     d = ula_grid(6, 91)
     with pytest.raises(ValueError, match="one or more problems"):
-        solve_stack(MethodSpec("cl-omp"), [], d, 2, True, 1.0)
+        solve_stack(MethodSpec(tag), [], d, 2, True, 1.0)
 
 
 def test_a_kept_row_does_not_keep_its_problem_alive():
