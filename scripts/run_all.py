@@ -5,21 +5,20 @@ Usage:
     python scripts/run_all.py [--trials N] [--threads N] [--configs a.cfg b.cfg]
 
 Full-scale sweeps (trials = 500) take a while; pass --trials 50 for a
-quick look. Results land in each config's output_dir.
-
-The default is 4 engine threads, so pin BLAS to one thread, as in
-
-    OPENBLAS_NUM_THREADS=1 python scripts/run_all.py --trials 50
-
-(OMP_NUM_THREADS or MKL_NUM_THREADS for other BLAS builds): with more than
-one engine thread, unpinned BLAS threads oversubscribe the cores and the
-run takes longer than a serial one.
+quick look. Results land in each config's output_dir. The default is 4
+engine threads, and BLAS runs on one thread.
 """
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread per engine thread: unpinned BLAS threads oversubscribe the
+# cores, and a threaded run takes longer than a serial one
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # before covlearn, and with it numpy, is imported
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))

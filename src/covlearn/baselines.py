@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clbcd import (
-    Problem,
-    SolverConfig,
-    SolverResult,
-    _noise_refits,
-    _stack_results,
-    iaa_update,
-    iterate,
-)
+from .clbcd import Problem, SolverConfig, SolverResult, _solve_power, iterate
 from .model import (
     CovarianceState,
     Dictionary,
@@ -90,18 +82,11 @@ def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
 # full iterative runners
 # ---------------------------------------------------------------------------
 
-# Each runner takes Y as an N x L snapshot matrix or as a clbcd.Problem over
-# the same dictionary, which the methods of one Monte-Carlo cell share. All
-# but cwo read the row a stacked solve kept on a Problem, if any
-# (clbcd.Problem.solve): their steps act elementwise or row by row, so a
-# stack of rows iterates as one. cwo's sweep is sequential over the atoms
-# and runs one row.
-
-
-def _stack(problems):
-    """The stacked sample covariances of problems and each one's tr(Shat)."""
-    scm = np.array([p.scm for p in problems])
-    return scm, np.array([np.trace(p.scm).real for p in problems])
+# iaa, samv2, sbl (and sbl1) and msbl are rule pairs of clbcd's one stacked
+# power iteration (clbcd._POWER_RULES). Each runner takes Y as an N x L
+# snapshot matrix or as a clbcd.Problem over the same dictionary, which reads
+# the row a stacked solve kept for it, if any (clbcd.Problem.solve). cwo's
+# sweep is sequential over the atoms and runs one row.
 
 
 def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
@@ -118,51 +103,12 @@ def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = Non
     the solve raises :class:`NumericError`, a counted failure. The loading
     stays fixed because every recorded IAA output depends on it.
     """
-    return Problem.of(Y, dictionary, k).solve(_iaa, k, config or SolverConfig())
-
-
-def _iaa(problems, k: int, config: SolverConfig) -> list:
-    scm, tr = _stack(problems)
-    loading = 1e-12 * tr / problems[0].dictionary.n_sensors
-    gamma, _, iterations, converged = iterate(
-        problems[0].dictionary,
-        lambda state, rows: (iaa_update(state, scm[rows]), loading[rows]),
-        np.array([p.matched_filter for p in problems]),
-        loading,
-        config.max_iter,
-        config.tol,
-    )
-    supports = [hard_threshold(g, k, config.peak) for g in gamma]
-    sigma2 = _noise_refits(problems, supports)
-    return _stack_results(supports, gamma, sigma2, iterations, converged)
-
-
-def _ratio_method(problems, k: int, config: SolverConfig, noise_rule: str, b: float) -> list:
-    scm, tr = _stack(problems)
-    n = problems[0].dictionary.n_sensors
-    noise_floor = _noise_floor(tr, n)
-
-    def step(state, rows):
-        gamma = ratio_update(state, scm[rows], b)
-        if noise_rule == "samv2":
-            return gamma, np.maximum(samv2_noise_update(state, scm[rows]), noise_floor[rows])
-        supports = [hard_threshold(g, k, config.peak) for g in gamma]
-        return gamma, _noise_refits([problems[i] for i in rows], supports)
-
-    out = iterate(
-        problems[0].dictionary,
-        step,
-        np.array([p.matched_filter for p in problems]),
-        tr / n,
-        config.max_iter,
-        config.tol,
-    )
-    return _stack_results([hard_threshold(g, k, config.peak) for g in out[0]], *out)
+    return _solve_power("iaa", Y, dictionary, k, config or SolverConfig())
 
 
 def run_samv2(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
     """Power-ratio update (b=1) paired with the trace-ratio noise rule."""
-    return Problem.of(Y, dictionary, k).solve(_ratio_method, k, config or SolverConfig(), "samv2", 1.0)
+    return _solve_power("samv2", Y, dictionary, k, config or SolverConfig())
 
 
 def run_sbl(
@@ -171,9 +117,11 @@ def run_sbl(
     """Power-ratio update with exponent b paired with the support-projector noise refit.
 
     b = 1 gives the standard variant and b = 1/2 the square-root flavor
-    (the ``sbl1`` tag); :func:`ratio_update` rejects any other exponent.
+    (the ``sbl1`` tag); any other exponent raises ValueError.
     """
-    return Problem.of(Y, dictionary, k).solve(_ratio_method, k, config or SolverConfig(), "support", b)
+    if b not in (0.5, 1.0):
+        raise ValueError("ratio exponent b must be 1/2 or 1")
+    return _solve_power("sbl" if b == 1.0 else "sbl1", Y, dictionary, k, config or SolverConfig())
 
 
 def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
@@ -184,21 +132,7 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverR
     """
     if config.known_sigma2 is None:
         raise ValueError("msbl requires a known_sigma2")
-    return Problem.of(Y, dictionary, k).solve(_msbl, k, config)
-
-
-def _msbl(problems, k: int, config: SolverConfig) -> list:
-    scm = _stack(problems)[0]
-    sigma2 = np.full(len(problems), float(config.known_sigma2))
-    out = iterate(
-        problems[0].dictionary,
-        lambda state, rows: (msbl_update(state, scm[rows]), sigma2[rows]),
-        np.array([p.matched_filter for p in problems]),
-        sigma2,
-        config.max_iter,
-        config.tol,
-    )
-    return _stack_results([hard_threshold(g, k, config.peak) for g in out[0]], *out)
+    return _solve_power("msbl", Y, dictionary, k, config)
 
 
 def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
@@ -290,14 +224,13 @@ def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
 def _music(problems, k: int) -> list:
     grid = problems[0].dictionary
     n = grid.n_sensors
-    scm, tr = _stack(problems)
-    evals, vecs = np.linalg.eigh(scm)
+    evals, vecs = np.linalg.eigh(np.array([p.scm for p in problems]))
     noise_basis = vecs[..., : n - k]
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().swapaxes(-1, -2))[:, None])[:, 0]
     results = []
-    for p, e, t in zip(proj, evals, tr):
+    for problem, p, e in zip(problems, proj, evals):
         support = hard_threshold(1.0 / np.maximum(p, 1e-300), k, peak=True)
-        sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(t, n))
+        sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(np.trace(problem.scm).real, n))
         results.append(SolverResult(support, None, sigma2, iterations=1, converged=True))
     return results
 

@@ -5,7 +5,9 @@ cl-bcd starts from the noise-only model and alternates IAA's power
 recursion gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2 over
 all atoms (against the inverse covariance of the previous iterate) with the
 closed-form noise-variance refit on the current top-K support, until the
-power iterates stop moving in relative sup-norm.
+power iterates stop moving in relative sup-norm. iaa, samv2, sbl, sbl1 and
+msbl run the same power iteration with their own (power rule, noise rule)
+pair, which :data:`_POWER_RULES` names.
 
 Problems over one dictionary can be solved as one stack: :func:`iterate`
 runs every row together and drops each row once it has converged, and
@@ -25,6 +27,7 @@ from .model import (
     CovarianceState,
     Dictionary,
     NumericError,
+    _noise_floor,
     atom_forms,
     atom_quadratic_forms,
     build_covariance,
@@ -54,7 +57,7 @@ class SolverConfig:
     less than tol in relative sup-norm. peak selects top-K local peaks
     instead of top-K entries for the reported support. known_sigma2
     supplies the noise variance to the methods that do not estimate it
-    (M-SBL, CWO); when given it must be positive.
+    (M-SBL, CWO); when given it must be positive and finite.
     """
 
     max_iter: int = 500
@@ -67,8 +70,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.known_sigma2 is not None and not self.known_sigma2 > 0:
-            raise ValueError("known_sigma2 must be positive")
+        if self.known_sigma2 is not None and not 0 < self.known_sigma2 < np.inf:
+            raise ValueError(f"known_sigma2={self.known_sigma2} must be positive and finite")
 
 
 ClBcdConfig = SolverConfig  # a second name, kept for the callers that use it
@@ -274,55 +277,89 @@ def iterate(dictionary: Dictionary, step, gamma0, sigma2_0, max_iter: int, tol: 
     return gamma, sigma2, iterations, converged
 
 
-def _stack_results(supports, gamma, sigma2, iterations, converged) -> list:
-    """One :class:`SolverResult` per row of a stacked solve's outputs."""
-    return [
-        SolverResult(support, g, float(s2), int(it), bool(c))
-        for support, g, s2, it, c in zip(supports, gamma, sigma2, iterations, converged)
-    ]
-
-
 def run_clbcd(
-    Y: np.ndarray,
-    dictionary: Dictionary,
-    k: int,
-    config: SolverConfig | None = None,
+    Y: np.ndarray, dictionary: Dictionary, k: int, config: SolverConfig | None = None
 ) -> SolverResult:
     """Recover a K-sparse power vector and its support from snapshots Y
     (an N x L matrix or a :class:`Problem` over ``dictionary``).
 
     A Problem reads the row a stacked solve kept for it, if any (see
     :meth:`Problem.solve`); the result is the one it gets alone."""
-    return Problem.of(Y, dictionary, k).solve(_clbcd, k, config or SolverConfig())
+    return _solve_power("cl-bcd", Y, dictionary, k, config or SolverConfig())
 
 
-def _clbcd(problems, k: int, config: SolverConfig):
-    """cl-bcd on a stack of problems over one dictionary, one result per problem."""
-    # Iteration 1, in closed form: from the noise-only start Theta = I / s2
-    # (gamma = 0), q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i / s2^2, so
-    # the power step r_i / q_i^2 is the matched filter for any s2. It stops
-    # as :func:`iterate` would against the zero start.
+# tag -> (power rule, noise rule, ratio exponent b) of :func:`_power_iteration`.
+# Power rules: "iaa" iaa_update, "ratio" baselines.ratio_update, "msbl" baselines.msbl_update.
+# Noise rules: "refit" on each step's top-K support, "samv2" baselines.samv2_noise_update
+# floored, "loading" IAA's fixed 1e-12 tr(Shat)/N, "known" the config's known_sigma2.
+_POWER_RULES = {
+    "cl-bcd": ("iaa", "refit", None),
+    "iaa": ("iaa", "loading", None),
+    "samv2": ("ratio", "samv2", 1.0),
+    "sbl": ("ratio", "refit", 1.0),
+    "sbl1": ("ratio", "refit", 0.5),
+    "msbl": ("msbl", "known", None),
+}
+
+
+def _solve_power(tag: str, Y, dictionary: Dictionary, k: int, config: SolverConfig):
+    """``tag``'s power iteration on Y, or the row a stacked solve kept for it."""
+    return Problem.of(Y, dictionary, k).solve(_power_iteration, tag, k, config)
+
+
+def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
+    """``tag``'s power iteration on a stack of problems over one dictionary,
+    one result per problem: from the matched filter, each step applies the
+    tag's rules (:data:`_POWER_RULES`) against the previous iterate's model.
+    The reported support is the top-K of the final powers, and the reported
+    sigma2 the refit on it for the "refit" and "loading" noise rules.
+    """
+    from . import baselines  # which imports this module; the rules are looked up per call
+
+    power, noise, b = _POWER_RULES[tag]
+    update = {"iaa": iaa_update, "msbl": baselines.msbl_update,
+              "ratio": lambda state, scm: baselines.ratio_update(state, scm, b)}[power]
+    dictionary = problems[0].dictionary
+    n = dictionary.n_sensors
+    scm = np.array([p.scm for p in problems])
+    tr = np.array([np.trace(p.scm).real for p in problems])
     gamma = np.array([p.matched_filter for p in problems])
-    supports = [hard_threshold(g, k, config.peak) for g in gamma]
-    sigma2 = _noise_refits(problems, supports)
-    iterations = np.ones(len(problems), dtype=int)
-    converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
-    live = np.flatnonzero(~converged) if config.max_iter > 1 else []
+    if noise == "known":
+        sigma2 = np.full(len(problems), float(config.known_sigma2))
+    else:
+        sigma2 = (1e-12 * tr if noise == "loading" else tr) / n
+    first = 0
+    converged = np.zeros(len(problems), dtype=bool)
+    if (power, noise) == ("iaa", "refit"):
+        # cl-bcd's iteration 1, in closed form: from the noise-only start
+        # Theta = I / s2 (gamma = 0), q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i
+        # / s2^2, so the power step r_i / q_i^2 is the matched filter for any
+        # s2. It stops as :func:`iterate` would against the zero start.
+        first = 1
+        sigma2 = _noise_refits(problems, [hard_threshold(g, k, config.peak) for g in gamma])
+        converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
+    iterations = np.full(len(problems), first)
+    live = np.flatnonzero(~converged)
+
+    def step(state, rows):
+        running = live[rows]
+        powers = update(state, scm[running])
+        if noise == "refit":
+            supports = [hard_threshold(g, k, config.peak) for g in powers]
+            return powers, _noise_refits([problems[i] for i in running], supports)
+        if noise == "samv2":
+            floor = _noise_floor(tr[running], n)
+            return powers, np.maximum(baselines.samv2_noise_update(state, scm[running]), floor)
+        return powers, sigma2[running]
+
     if len(live):
-        scm = np.array([problems[i].scm for i in live])
-
-        def step(state, rows):
-            gamma = iaa_update(state, scm[rows])
-            running = live[rows]
-            for g, i in zip(gamma, running):
-                supports[i] = hard_threshold(g, k, config.peak)
-            refits = _noise_refits([problems[i] for i in running], [supports[i] for i in running])
-            return gamma, refits
-
-        # the last step's support is the support of the returned powers
-        out = iterate(
-            problems[0].dictionary, step, gamma[live], sigma2[live], config.max_iter - 1, config.tol
-        )
+        out = iterate(dictionary, step, gamma[live], sigma2[live], config.max_iter - first, config.tol)
         gamma[live], sigma2[live], iterations[live], converged[live] = out
-        iterations[live] += 1
-    return _stack_results(supports, gamma, sigma2, iterations, converged)
+        iterations[live] += first
+    supports = [hard_threshold(g, k, config.peak) for g in gamma]
+    if noise in ("refit", "loading"):
+        sigma2 = _noise_refits(problems, supports)
+    return [
+        SolverResult(support, g, float(s2), int(it), bool(c))
+        for support, g, s2, it, c in zip(supports, gamma, sigma2, iterations, converged)
+    ]

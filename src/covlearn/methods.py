@@ -102,25 +102,24 @@ def _mle1(problem: Problem, dictionary: Dictionary, k: int, config: SolverConfig
     return SolverResult(None, None, sigma2, 1, True, theta_deg=(theta,), powers=gamma_src)
 
 
+def _power(tag: str):
+    """The stack of ``tag``'s power iteration, whose rules clbcd._POWER_RULES names."""
+    return lambda k, c: (clbcd._power_iteration, tag, k, c)
+
+
 # tag -> (run(problem, dictionary, k, config) -> SolverResult, stack(k, config)
 # -> the (solve_stack, *args) that run passes to Problem.solve, or None for a
 # method that does not stack). Both look their functions up per call, so a
 # patched module attribute is the one that runs.
 _METHODS = {
-    "cl-bcd": (lambda p, d, k, c: clbcd.run_clbcd(p, d, k, c),
-               lambda k, c: (clbcd._clbcd, k, c)),
+    "cl-bcd": (lambda p, d, k, c: clbcd.run_clbcd(p, d, k, c), _power("cl-bcd")),
     "cl-omp": (lambda p, d, k, c: clomp.run_clomp(p, d, k),
                lambda k, c: (clomp._clomp, k)),
-    "iaa": (lambda p, d, k, c: baselines.run_iaa(p, d, k, c),
-            lambda k, c: (baselines._iaa, k, c)),
-    "samv2": (lambda p, d, k, c: baselines.run_samv2(p, d, k, c),
-              lambda k, c: (baselines._ratio_method, k, c, "samv2", 1.0)),
-    "sbl": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c),
-            lambda k, c: (baselines._ratio_method, k, c, "support", 1.0)),
-    "sbl1": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c, b=0.5),
-             lambda k, c: (baselines._ratio_method, k, c, "support", 0.5)),
-    "msbl": (lambda p, d, k, c: baselines.run_msbl(p, d, k, c),
-             lambda k, c: (baselines._msbl, k, c)),
+    "iaa": (lambda p, d, k, c: baselines.run_iaa(p, d, k, c), _power("iaa")),
+    "samv2": (lambda p, d, k, c: baselines.run_samv2(p, d, k, c), _power("samv2")),
+    "sbl": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c), _power("sbl")),
+    "sbl1": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c, b=0.5), _power("sbl1")),
+    "msbl": (lambda p, d, k, c: baselines.run_msbl(p, d, k, c), _power("msbl")),
     "music": (lambda p, d, k, c: baselines.music_doas(p, d, k),
               lambda k, c: (baselines._music, k)),
     "cwo": (lambda p, d, k, c: baselines.run_cwo(p, d, k, c), None),

@@ -47,6 +47,12 @@ def test_solver_config_rejects_a_tolerance_that_is_not_positive(tol):
         SolverConfig(tol=tol)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+def test_solver_config_rejects_a_known_sigma2_that_is_not_positive_and_finite(sigma2):
+    with pytest.raises(ValueError, match="known_sigma2=.* must be positive and finite"):
+        SolverConfig(known_sigma2=sigma2)
+
+
 class TestRelativeChange:
     def test_zero_iterate_counts_as_converged(self):
         assert relative_change(np.zeros(4), np.ones(4)) == 0.0

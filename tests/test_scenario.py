@@ -1,11 +1,12 @@
 import functools
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covlearn import methods, scenario
@@ -592,3 +593,65 @@ class TestEngineReplay:
         assert [_untimed(c) for c in clone(range(cfg.trials))] == [_untimed(c) for c in cells]
         records = [replace(r, mean_runtime_s=None) for r in scenario._aggregate(cfg, specs, cells)]
         assert records == [replace(r, mean_runtime_s=None) for r in run_monte_carlo(cfg, specs)]
+
+
+@st.composite
+def _small_runs(draw):
+    """(config, tags): a small ScenarioConfig of either kind and every tag
+    that can solve it; mle1 only on ula-doa with one source."""
+    kind = draw(st.sampled_from(scenario.SCENARIO_KINDS))
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(k + 1, 8))
+    levels = st.floats(-10.0, 20.0, allow_nan=False)
+    doas = None
+    if kind == "ula-doa":
+        doas = tuple(draw(st.lists(st.floats(-85.0, 85.0), min_size=k, max_size=k)))
+    cfg = ScenarioConfig(
+        kind,
+        n,
+        draw(st.integers(n, 91)),
+        draw(st.integers(1, 2 * n)),
+        k,
+        tuple(draw(st.lists(levels, min_size=1, max_size=3))),
+        source_offsets_db=tuple(draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))),
+        rho=draw(st.floats(-0.9, 0.9)),
+        true_doas_deg=doas,
+        seed=draw(st.integers(0, 2**16)),
+        trials=draw(st.integers(1, 5)),
+        max_iter=draw(st.integers(1, 40)),
+    )
+    tags = [t for t in methods.METHOD_TAGS if t != "mle1" or (kind == "ula-doa" and k == 1)]
+    return cfg, tags
+
+
+def _records(cfg, tags, stack_rows, threads):
+    """The run's records, runtimes aside, with the engine stacking at most
+    ``stack_rows`` rows."""
+    with mock.patch.object(scenario, "_STACK_ROWS", stack_rows):
+        records = run_monte_carlo(cfg, tags, threads)
+    return [replace(r, mean_runtime_s=None) for r in records]
+
+
+# a run whose chunks stack trials whose cl-bcd and iaa rows converge at
+# different iterations, so a stack that kept a converged row running shows
+_STACKED_RUN = (
+    ScenarioConfig("ula-doa", 6, 61, 12, 1, (0.0, 10.0), true_doas_deg=(12.0,), seed=3,
+                   trials=3, max_iter=40),
+    list(methods.METHOD_TAGS),
+)
+
+
+@settings(max_examples=6, deadline=None)
+@given(run=_small_runs())
+@example(run=_STACKED_RUN)
+def test_records_follow_neither_the_chunk_size_nor_the_thread_count(run):
+    cfg, tags = run
+    records = _records(cfg, tags, 12, 1)
+    assert _records(cfg, tags, 1, 1) == records
+    assert _records(cfg, tags, 12, 2) == records
+    assert len(records) == len(tags) * len(cfg.snr_db)
+    for r in records:
+        assert r.trials + r.failures == cfg.trials
+        assert r.per is None or 0.0 <= r.per <= 1.0
+        for value in (r.per, r.rmse_theta_deg, r.nmse_gamma, r.mean_iters):
+            assert value is None or np.isfinite(value)
