@@ -15,8 +15,8 @@ from .clbcd import Problem, SolverConfig, SolverResult, _solve_power, iterate
 from .model import (
     CovarianceState,
     Dictionary,
-    NumericError,
     _noise_floor,
+    _one_atom_forms,
     atom_forms,
     atom_quadratic_forms,
     pseudo_inverse_apply,
@@ -147,7 +147,6 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
         raise ValueError("cwo requires a known_sigma2")
     scm = Problem.of(Y, dictionary, k).scm
     sigma2 = float(config.known_sigma2)
-    A = dictionary.atoms
 
     def sweep(state, rows):
         gamma = np.array(state.gamma[0])
@@ -155,11 +154,8 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
         for i in range(dictionary.n_atoms):
             # exact minimizer move max(r/q^2 - 1/q, -gamma_i) with q = a^H Theta a
             # and r = a^H Theta Shat Theta a
-            ta = theta @ A[:, i]
-            q = np.vdot(A[:, i], ta).real
-            if q <= 0.0:
-                raise NumericError("a^H Theta a must be positive for a PD model covariance")
-            delta = max(np.vdot(ta, scm @ ta).real / q**2 - 1.0 / q, -gamma[i])
+            ta, q, r = _one_atom_forms(theta, dictionary.atom(i), scm)
+            delta = max(r / q**2 - 1.0 / q, -gamma[i])
             if delta != 0.0:
                 gamma[i] += delta
                 theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
@@ -230,7 +226,7 @@ def _music(problems, k: int) -> list:
     results = []
     for problem, p, e in zip(problems, proj, evals):
         support = hard_threshold(1.0 / np.maximum(p, 1e-300), k, peak=True)
-        sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(np.trace(problem.scm).real, n))
+        sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(problem.trace, n))
         results.append(SolverResult(support, None, sigma2, iterations=1, converged=True))
     return results
 

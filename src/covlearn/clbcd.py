@@ -95,28 +95,6 @@ class SolverResult:
     powers: np.ndarray | None = None
 
 
-def _check_scm(scm, dictionary: Dictionary) -> np.ndarray:
-    """scm as complex after checking it is N x N for the dictionary's N
-    sensors, finite, and has tr(scm) > 0 (else ValueError)."""
-    n = dictionary.n_sensors
-    scm = np.asarray(scm, dtype=np.complex128)
-    if scm.shape != (n, n):
-        raise ValueError("sample covariance shape does not match the dictionary")
-    if not np.isfinite(scm).all():
-        raise ValueError("sample covariance entries must be finite")
-    if not np.trace(scm).real > 0:
-        raise ValueError("sample covariance has no energy")
-    return scm
-
-
-def _check_sparsity(dictionary: Dictionary, k: int) -> None:
-    n = dictionary.n_sensors
-    if not 1 <= k < n:
-        raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
-    if k > dictionary.n_atoms:
-        raise ValueError(f"sparsity k={k} exceeds the number of atoms {dictionary.n_atoms}")
-
-
 def _matched_filter(dictionary: Dictionary, forms: np.ndarray) -> np.ndarray:
     return np.maximum(forms, 0.0) / dictionary._norms2**2
 
@@ -138,7 +116,9 @@ class Problem:
     The methods see the data through Y itself (somp) or through the sample
     covariance Shat = Y Y^H / L, which the constructor forms once and
     validates: N x N for the dictionary's N sensors, finite, and with
-    tr(Shat) > 0 (else ValueError). Three things are evaluated on first use
+    tr(Shat) > 0 (else ValueError). The trace that check computes is kept
+    as :attr:`trace`, which the solvers read for their noise-only starts
+    and noise floors. Three things are evaluated on first use
     and then kept: the per-atom forms a_i^H Shat a_i (:attr:`forms`), the
     matched-filter spectrum derived from them (:attr:`matched_filter`) and
     the noise-variance refit of each support asked for (see
@@ -151,11 +131,19 @@ class Problem:
     def __init__(self, Y, dictionary: Dictionary):
         Y = np.asarray(Y, dtype=np.complex128).view()
         Y.flags.writeable = False
-        scm = _check_scm(sample_covariance(Y), dictionary)
+        scm = sample_covariance(Y)
+        if scm.shape != (dictionary.n_sensors,) * 2:
+            raise ValueError("sample covariance shape does not match the dictionary")
+        if not np.isfinite(scm).all():
+            raise ValueError("sample covariance entries must be finite")
+        trace = np.trace(scm).real
+        if not trace > 0:
+            raise ValueError("sample covariance has no energy")
         scm.flags.writeable = False
         self.Y = Y
         self.dictionary = dictionary
         self.scm = scm
+        self.trace = trace
         self._noise = {}
         self._solved = {}  # (solve_stack, *args) -> this problem's row of a stacked solve
 
@@ -170,7 +158,11 @@ class Problem:
         problem = data if isinstance(data, Problem) else cls(data, dictionary)
         if problem.dictionary is not dictionary:
             raise ValueError("the problem was built over another dictionary")
-        _check_sparsity(dictionary, k)
+        n = dictionary.n_sensors
+        if not 1 <= k < n:
+            raise ValueError(f"sparsity k={k} must satisfy 1 <= k < n_sensors={n}")
+        if k > dictionary.n_atoms:
+            raise ValueError(f"sparsity k={k} exceeds the number of atoms {dictionary.n_atoms}")
         return problem
 
     @cached_property
@@ -311,8 +303,10 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
     """``tag``'s power iteration on a stack of problems over one dictionary,
     one result per problem: from the matched filter, each step applies the
     tag's rules (:data:`_POWER_RULES`) against the previous iterate's model.
-    The reported support is the top-K of the final powers, and the reported
-    sigma2 the refit on it for the "refit" and "loading" noise rules.
+    The reported support is the top-K of the final powers: the one the
+    last step (or cl-bcd's closed-form start) refit under the "refit" noise
+    rule, with that refit as sigma2; the other rules threshold the final
+    powers once, and "loading" reports the refit on that support.
     """
     from . import baselines  # which imports this module; the rules are looked up per call
 
@@ -322,8 +316,9 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
     scm = np.array([p.scm for p in problems])
-    tr = np.array([np.trace(p.scm).real for p in problems])
+    tr = np.array([p.trace for p in problems])
     gamma = np.array([p.matched_filter for p in problems])
+    supports = [None] * len(problems)
     if noise == "known":
         sigma2 = np.full(len(problems), float(config.known_sigma2))
     else:
@@ -336,7 +331,8 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
         # / s2^2, so the power step r_i / q_i^2 is the matched filter for any
         # s2. It stops as :func:`iterate` would against the zero start.
         first = 1
-        sigma2 = _noise_refits(problems, [hard_threshold(g, k, config.peak) for g in gamma])
+        supports = [hard_threshold(g, k, config.peak) for g in gamma]
+        sigma2 = _noise_refits(problems, supports)
         converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
     iterations = np.full(len(problems), first)
     live = np.flatnonzero(~converged)
@@ -345,8 +341,10 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
         running = live[rows]
         powers = update(state, scm[running])
         if noise == "refit":
-            supports = [hard_threshold(g, k, config.peak) for g in powers]
-            return powers, _noise_refits([problems[i] for i in running], supports)
+            new = [hard_threshold(g, k, config.peak) for g in powers]
+            for i, support in zip(running, new):
+                supports[i] = support
+            return powers, _noise_refits([problems[i] for i in running], new)
         if noise == "samv2":
             floor = _noise_floor(tr[running], n)
             return powers, np.maximum(baselines.samv2_noise_update(state, scm[running]), floor)
@@ -356,8 +354,9 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
         out = iterate(dictionary, step, gamma[live], sigma2[live], config.max_iter - first, config.tol)
         gamma[live], sigma2[live], iterations[live], converged[live] = out
         iterations[live] += first
-    supports = [hard_threshold(g, k, config.peak) for g in gamma]
-    if noise in ("refit", "loading"):
+    if noise != "refit":
+        supports = [hard_threshold(g, k, config.peak) for g in gamma]
+    if noise == "loading":
         sigma2 = _noise_refits(problems, supports)
     return [
         SolverResult(support, g, float(s2), int(it), bool(c))

@@ -24,7 +24,7 @@ from .clbcd import Problem, SolverResult
 from .model import (
     CovarianceState,
     Dictionary,
-    NumericError,
+    _one_atom_forms,
     atom_quadratic_forms,
     provisional_mle,
     support_atom_forms,
@@ -61,12 +61,7 @@ def conditional_gamma_star(state: CovarianceState, scm: np.ndarray, i: int) -> f
     on the current state. This is the exact conditional minimizer when
     gamma_i = 0 in the state (the only way the greedy sweep uses it).
     """
-    a = state.dictionary.atom(i)
-    ta = state.theta @ a
-    q = np.vdot(a, ta).real
-    if q <= 0.0:
-        raise NumericError("a^H Theta a must be positive for a PD model covariance")
-    r = np.vdot(ta, scm @ ta).real
+    _, q, r = _one_atom_forms(state.theta, state.dictionary.atom(i), scm)
     return float(_power_star(q, r))
 
 
@@ -123,7 +118,7 @@ def _clomp(problems, k: int) -> list:
     # noise-only start: Sigma = s2 I with s2 = tr(Shat)/n on the empty support
     chosen = [[] for _ in problems]
     gamma_sub = np.empty((len(problems), 0))
-    sigma2 = np.array([np.trace(p.scm).real / n for p in problems])
+    sigma2 = np.array([p.trace / n for p in problems])
     rows = None
 
     for _ in range(k):

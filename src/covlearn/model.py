@@ -343,7 +343,8 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
     Vandermonde dictionary, otherwise through V = Theta A, so the cost is
     two N x N by N x M products rather than M separate solves. A stacked
     state takes a stack of sample covariances, one per row, and gives
-    (S, M) forms; a dense dictionary evaluates them row by row.
+    (S, M) forms; a dense dictionary evaluates them row by row, and a lone
+    state as a stack of one.
 
     Raises NumericError if some q_i <= 0, which a positive definite Theta
     rules out.
@@ -362,17 +363,24 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
             q = np.einsum("ij,ij->j", dictionary._atoms_conj, V).real
             return q, np.einsum("ij,ij->j", V.conj(), scm @ V).real
 
-        if theta.ndim == 2:
-            q, r = dense(theta, scm)
-        else:
-            q, r = map(np.stack, zip(*map(dense, theta, scm)))
+        n = theta.shape[-1]
+        rows = map(dense, theta.reshape(-1, n, n), np.reshape(scm, (-1, n, n)))
+        q, r = (np.stack(f).reshape(*theta.shape[:-2], -1) for f in zip(*rows))
     return _check_positive(q), r
 
 
-def _check_positive(q: np.ndarray) -> np.ndarray:
-    if q.min() <= 0.0:
+def _check_positive(q):
+    """q, one a^H Theta a or an array of them, checked positive (else NumericError)."""
+    if (q.min() if q.ndim else q) <= 0.0:
         raise NumericError("a^H Theta a must be positive for a PD model covariance")
     return q
+
+
+def _one_atom_forms(theta: np.ndarray, a: np.ndarray, scm: np.ndarray):
+    """(Theta a, q, r) of one atom a: q = a^H Theta a, checked by
+    :func:`_check_positive`, and r = a^H Theta Shat Theta a."""
+    ta = theta @ a
+    return ta, _check_positive(np.vdot(a, ta).real), np.vdot(ta, scm @ ta).real
 
 
 def support_atom_forms(
@@ -493,7 +501,9 @@ def _qr_full_rank(B: np.ndarray):
     The condition number is read off the small factor R, whose singular
     values are those of B because Q has orthonormal columns. A stack of
     matrices (S, N, j) is factored by one batched QR and one batched SVD,
-    and raises if any of its matrices is rank deficient.
+    and raises if any of its matrices is rank deficient. The check reads
+    slices of the singular values, so an empty support (N x 0) passes with
+    Q of N x 0 and R of 0 x 0.
     """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim not in (2, 3):
@@ -503,7 +513,7 @@ def _qr_full_rank(B: np.ndarray):
     Q, R = np.linalg.qr(B)
     s = np.linalg.svd(R, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        deficient = (s[..., -1] <= 0.0) | (s[..., 0] / s[..., -1] >= _COND_LIMIT)
+        deficient = (s[..., -1:] <= 0.0) | (s[..., :1] / s[..., -1:] >= _COND_LIMIT)
     if deficient.any():
         raise RankDeficientError("matrix does not have (numerical) full column rank")
     return Q, R
@@ -513,6 +523,7 @@ def pseudo_inverse_apply(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Left pseudo-inverse application (B^H B)^-1 B^H Z via QR.
 
     B must have full column rank; the normal equations are never formed.
+    An empty B (N x 0) gives the empty 0 x L array.
     """
     Q, R = _qr_full_rank(B)
     return np.linalg.solve(R, Q.conj().T @ np.asarray(Z, dtype=np.complex128))
@@ -530,8 +541,9 @@ def noise_mle(
     """Noise-variance MLE on a fixed support: tr((I - P) Shat) / (N - k).
 
     P is the orthogonal projector onto the columns of the N x k support
-    atoms; an empty support (N x 0) gives tr(Shat)/N. The result is clamped
-    below at :func:`_noise_floor`.
+    atoms; an empty support (N x 0) has a factor with no columns, so P = 0
+    and the value is tr(Shat)/N. The result is clamped below at
+    :func:`_noise_floor`.
     ``factor`` is the reduced QR (Q, R) of the support atoms when the
     caller has already computed it; otherwise it is computed here.
 
@@ -545,11 +557,8 @@ def noise_mle(
     k = B.shape[-1]
     if k >= n_sensors:
         raise ValueError(f"support size {k} must be smaller than n_sensors={n_sensors}")
-    if k == 0:
-        resid = tr_scm
-    else:
-        Q, _ = _qr_full_rank(B) if factor is None else factor
-        resid = tr_scm - np.einsum("...ij,...ij->...", Q.conj(), scm @ Q).real
+    Q, _ = _qr_full_rank(B) if factor is None else factor
+    resid = tr_scm - np.einsum("...ij,...ij->...", Q.conj(), scm @ Q).real
     return np.maximum(resid / (n_sensors - k), _noise_floor(tr_scm, n_sensors))
 
 
@@ -559,14 +568,14 @@ def provisional_mle(scm: np.ndarray, support_atoms: np.ndarray, n_sensors: int):
     sigma2 is the projector-residual MLE of :func:`noise_mle`; the support
     powers are diag(B^+ (Shat - sigma2 I) B^+H) with negative entries
     clipped to zero (consistent, though not exactly the constrained MLE).
-    A stack of sample covariances (S, N, N) with supports (S, N, j) gives
-    powers (S, j) and noise variances (S,) through one batched QR and one
-    batched solve; every row gets the bits it gets alone.
+    An empty support (N x 0) gives no powers and tr(Shat)/N. A stack of
+    sample covariances (S, N, N) with supports (S, N, j) gives powers
+    (S, j) and noise variances (S,) through one batched QR and one batched
+    solve; every row gets the bits it gets alone.
     """
     scm = np.asarray(scm, dtype=np.complex128)
-    B = np.asarray(support_atoms, dtype=np.complex128)
-    Q, R = _qr_full_rank(B)
-    sigma2 = noise_mle(scm, B, n_sensors, factor=(Q, R))
+    Q, R = _qr_full_rank(support_atoms)
+    sigma2 = noise_mle(scm, support_atoms, n_sensors, factor=(Q, R))
     pinv = np.linalg.solve(R, Q.conj().swapaxes(-1, -2))
     shift = scm - np.asarray(sigma2)[..., None, None] * np.eye(n_sensors)
     G = pinv @ shift @ pinv.conj().swapaxes(-1, -2)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,12 +17,14 @@ from covlearn import (
     noise_mle,
     relative_change,
     run_clbcd,
+    run_monte_carlo,
     run_sbl,
     sample_covariance,
     steering_matrix,
     ula_grid,
 )
 from covlearn import clbcd
+from covlearn.cli import parse_spec
 from covlearn.clbcd import iterate
 from util import population_snapshots, random_unit_dictionary, refit_every_iteration
 
@@ -315,3 +320,83 @@ class TestSupportNoiseRefit:
             calls += len(counted)
             iterations += its
         assert calls < iterations
+
+
+def _threshold_stack(kind):
+    """(k, peak, problems) of one stack over one dictionary. On the dense one
+    the atoms span the first 5 of 6 sensors and the last row's snapshots
+    live on the 6th, so its matched filter is all zero, as in
+    TestFirstIterate's orthogonal case."""
+    rng = np.random.default_rng((61, kind == "ula"))
+    if kind == "ula":
+        d, k, snapshots = ula_grid(20, 1801), 2, 125
+        atoms = steering_matrix(20, [-20.02, 3.02])
+    else:
+        full = np.zeros((6, 12), dtype=complex)
+        full[:5] = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        d, k, snapshots = Dictionary(full), 2, 30
+        atoms = d.take([3, 8])
+    n = d.n_sensors
+    Ys = []
+    for snr in (-5.5, 0.0, 10.0):
+        X = 10 ** (snr / 20) * (rng.standard_normal((k, snapshots)) + 1j * rng.standard_normal((k, snapshots)))
+        Ys.append(atoms @ X + rng.standard_normal((n, snapshots)) + 1j * rng.standard_normal((n, snapshots)))
+    if kind == "dense":
+        Y = np.zeros((n, snapshots), dtype=complex)
+        Y[-1] = rng.standard_normal(snapshots) + 1j * rng.standard_normal(snapshots)
+        Ys.append(Y)
+    return k, kind == "ula", [clbcd.Problem(Y, d) for Y in Ys]
+
+
+def _count_thresholds(monkeypatch):
+    """Patch clbcd.hard_threshold to record each call; returns the record."""
+    calls, threshold = [], clbcd.hard_threshold
+
+    def counting(gamma, *args):
+        calls.append(None)
+        return threshold(gamma, *args)
+
+    monkeypatch.setattr(clbcd, "hard_threshold", counting)
+    return calls
+
+
+class TestOneThresholdPerIteration:
+    """Under the refit noise rule each counted iteration thresholds its powers
+    once, and cl-bcd's closed-form start is its first iteration; every other
+    rule thresholds each row's final powers once."""
+
+    @pytest.mark.parametrize("kind", ["ula", "dense"])
+    @pytest.mark.parametrize("tag", ["cl-bcd", "sbl", "sbl1", "iaa", "samv2", "msbl"])
+    def test_threshold_calls(self, monkeypatch, kind, tag):
+        k, peak, problems = _threshold_stack(kind)
+        calls = _count_thresholds(monkeypatch)
+        config = SolverConfig(max_iter=40, peak=peak, known_sigma2=1.0)
+        results = clbcd._power_iteration(problems, tag, k, config)
+        iterations = [res.iterations for res in results]
+        if tag in ("cl-bcd", "sbl", "sbl1"):
+            assert len(calls) == sum(iterations)
+        else:
+            assert len(calls) == len(problems)
+        assert max(iterations) > 1
+        if kind == "dense":
+            # the zero-matched-filter row stops at iteration 1 with every rule
+            assert (results[-1].iterations, results[-1].converged) == (1, True)
+            assert not results[-1].gamma.any()
+
+    def test_cl_bcd_on_the_doa_workload(self, monkeypatch):
+        # perfbench's doa workload at 4 trials: one stack of 12 rows
+        spec = parse_spec(Path(__file__).parent.parent / "perfbench" / "workloads" / "doa.cfg")
+        config = replace(spec.scenario, trials=4)
+        power_iteration, iterations = clbcd._power_iteration, []
+
+        def recording(problems, *args):
+            results = power_iteration(problems, *args)
+            iterations.extend(res.iterations for res in results)
+            return results
+
+        calls = _count_thresholds(monkeypatch)
+        monkeypatch.setattr(clbcd, "_power_iteration", recording)
+        records = run_monte_carlo(config, ["cl-bcd"])
+        assert sum(rec.failures for rec in records) == 0
+        assert len(iterations) == 12
+        assert len(calls) == sum(iterations) == 73

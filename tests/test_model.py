@@ -398,6 +398,24 @@ class TestAtomQuadraticForms:
             slack = 4 * st.dictionary.n_sensors * eps * np.linalg.cond(st.sigma)
             assert np.max(st.gamma * q) <= 1.0 + slack
 
+    @pytest.mark.parametrize("ula", [True, False])
+    def test_a_stack_gives_each_rows_lone_bits(self, ula):
+        rng = np.random.default_rng(19)
+        d = ula_grid(20, 1801) if ula else gaussian_dictionary(32, 256, rng)
+        n, m, rows = d.n_sensors, d.n_atoms, 4
+        gamma = np.zeros((rows, m))
+        for g in gamma:
+            g[rng.choice(m, 3, replace=False)] = rng.uniform(0.5, 5.0, 3)
+        sigma2 = rng.uniform(0.5, 2.0, rows)
+        Ys = rng.standard_normal((rows, n, 25)) + 1j * rng.standard_normal((rows, n, 25))
+        scm = np.array([sample_covariance(Y) for Y in Ys])
+        q, r = atom_quadratic_forms(build_covariance(d, gamma, sigma2), scm)
+        assert q.shape == r.shape == (rows, m)
+        for i in range(rows):
+            qi, ri = atom_quadratic_forms(build_covariance(d, gamma[i], sigma2[i]), scm[i])
+            assert qi.shape == ri.shape == (m,)
+            assert q[i].tobytes() == qi.tobytes() and r[i].tobytes() == ri.tobytes()
+
     def test_nonpositive_quadratic_form_guard(self):
         broken = CovarianceState(
             dictionary=Dictionary(np.array([[1.0 + 0j]])),
@@ -581,6 +599,26 @@ class TestNoiseMle:
     def test_empty_support(self):
         scm = np.diag([2.0, 3.0, 4.0]).astype(complex)
         npt.assert_allclose(noise_mle(scm, np.zeros((3, 0)), 3), 3.0)
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["lone", "stack"])
+    def test_empty_support_takes_the_general_path(self, rows):
+        # an N x 0 support, or a stack of them, has an empty factor, fits no
+        # powers and leaves the noise-only variance tr(Shat)/N
+        rng = np.random.default_rng(17)
+        n, snapshots = 5, 4
+        stack = () if rows is None else (rows,)
+        scm = np.array([random_pdh(rng, n) for _ in range(rows or 1)]).reshape(*stack, n, n)
+        B = np.zeros((*stack, n, 0), dtype=complex)
+        Q, R = _qr_full_rank(B)
+        assert Q.shape == (*stack, n, 0) and R.shape == (*stack, 0, 0)
+        noise_only = np.trace(scm, axis1=-2, axis2=-1).real / n
+        sigma2 = noise_mle(scm, B, n)
+        gamma, fit_sigma2 = provisional_mle(scm, B, n)
+        assert gamma.shape == (*stack, 0)
+        assert sigma2.tobytes() == fit_sigma2.tobytes() == noise_only.tobytes()
+        if rows is None:
+            Z = rng.standard_normal((n, snapshots)) + 1j * rng.standard_normal((n, snapshots))
+            assert pseudo_inverse_apply(B, Z).shape == (0, snapshots)
 
     def test_hand_projector(self):
         scm = np.diag([2.0, 3.0]).astype(complex)
