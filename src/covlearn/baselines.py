@@ -17,6 +17,7 @@ from .model import (
     Dictionary,
     _noise_floor,
     _one_atom_forms,
+    _qr_full_rank,
     atom_forms,
     atom_quadratic_forms,
     pseudo_inverse_apply,
@@ -183,23 +184,40 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     Y is an N x L snapshot matrix or a :class:`Problem` over ``dictionary``;
     it is validated like every other solver's input (its sample covariance
     must have energy), so all-zero snapshots raise ValueError.
+
+    Each step factors its support once and forms the residual the next step
+    correlates, so the last step forms none; the Problem keeps that step's
+    fit, the reduced QR (Q, R) of the support atoms and the least-squares
+    rows, keyed by the support's indices. The correlations A^H R and their
+    squares conj(A^H R) A^H R, which np.linalg.norm would sum, are (M, L)
+    arrays that every step overwrites.
     """
-    Y = Problem.of(Y, dictionary, k).Y
+    problem = Problem.of(Y, dictionary, k)
+    Y = problem.Y
     A = dictionary.atoms
     # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once
     A_h = (A.conj() if dictionary._atoms_conj is None else dictionary._atoms_conj).T
     norms = np.sqrt(dictionary._norms2)
+    corr = np.empty((A.shape[1], Y.shape[1]), dtype=np.complex128)
+    squares = np.empty_like(corr)
 
     chosen: list[int] = []
-    residual = Y
     for _ in range(k):
-        score = np.linalg.norm(A_h @ residual, axis=1) / norms
+        residual = Y - sub @ rows if chosen else Y
+        np.matmul(A_h, residual, out=corr)
+        np.multiply(np.conjugate(corr, out=squares), corr, out=squares)
+        score = np.sqrt(np.add.reduce(squares.real, axis=1)) / norms
         score[chosen] = -np.inf
         best = int(np.argmax(score))  # lowest index wins ties
         chosen.append(best)
         sub = A[:, chosen]
-        residual = Y - sub @ pseudo_inverse_apply(sub, Y)
-    return SupportSet(tuple(chosen))
+        factor = _qr_full_rank(sub)
+        rows = pseudo_inverse_apply(sub, Y, factor=factor)
+    support = SupportSet(tuple(chosen))
+    for a in (*factor, rows):
+        a.flags.writeable = False
+    problem._fits[support.indices] = factor, rows
+    return support
 
 
 def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:

@@ -122,7 +122,8 @@ class Problem:
     and then kept: the per-atom forms a_i^H Shat a_i (:attr:`forms`), the
     matched-filter spectrum derived from them (:attr:`matched_filter`) and
     the noise-variance refit of each support asked for (see
-    :func:`_noise_refits`).
+    :func:`_noise_refits`). :func:`covlearn.baselines.somp` keeps the
+    least-squares fit of its final support, keyed by the support's indices.
     Y, scm and the cached arrays are read-only, so every method of a
     Monte-Carlo cell can solve one Problem and get the results it gets
     from Y alone.
@@ -145,6 +146,7 @@ class Problem:
         self.scm = scm
         self.trace = trace
         self._noise = {}
+        self._fits = {}  # somp's final support -> (Q, R) of its atoms and the LS rows
         self._solved = {}  # (solve_stack, *args) -> this problem's row of a stacked solve
 
     @classmethod
@@ -222,7 +224,10 @@ def relative_change(new: np.ndarray, old: np.ndarray):
 def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     """IAA power recursion: gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2."""
     q, r = atom_quadratic_forms(state, scm)
-    return np.maximum(r, 0.0) / q**2
+    # r is this call's own array, so the step overwrites it
+    np.maximum(r, 0.0, out=r)
+    r /= q**2
+    return r
 
 
 def iterate(dictionary: Dictionary, step, gamma0, sigma2_0, max_iter: int, tol: float):

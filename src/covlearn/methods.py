@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baselines, clbcd, clomp
 from .clbcd import _COUNTED, Problem, SolverConfig, SolverResult
-from .model import Dictionary, _qr_full_rank, noise_mle, provisional_mle
+from .model import Dictionary, noise_mle, provisional_mle
 from .scenario import steering_matrix
 
 FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
@@ -83,12 +83,12 @@ def check_methods(specs, kind: str, k: int) -> None:
 def _somp(problem: Problem, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
     support = baselines.somp(problem, dictionary, k)
     sub = dictionary.take(support.indices)
-    # one factor of the final support serves the row refit and the noise refit
-    Q, R = _qr_full_rank(sub)
-    rows = np.linalg.solve(R, Q.conj().T @ problem.Y)
+    # the pursuit's last step factored the final support and fit its rows:
+    # that one factor serves the row powers and the noise refit
+    factor, rows = problem._fits[support.indices]
     gamma = np.zeros(dictionary.n_atoms)
     gamma[list(support.indices)] = np.mean(np.abs(rows) ** 2, axis=1)
-    sigma2 = noise_mle(problem.scm, sub, dictionary.n_sensors, factor=(Q, R))
+    sigma2 = noise_mle(problem.scm, sub, dictionary.n_sensors, factor=factor)
     return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
 

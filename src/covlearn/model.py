@@ -48,9 +48,13 @@ class RankDeficientError(np.linalg.LinAlgError):
     """A matrix that must have full column rank does not."""
 
 
-def hermitize(Z: np.ndarray) -> np.ndarray:
-    """Symmetrize a square floating-point matrix, or a stack of them, after accumulation."""
-    H = Z + Z.conj().swapaxes(-1, -2)
+def hermitize(Z: np.ndarray, out=None) -> np.ndarray:
+    """Symmetrize a square floating-point matrix, or a stack of them, after accumulation.
+
+    ``out`` receives the result and may be Z itself: a caller that owns a
+    fresh Z symmetrizes it in place.
+    """
+    H = np.add(Z, Z.conj().swapaxes(-1, -2), out=out)
     H /= 2.0
     return H
 
@@ -225,7 +229,8 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
         raise ValueError("snapshot matrix must be non-empty and 2-D")
     if not np.isfinite(Y).all():
         raise ValueError("snapshot matrix entries must be finite")
-    return hermitize(Y @ Y.conj().T / Y.shape[1])
+    scm = Y @ Y.conj().T / Y.shape[1]
+    return hermitize(scm, out=scm)
 
 
 def _check_model(gamma, n_powers: int, sigma2):
@@ -253,7 +258,8 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2) -> CovarianceState:
     models at once. On a Vandermonde dictionary the stack takes one Toeplitz
     gather and one stacked inverse; each row keeps its own A gamma product,
     because one product of the whole stack rounds differently. A dense
-    dictionary assembles row by row, which measured faster than stacking.
+    dictionary assembles row by row, which measured faster than stacking,
+    each row scaling the atoms into one N x M work buffer of the call.
     Every row gets the bits it gets alone.
 
     Raises
@@ -271,22 +277,29 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2) -> CovarianceState:
     if vdm is None:
         n = dictionary.n_sensors
         sigma = np.empty((len(rows), n, n), dtype=np.complex128)
+        scaled = np.empty_like(A)
         for g, out in zip(rows, sigma):
-            np.matmul(A * g, dictionary._atoms_conj.T, out=out)
-        sigma = hermitize(sigma)
+            np.matmul(np.multiply(A, g, out=scaled), dictionary._atoms_conj.T, out=out)
+        hermitize(sigma, out=sigma)
     else:
         # Sigma[p, q] = sum_i gamma_i z_i^(p-q): Hermitian Toeplitz in c = A gamma
-        # each real row is cast to complex inside its own product, not as a stacked copy
-        c = np.stack([A @ g for g in rows])
+        # each real row is cast to complex in one (M,) buffer, not as a stacked copy
+        c = np.empty((len(rows), A.shape[0]), dtype=np.complex128)
+        cast = np.empty(A.shape[1], dtype=np.complex128)
+        for g, out in zip(rows, c):
+            cast[...] = g
+            np.matmul(A, cast, out=out)
         c[:, 0] = c[:, 0].real
         sigma = np.concatenate((c[:, ::-1], c[:, 1:].conj()), axis=1)[:, vdm.lags]
     sigma = sigma.reshape(*gamma.shape[:-1], *sigma.shape[1:])
     _add_to_diagonal(sigma, sigma2)
     try:
-        theta = hermitize(np.linalg.inv(sigma))
+        theta = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - sigma2 > 0 prevents this
         raise NumericError("model covariance is numerically singular") from exc
-    # sigma and theta are fresh arrays no one else holds: freeze them in place
+    # sigma and theta are fresh arrays no one else holds: symmetrize theta and
+    # freeze both in place
+    hermitize(theta, out=theta)
     sigma.flags.writeable = False
     theta.flags.writeable = False
     return CovarianceState(
@@ -333,7 +346,9 @@ def atom_forms(dictionary: Dictionary, Hs: np.ndarray) -> np.ndarray:
     s = np.add.reduceat(Hs.reshape(*Hs.shape[:-2], -1)[..., vdm.order], vdm.starts, axis=-1)
     # lag -d pairs with conj(z^d), so its sum enters conjugated next to lag +d
     t = s[..., n:] + s[..., n - 2 :: -1].conj()
-    return s[..., n - 1, None].real + np.concatenate((t.real, -t.imag), axis=-1) @ vdm.powers
+    forms = np.concatenate((t.real, -t.imag), axis=-1) @ vdm.powers
+    forms += s[..., n - 1, None].real
+    return forms
 
 
 def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
@@ -344,7 +359,8 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
     two N x N by N x M products rather than M separate solves. A stacked
     state takes a stack of sample covariances, one per row, and gives
     (S, M) forms; a dense dictionary evaluates them row by row, and a lone
-    state as a stack of one.
+    state as a stack of one, every row overwriting the same two N x M work
+    buffers of the call.
 
     Raises NumericError if some q_i <= 0, which a positive definite Theta
     rules out.
@@ -358,14 +374,21 @@ def atom_quadratic_forms(state: CovarianceState, scm: np.ndarray):
         forms = atom_forms(dictionary, Hs)
         q, r = forms[..., 0, :], forms[..., 1, :]
     else:
-        def dense(theta, scm):
-            V = theta @ dictionary.atoms
-            q = np.einsum("ij,ij->j", dictionary._atoms_conj, V).real
-            return q, np.einsum("ij,ij->j", V.conj(), scm @ V).real
-
-        n = theta.shape[-1]
-        rows = map(dense, theta.reshape(-1, n, n), np.reshape(scm, (-1, n, n)))
-        q, r = (np.stack(f).reshape(*theta.shape[:-2], -1) for f in zip(*rows))
+        # every row overwrites the call's work buffers: V = Theta A, then
+        # conj(V) in place, W = Shat V and the complex column sums c
+        A = dictionary.atoms
+        n, m = A.shape
+        q = np.empty((*theta.shape[:-2], m))
+        r = np.empty_like(q)
+        V = np.empty((n, m), dtype=np.complex128)
+        W = np.empty_like(V)
+        c = np.empty(m, dtype=np.complex128)
+        pairs = zip(theta.reshape(-1, n, n), np.reshape(scm, (-1, n, n)))
+        for (t, s), qi, ri in zip(pairs, q.reshape(-1, m), r.reshape(-1, m)):
+            np.matmul(t, A, out=V)
+            qi[...] = np.einsum("ij,ij->j", dictionary._atoms_conj, V, out=c).real
+            np.matmul(s, V, out=W)
+            ri[...] = np.einsum("ij,ij->j", np.conjugate(V, out=V), W, out=c).real
     return _check_positive(q), r
 
 
@@ -519,14 +542,18 @@ def _qr_full_rank(B: np.ndarray):
     return Q, R
 
 
-def pseudo_inverse_apply(B: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def pseudo_inverse_apply(B: np.ndarray, Z: np.ndarray, factor=None) -> np.ndarray:
     """Left pseudo-inverse application (B^H B)^-1 B^H Z via QR.
 
     B must have full column rank; the normal equations are never formed.
-    An empty B (N x 0) gives the empty 0 x L array.
+    An empty B (N x 0) gives the empty 0 x L array. ``factor`` is the
+    reduced QR (Q, R) of B when the caller has already computed it;
+    otherwise it is computed here. A stack of matrices (S, N, j) with a
+    stack of right-hand sides (S, N, L) gives (S, j, L); every row gets the
+    bits it gets alone.
     """
-    Q, R = _qr_full_rank(B)
-    return np.linalg.solve(R, Q.conj().T @ np.asarray(Z, dtype=np.complex128))
+    Q, R = _qr_full_rank(B) if factor is None else factor
+    return np.linalg.solve(R, Q.conj().swapaxes(-1, -2) @ np.asarray(Z, dtype=np.complex128))
 
 
 def _noise_floor(tr_scm: float, n_sensors: int) -> float:

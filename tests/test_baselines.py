@@ -244,6 +244,26 @@ class TestSomp:
             assert res.gamma.tobytes() == gamma.tobytes()
             assert res.sigma2 == sigma2
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_a_cell_factors_each_support_once(self, monkeypatch, grid):
+        # each greedy step factors its support once, and the row powers and
+        # the noise refit read the last step's factor: K factors, one per size
+        sizes = []
+        check = model._qr_full_rank
+
+        def counting(B):
+            sizes.append(np.shape(B)[-1])
+            return check(B)
+
+        for module in (model, baselines, methods):
+            if hasattr(module, "_qr_full_rank"):
+                monkeypatch.setattr(module, "_qr_full_rank", counting)
+        rng = np.random.default_rng(49)
+        d = ula_grid(8, 91) if grid else random_unit_dictionary(rng, 16, 64)
+        Y = rng.standard_normal((d.n_sensors, 12)) + 1j * rng.standard_normal((d.n_sensors, 12))
+        methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, False, 1.0)
+        assert sizes == [1, 2, 3]
+
 
 class TestMusic:
     def test_exact_single_source(self):

@@ -400,21 +400,34 @@ class TestAtomQuadraticForms:
 
     @pytest.mark.parametrize("ula", [True, False])
     def test_a_stack_gives_each_rows_lone_bits(self, ula):
+        # a dense stack's rows overwrite one set of work buffers per call, so
+        # no row may carry into the next: stacks of several sizes, with a
+        # row whose powers are all zero and a row scaled by 1e6
         rng = np.random.default_rng(19)
         d = ula_grid(20, 1801) if ula else gaussian_dictionary(32, 256, rng)
-        n, m, rows = d.n_sensors, d.n_atoms, 4
-        gamma = np.zeros((rows, m))
-        for g in gamma:
-            g[rng.choice(m, 3, replace=False)] = rng.uniform(0.5, 5.0, 3)
-        sigma2 = rng.uniform(0.5, 2.0, rows)
-        Ys = rng.standard_normal((rows, n, 25)) + 1j * rng.standard_normal((rows, n, 25))
-        scm = np.array([sample_covariance(Y) for Y in Ys])
-        q, r = atom_quadratic_forms(build_covariance(d, gamma, sigma2), scm)
-        assert q.shape == r.shape == (rows, m)
-        for i in range(rows):
-            qi, ri = atom_quadratic_forms(build_covariance(d, gamma[i], sigma2[i]), scm[i])
-            assert qi.shape == ri.shape == (m,)
-            assert q[i].tobytes() == qi.tobytes() and r[i].tobytes() == ri.tobytes()
+        n, m = d.n_sensors, d.n_atoms
+        for rows in (1, 4, 7):
+            gamma = np.zeros((rows, m))
+            for g in gamma:
+                g[rng.choice(m, 3, replace=False)] = rng.uniform(0.5, 5.0, 3)
+            gamma[1:2] = 0.0
+            gamma[-1] *= 1e6
+            sigma2 = rng.uniform(0.5, 2.0, rows)
+            Ys = rng.standard_normal((rows, n, 25)) + 1j * rng.standard_normal((rows, n, 25))
+            scm = np.array([sample_covariance(Y) for Y in Ys])
+            state = build_covariance(d, gamma, sigma2)
+            q, r = atom_quadratic_forms(state, scm)
+            assert q.shape == r.shape == (rows, m)
+            Hs = rng.standard_normal((rows, 2, n, n)) + 1j * rng.standard_normal((rows, 2, n, n))
+            forms = atom_forms(d, Hs)
+            for i in range(rows):
+                lone = build_covariance(d, gamma[i], sigma2[i])
+                assert state.sigma[i].tobytes() == lone.sigma.tobytes()
+                assert state.theta[i].tobytes() == lone.theta.tobytes()
+                qi, ri = atom_quadratic_forms(lone, scm[i])
+                assert qi.shape == ri.shape == (m,)
+                assert q[i].tobytes() == qi.tobytes() and r[i].tobytes() == ri.tobytes()
+                assert forms[i].tobytes() == atom_forms(d, Hs[i]).tobytes()
 
     def test_nonpositive_quadratic_form_guard(self):
         broken = CovarianceState(
@@ -566,6 +579,16 @@ class TestPseudoInverseApply:
         B = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         npt.assert_allclose(pseudo_inverse_apply(B, B), np.eye(3), atol=1e-10)
 
+    def test_a_stack_gives_each_rows_lone_bits(self):
+        rng = np.random.default_rng(23)
+        B = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        Z = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        X = pseudo_inverse_apply(B, Z)
+        assert X.shape == (3, 2, 4)
+        assert pseudo_inverse_apply(B, Z, factor=_qr_full_rank(B)).tobytes() == X.tobytes()
+        for b, z, x in zip(B, Z, X):
+            assert pseudo_inverse_apply(b, z).tobytes() == x.tobytes()
+
     def test_rank_deficiency_detected(self):
         B = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficientError):
@@ -616,9 +639,9 @@ class TestNoiseMle:
         gamma, fit_sigma2 = provisional_mle(scm, B, n)
         assert gamma.shape == (*stack, 0)
         assert sigma2.tobytes() == fit_sigma2.tobytes() == noise_only.tobytes()
-        if rows is None:
-            Z = rng.standard_normal((n, snapshots)) + 1j * rng.standard_normal((n, snapshots))
-            assert pseudo_inverse_apply(B, Z).shape == (0, snapshots)
+        shape = (*stack, n, snapshots)
+        Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert pseudo_inverse_apply(B, Z).shape == (*stack, 0, snapshots)
 
     def test_hand_projector(self):
         scm = np.diag([2.0, 3.0]).astype(complex)
