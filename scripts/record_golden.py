@@ -28,8 +28,10 @@ FIELDS = ("method", "snr_db", "trials", "failures", "per", "mean_iters", "rmse_t
 # Config -> trials. Every shipped config, at a count that crosses a chunk
 # boundary on the steering grid (ssr_per_sweep.cfg takes about 0.6 s a trial,
 # mostly samv2 and sbl), then configs that together run every tag, cwo's
-# per-atom sweeps being most of their time: at 2, 1 and 4 trials they take
-# about 3.1, 1.4 and 1.0 s, and the capped two-source run 0.6 s.
+# per-atom sweeps being most of their time, though cwo solves each chunk as
+# one stack like every power-iteration method: at 2, 1 and 4 trials they take
+# about 2.5-3.1, 1.1-1.4 and 1.2-1.3 s of CPU with BLAS on one thread (least of
+# three runs on a shared 2-vCPU box), and the capped two-source run 0.6 s.
 GOLDEN = {
     "scripts/doa_correlated.cfg": 6,
     "scripts/doa_single_source.cfg": 6,

@@ -5,7 +5,7 @@ Library layout:
 - :mod:`covlearn.model`: covariance model, likelihood, rank-one identities
 - :mod:`covlearn.sparsity`: top-K element/peak selection
 - :mod:`covlearn.clbcd`: the stacked power iteration of cl-bcd, IAA, SAMV2,
-  SBL and M-SBL; the problem (snapshots, their validated sample covariance
+  SBL, M-SBL and CWO; the problem (snapshots, their validated sample covariance
   and its caches, and the rows a stacked solve kept for it), the stacked
   iteration loop ``iterate``, config and result type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit

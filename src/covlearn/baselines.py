@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clbcd import Problem, SolverConfig, SolverResult, _solve_power, iterate
+from .clbcd import Problem, SolverConfig, SolverResult, _solve_power
 from .model import (
     CovarianceState,
     Dictionary,
@@ -83,11 +83,9 @@ def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
 # full iterative runners
 # ---------------------------------------------------------------------------
 
-# iaa, samv2, sbl (and sbl1) and msbl are rule pairs of clbcd's one stacked
-# power iteration (clbcd._POWER_RULES). Each runner takes Y as an N x L
-# snapshot matrix or as a clbcd.Problem over the same dictionary, which reads
-# the row a stacked solve kept for it, if any (clbcd.Problem.solve). cwo's
-# sweep is sequential over the atoms and runs one row.
+# iaa, samv2, sbl (and sbl1), msbl and cwo are rule pairs of clbcd's one stacked power
+# iteration (clbcd._POWER_RULES). Each runner takes Y as an N x L snapshot matrix or as a
+# clbcd.Problem over the same dictionary, which reads the row a stacked solve kept for it.
 
 
 def run_iaa(Y, dictionary: Dictionary, k: int, config: SolverConfig | None = None) -> SolverResult:
@@ -131,8 +129,6 @@ def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverR
     The final power spectrum is pruned to its K largest entries (or peaks)
     to produce the reported support.
     """
-    if config.known_sigma2 is None:
-        raise ValueError("msbl requires a known_sigma2")
     return _solve_power("msbl", Y, dictionary, k, config)
 
 
@@ -144,31 +140,26 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
     re-factorized once per sweep. Stops when a full sweep no longer moves
     the powers.
     """
-    if config.known_sigma2 is None:
-        raise ValueError("cwo requires a known_sigma2")
-    scm = Problem.of(Y, dictionary, k).scm
-    sigma2 = float(config.known_sigma2)
+    return _solve_power("cwo", Y, dictionary, k, config)
 
-    def sweep(state, rows):
-        gamma = np.array(state.gamma[0])
-        theta = np.array(state.theta[0])
+
+def _cwo_sweep(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
+    """One sweep of :func:`run_cwo` on each row of a stacked state."""
+    dictionary = state.dictionary
+    powers = np.array(state.gamma)
+    for gamma, theta, row_scm in zip(powers, state.theta, scm):
+        theta = np.array(theta)
         for i in range(dictionary.n_atoms):
             # exact minimizer move max(r/q^2 - 1/q, -gamma_i) with q = a^H Theta a
             # and r = a^H Theta Shat Theta a
-            ta, q, r = _one_atom_forms(theta, dictionary.atom(i), scm)
+            ta, q, r = _one_atom_forms(theta, dictionary.atom(i), row_scm)
             delta = max(r / q**2 - 1.0 / q, -gamma[i])
             if delta != 0.0:
                 gamma[i] += delta
                 theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
         if gamma.min() < 0.0:
-            gamma = np.maximum(gamma, 0.0)  # roundoff from exact -gamma_i steps
-        return gamma[None], state.sigma2
-
-    gamma, _, iterations, converged = iterate(
-        dictionary, sweep, np.zeros((1, dictionary.n_atoms)), [sigma2], config.max_iter, config.tol
-    )
-    support = hard_threshold(gamma[0], k, config.peak)
-    return SolverResult(support, gamma[0], sigma2, int(iterations[0]), bool(converged[0]))
+            np.maximum(gamma, 0.0, out=gamma)  # roundoff from exact -gamma_i steps
+    return powers
 
 
 # ---------------------------------------------------------------------------

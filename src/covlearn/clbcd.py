@@ -5,8 +5,8 @@ cl-bcd starts from the noise-only model and alternates IAA's power
 recursion gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2 over
 all atoms (against the inverse covariance of the previous iterate) with the
 closed-form noise-variance refit on the current top-K support, until the
-power iterates stop moving in relative sup-norm. iaa, samv2, sbl, sbl1 and
-msbl run the same power iteration with their own (power rule, noise rule)
+power iterates stop moving in relative sup-norm. iaa, samv2, sbl, sbl1, msbl
+and cwo run the same power iteration with their own (power rule, noise rule)
 pair, which :data:`_POWER_RULES` names.
 
 Problems over one dictionary can be solved as one stack: :func:`iterate`
@@ -286,7 +286,8 @@ def run_clbcd(
 
 
 # tag -> (power rule, noise rule, ratio exponent b) of :func:`_power_iteration`.
-# Power rules: "iaa" iaa_update, "ratio" baselines.ratio_update, "msbl" baselines.msbl_update.
+# Power rules: "iaa" iaa_update, "ratio" baselines.ratio_update, "msbl" baselines.msbl_update,
+# "cwo" the coordinate sweep baselines._cwo_sweep.
 # Noise rules: "refit" on each step's top-K support, "samv2" baselines.samv2_noise_update
 # floored, "loading" IAA's fixed 1e-12 tr(Shat)/N, "known" the config's known_sigma2.
 _POWER_RULES = {
@@ -296,6 +297,7 @@ _POWER_RULES = {
     "sbl": ("ratio", "refit", 1.0),
     "sbl1": ("ratio", "refit", 0.5),
     "msbl": ("msbl", "known", None),
+    "cwo": ("cwo", "known", None),
 }
 
 
@@ -306,23 +308,26 @@ def _solve_power(tag: str, Y, dictionary: Dictionary, k: int, config: SolverConf
 
 def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
     """``tag``'s power iteration on a stack of problems over one dictionary,
-    one result per problem: from the matched filter, each step applies the
-    tag's rules (:data:`_POWER_RULES`) against the previous iterate's model.
-    The reported support is the top-K of the final powers: the one the
-    last step (or cl-bcd's closed-form start) refit under the "refit" noise
-    rule, with that refit as sigma2; the other rules threshold the final
-    powers once, and "loading" reports the refit on that support.
-    """
+    one result per problem: from the matched filter (cwo: zero powers), each
+    step applies the tag's rules (:data:`_POWER_RULES`) against the previous
+    iterate's model; the "known" noise rule needs known_sigma2 (else
+    ValueError). The reported support is the top-K of the final powers: the
+    one the last step (or cl-bcd's closed-form start) refit under the "refit"
+    noise rule, with that refit as sigma2; the other rules threshold the
+    final powers once, and "loading" reports the refit on that support."""
     from . import baselines  # which imports this module; the rules are looked up per call
 
     power, noise, b = _POWER_RULES[tag]
-    update = {"iaa": iaa_update, "msbl": baselines.msbl_update,
+    if noise == "known" and config.known_sigma2 is None:
+        raise ValueError(f"{tag} requires a known_sigma2")
+    update = {"iaa": iaa_update, "msbl": baselines.msbl_update, "cwo": baselines._cwo_sweep,
               "ratio": lambda state, scm: baselines.ratio_update(state, scm, b)}[power]
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
     scm = np.array([p.scm for p in problems])
     tr = np.array([p.trace for p in problems])
-    gamma = np.array([p.matched_filter for p in problems])
+    gamma = np.array([np.zeros(dictionary.n_atoms) if power == "cwo" else p.matched_filter
+                      for p in problems])  # cwo's sweeps start from zero powers
     supports = [None] * len(problems)
     if noise == "known":
         sigma2 = np.full(len(problems), float(config.known_sigma2))

@@ -122,7 +122,7 @@ _METHODS = {
     "msbl": (lambda p, d, k, c: baselines.run_msbl(p, d, k, c), _power("msbl")),
     "music": (lambda p, d, k, c: baselines.music_doas(p, d, k),
               lambda k, c: (baselines._music, k)),
-    "cwo": (lambda p, d, k, c: baselines.run_cwo(p, d, k, c), None),
+    "cwo": (lambda p, d, k, c: baselines.run_cwo(p, d, k, c), _power("cwo")),
     "somp": (_somp, None),
     "mle1": (_mle1, None),
 }
@@ -167,7 +167,7 @@ def solve_stack(
     (else ValueError), as one stack of spec's method, and keep each row on
     its Problem for the next :func:`solve_trial` of it with the same
     arguments: the result it gets alone. Only cl-omp, cl-bcd, iaa, samv2,
-    sbl, sbl1, msbl and music stack. A stack that raises a counted error
+    sbl, sbl1, msbl, cwo and music stack. A stack that raises a counted error
     (ArithmeticError, LinAlgError, ValueError) keeps nothing: each Problem
     then gets the result or the exception class of its lone solve.
     """

@@ -200,6 +200,9 @@ class ScenarioConfig:
         snr = tuple(float(s) for s in self.snr_db)
         if not snr or not all(map(math.isfinite, snr)):
             raise ValueError("snr_db must be a non-empty list of finite values")
+        repeated = sorted({s for s in snr if snr.count(s) > 1})
+        if repeated:  # the records are reported by (method, snr_db)
+            raise ValueError(f"snr_db values repeated: {', '.join(map(str, repeated))}")
         object.__setattr__(self, "snr_db", snr)
         offsets = self.source_offsets_db
         offsets = (0.0,) * self.k if offsets is None else tuple(float(o) for o in offsets)
@@ -591,7 +594,7 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     "ula-doa", whose trials share one steering grid, max(1, 12 // len(snr_db))
     trials; on "gaussian-ssr", whose trials each draw their own dictionary,
     one trial. Each stacking method (cl-omp, cl-bcd, iaa, samv2, sbl, sbl1,
-    msbl and music) solves a chunk's Problems, which share one dictionary,
+    msbl, cwo and music) solves a chunk's Problems, which share one dictionary,
     as one stack, and each cell's runtime carries an even share of its stack.
     A solve that raises a numerical error (ArithmeticError, LinAlgError or
     ValueError) is counted as a failure of its cell, and a Problem that

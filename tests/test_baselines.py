@@ -163,6 +163,45 @@ class TestCwoUpdate:
             assert after <= before + 1e-10
 
 
+class TestCwoSweep:
+    """baselines._cwo_sweep, cwo's power rule, against the coordinate oracle."""
+
+    def _case(self, rng, rows, dense):
+        d = random_unit_dictionary(rng, 5, 8) if dense else ula_grid(5, 8)
+        gamma = rng.uniform(0.0, 2.0, size=(rows, 8))
+        gamma[:, ::3] = 0.0  # some atoms start at zero power
+        sigma2 = rng.uniform(0.5, 2.0, size=rows)
+        # data from two strong atoms: the sweep raises them and lowers the rest
+        truth = np.zeros(8)
+        truth[[1, 6]] = 4.0
+        scm = np.array([build_covariance(d, truth, 0.3).sigma + 0.1 * random_pdh(rng, 5)
+                        for _ in range(rows)])
+        return d, gamma, sigma2, scm
+
+    def test_one_sweep_is_m_successive_coordinate_steps(self):
+        d, gamma, sigma2, scm = self._case(np.random.default_rng(46), 1, True)
+        state = build_covariance(d, gamma, sigma2)
+        swept = baselines._cwo_sweep(state, scm)
+        expected = np.array(gamma[0])
+        for i in range(d.n_atoms):
+            expected[i] = cwo_update(build_covariance(d, expected, sigma2[0]), scm[0], i)
+        npt.assert_allclose(swept[0], expected, rtol=1e-10)
+        # the case moves atoms both ways and clamps one at zero
+        assert (swept[0] > gamma[0]).any() and (swept[0] < gamma[0]).any()
+        assert ((swept[0] == 0.0) & (gamma[0] > 0.0)).any()
+        npt.assert_array_equal(state.gamma, gamma)  # the state's powers stay as built
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_each_row_of_a_stack_sweeps_as_it_does_alone(self, dense):
+        d, gamma, sigma2, scm = self._case(np.random.default_rng(47), 3, dense)
+        swept = baselines._cwo_sweep(build_covariance(d, gamma, sigma2), scm)
+        for j in range(3):
+            alone = baselines._cwo_sweep(
+                build_covariance(d, gamma[j : j + 1], sigma2[j : j + 1]), scm[j : j + 1]
+            )
+            assert swept[j].tobytes() == alone[0].tobytes()
+
+
 class TestMsblEmStep:
     def test_scalar_step_and_nll_decrease(self):
         st = build_covariance(SCALAR_DICT, [1.0], 1.0)
@@ -428,6 +467,16 @@ class TestRunners:
             run_msbl(Y, A, 2, SolverConfig())
         with pytest.raises(ValueError):
             run_cwo(Y, A, 2, SolverConfig())
+        # a stack is refused by the same counted error, not a TypeError, and
+        # keeps no row
+        for tag in ("msbl", "cwo"):
+            problems = [Problem(Y, A), Problem(2.0 * Y, A)]
+            with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
+                clbcd._power_iteration(problems, tag, 2, SolverConfig())
+            methods.solve_stack(methods.MethodSpec(tag), problems, A, 2, False, None)
+            assert all(not p._solved for p in problems)
+            with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
+                methods.solve_trial(methods.MethodSpec(tag), problems[0], A, 2, False, None)
 
     def test_config_validation(self, easy_problem):
         A, Y, _ = easy_problem

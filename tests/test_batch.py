@@ -38,7 +38,7 @@ from covlearn.clbcd import Problem
 from util import population_snapshots
 
 # The methods whose runners read a row solve_stack kept on a Problem.
-STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "music")
+STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "music")
 
 # Each stacked tag's stacked solver, by module and name.
 STACKED_SOLVERS = ((clomp, "_clomp"), (clbcd, "_power_iteration"), (baselines, "_music"))
@@ -317,7 +317,7 @@ def test_each_cell_finds_only_its_own_methods_row(monkeypatch):
 @pytest.mark.parametrize("kind", ["ula-doa", "gaussian-ssr"])
 def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind):
     # every cell of a healthy chunk reads the row its stack kept: no size-1
-    # solve, for each of the eight stacked tags
+    # solve, for each of the nine stacked tags
     stack_sizes = _count_stacks(monkeypatch)
     doas = (-20.0, 30.0) if kind == "ula-doa" else None
     cfg = ScenarioConfig(kind, 8, 91, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=doas, trials=5,
@@ -341,13 +341,14 @@ def test_each_cell_carries_its_share_of_its_stack(tmp_path, monkeypatch):
     monkeypatch.setattr(scenario, "time", types.SimpleNamespace(thread_time=lambda: now[0]))
     cfg = tmp_path / "doa.cfg"
     cfg.write_text("kind = ula-doa\nn = 8\nm = 181\nl = 16\nk = 2\nsnr_db = -5, 0, 5\n"
-                   "true_doas_deg = -20, 30\ntrials = 5\nmethods = cl-bcd, somp\n")
+                   "true_doas_deg = -20, 30\ntrials = 5\nmax_iter = 8\nmethods = cl-bcd, cwo, somp\n")
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--timings"]
     assert cli.main(argv) == 0
-    assert now[0] == 12 + 3  # one stack of 4 trials x 3 SNRs, one of 1 x 3
+    # per power-iteration method, one stack of 4 trials x 3 SNRs, one of 1 x 3
+    assert now[0] == 2 * (12 + 3)
     with open(tmp_path / "out" / "results.csv") as fh:
         runtimes = {(r["method"], r["snr_db"]): r["mean_runtime_s"] for r in csv.DictReader(fh)}
-    assert runtimes == {("cl-bcd", snr): "1" for snr in ("-5", "0", "5")} | {
+    assert runtimes == {(tag, snr): "1" for tag in ("cl-bcd", "cwo") for snr in ("-5", "0", "5")} | {
         ("somp", snr): "0" for snr in ("-5", "0", "5")
     }
 

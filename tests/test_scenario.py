@@ -213,6 +213,8 @@ class TestMetrics:
          "snr_db must be a non-empty list of finite values"),
         (lambda: ScenarioConfig("gaussian-ssr", 6, 20, 5, 2, (0.0, np.inf)),
          "snr_db must be a non-empty list of finite values"),
+        (lambda: ScenarioConfig("gaussian-ssr", 6, 20, 5, 2, (3.0, 0.0, 3.0, -0.0)),
+         "snr_db values repeated: 0.0, 3.0"),
         (lambda: ScenarioConfig("ula-doa", 6, 20, 5, 2, (0.0,), true_doas_deg=(1.0,)),
          "true_doas_deg must have k=2 entries"),
         (lambda: MetricsRecord("iaa", 0.0, 1, rmse_theta_deg=np.nan),
@@ -612,7 +614,7 @@ def _small_runs(draw):
         draw(st.integers(n, 91)),
         draw(st.integers(1, 2 * n)),
         k,
-        tuple(draw(st.lists(levels, min_size=1, max_size=3))),
+        tuple(draw(st.lists(levels, min_size=1, max_size=3, unique=True))),
         source_offsets_db=tuple(draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))),
         rho=draw(st.floats(-0.9, 0.9)),
         true_doas_deg=doas,
