@@ -174,41 +174,54 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     current residual, refits all selected rows by least squares, K times.
     Y is an N x L snapshot matrix or a :class:`Problem` over ``dictionary``;
     it is validated like every other solver's input (its sample covariance
-    must have energy), so all-zero snapshots raise ValueError.
+    must have energy), so all-zero snapshots raise ValueError. A Problem
+    reads the row a stacked solve kept for it, if any.
 
     Each step factors its support once and forms the residual the next step
     correlates, so the last step forms none; the Problem keeps that step's
     fit, the reduced QR (Q, R) of the support atoms and the least-squares
-    rows, keyed by the support's indices. The correlations A^H R and their
-    squares conj(A^H R) A^H R, which np.linalg.norm would sum, are (M, L)
-    arrays that every step overwrites.
+    rows, keyed by the support's indices.
     """
-    problem = Problem.of(Y, dictionary, k)
-    Y = problem.Y
+    return Problem.of(Y, dictionary, k).solve(_somp, k)
+
+
+def _somp(problems, k: int) -> list:
+    """somp on a stack of problems over one dictionary, one SupportSet per
+    problem; their snapshot matrices share one shape (else ValueError).
+
+    The K steps run in lockstep. Each forms every row's residual and
+    correlations one row at a time: the correlations A^H R and their squares
+    conj(A^H R) A^H R, which np.linalg.norm would sum, are (M, L) arrays that
+    every row overwrites. Every row's grown support is then factored by one
+    stacked QR and fit by one stacked solve.
+    """
+    dictionary = problems[0].dictionary
     A = dictionary.atoms
     # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once
     A_h = (A.conj() if dictionary._atoms_conj is None else dictionary._atoms_conj).T
     norms = np.sqrt(dictionary._norms2)
-    corr = np.empty((A.shape[1], Y.shape[1]), dtype=np.complex128)
+    Y = np.array([p.Y for p in problems])
+    corr = np.empty((A.shape[1], Y.shape[-1]), dtype=np.complex128)
     squares = np.empty_like(corr)
 
-    chosen: list[int] = []
+    chosen = [[] for _ in problems]
     for _ in range(k):
-        residual = Y - sub @ rows if chosen else Y
-        np.matmul(A_h, residual, out=corr)
-        np.multiply(np.conjugate(corr, out=squares), corr, out=squares)
-        score = np.sqrt(np.add.reduce(squares.real, axis=1)) / norms
-        score[chosen] = -np.inf
-        best = int(np.argmax(score))  # lowest index wins ties
-        chosen.append(best)
-        sub = A[:, chosen]
+        for i, support in enumerate(chosen):
+            residual = Y[i] - sub[i] @ rows[i] if support else Y[i]
+            np.matmul(A_h, residual, out=corr)
+            np.multiply(np.conjugate(corr, out=squares), corr, out=squares)
+            score = np.sqrt(np.add.reduce(squares.real, axis=1)) / norms
+            score[support] = -np.inf
+            support.append(int(np.argmax(score)))  # lowest index wins ties
+        sub = dictionary.take(chosen)
         factor = _qr_full_rank(sub)
         rows = pseudo_inverse_apply(sub, Y, factor=factor)
-    support = SupportSet(tuple(chosen))
     for a in (*factor, rows):
         a.flags.writeable = False
-    problem._fits[support.indices] = factor, rows
-    return support
+    supports = [SupportSet(tuple(support)) for support in chosen]
+    for problem, support, Q, R, fit in zip(problems, supports, *factor, rows):
+        problem._fits[support.indices] = (Q, R), fit
+    return supports
 
 
 def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:

@@ -224,9 +224,10 @@ def relative_change(new: np.ndarray, old: np.ndarray):
 def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     """IAA power recursion: gamma_i <- a_i^H Theta Shat Theta a_i / (a_i^H Theta a_i)^2."""
     q, r = atom_quadratic_forms(state, scm)
-    # r is this call's own array, so the step overwrites it
+    # q and r are this call's own arrays, so the step overwrites them
     np.maximum(r, 0.0, out=r)
-    r /= q**2
+    np.square(q, out=q)
+    r /= q
     return r
 
 

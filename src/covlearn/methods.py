@@ -108,9 +108,9 @@ def _power(tag: str):
 
 
 # tag -> (run(problem, dictionary, k, config) -> SolverResult, stack(k, config)
-# -> the (solve_stack, *args) that run passes to Problem.solve, or None for a
-# method that does not stack). Both look their functions up per call, so a
-# patched module attribute is the one that runs.
+# -> the (solve_stack, *args) that run passes to Problem.solve, or None for
+# mle1, the one method that does not stack). Both look their functions up per
+# call, so a patched module attribute is the one that runs.
 _METHODS = {
     "cl-bcd": (lambda p, d, k, c: clbcd.run_clbcd(p, d, k, c), _power("cl-bcd")),
     "cl-omp": (lambda p, d, k, c: clomp.run_clomp(p, d, k),
@@ -123,7 +123,7 @@ _METHODS = {
     "music": (lambda p, d, k, c: baselines.music_doas(p, d, k),
               lambda k, c: (baselines._music, k)),
     "cwo": (lambda p, d, k, c: baselines.run_cwo(p, d, k, c), _power("cwo")),
-    "somp": (_somp, None),
+    "somp": (_somp, lambda k, c: (baselines._somp, k)),
     "mle1": (_mle1, None),
 }
 
@@ -166,10 +166,10 @@ def solve_stack(
     """Solve ``problems``, a list of one or more Problems over ``dictionary``
     (else ValueError), as one stack of spec's method, and keep each row on
     its Problem for the next :func:`solve_trial` of it with the same
-    arguments: the result it gets alone. Only cl-omp, cl-bcd, iaa, samv2,
-    sbl, sbl1, msbl, cwo and music stack. A stack that raises a counted error
-    (ArithmeticError, LinAlgError, ValueError) keeps nothing: each Problem
-    then gets the result or the exception class of its lone solve.
+    arguments: the result it gets alone. Every method but mle1 stacks. A
+    stack that raises a counted error (ArithmeticError, LinAlgError,
+    ValueError) keeps nothing: each Problem then gets the result or the
+    exception class of its lone solve.
     """
     problems = [Problem.of(p, dictionary, k) for p in problems]
     if not problems:

@@ -406,6 +406,17 @@ def _one_atom_forms(theta: np.ndarray, a: np.ndarray, scm: np.ndarray):
     return ta, _check_positive(np.vdot(a, ta).real), np.vdot(ta, scm @ ta).real
 
 
+# Complex entries per work buffer of support_atom_forms, whose j x M passes
+# each cover as many whole rows of a stack as fit, and at least one. 4096
+# entries (64 KiB) keep each buffer under glibc's 128 KiB mmap threshold and
+# the dense SSR workload's shape (M = 256, j <= 3, 5 rows) in one pass. A
+# 6-row, K = 2 cl-omp solve on the N=20, M=1801 grid took 230-245 us per row
+# at 4096 and at 2048, against 295-455 us at 8192 and 310-330 us in one pass
+# over the stack; tiles of 256 atoms across the stack took 265 us, in 70
+# numpy calls where passes of two rows make 30.
+_PASS_ENTRIES = 4096
+
+
 def support_atom_forms(
     dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2, rows=None, forms=None
 ):
@@ -432,6 +443,16 @@ def support_atom_forms(
     A stack of S sample covariances (S, N, N) takes S supports of one size
     (S, j), powers (S, j), noise variances (S,) and forms (S, M), and gives
     (S, M) forms; every row gets the bits it gets alone.
+
+    The j x M passes run over groups of whole rows of the stack, as many as
+    keep each of the call's three work buffers within ``_PASS_ENTRIES``
+    complex entries, and at least one; the empty support, and a stack that
+    fits, take one pass. A pass over a whole stack would need three
+    (S, j, M) complex temporaries, 169 KiB each at S = 6, j = 1 and
+    M = 1801: above glibc's default 128 KiB mmap threshold, so the allocator
+    would trim them and fault them back in, at roughly 1-3 us per minor
+    fault on a shared 2-vCPU VM. Each row's products and sums are those of
+    one pass, so every bit is too.
 
     Returns (q, r, rows). Raises NumericError if some q_i <= 0, and
     ValueError for invalid powers or a ``rows`` whose support is not a prefix.
@@ -460,22 +481,35 @@ def support_atom_forms(
     idx = support[..., None, :]
     G = d * np.take_along_axis(P, idx, axis=-1) * dT
     _add_to_diagonal(G, sigma2)
-    # C is j x j: invert it and apply it to the j x M rows by one product.
-    # The j x M passes below run in place on one work buffer W, in the
-    # operand order of the formulas above, so they round as those do.
-    CP = (d * np.linalg.inv(G) * dT) @ P
+    C = d * np.linalg.inv(G) * dT  # j x j, applied to the j x M rows pass by pass
+    HS = np.take_along_axis(H, idx, axis=-1)
+    # Each group of rows runs the j x M passes of the formulas above, in their
+    # operand order, and writes its column sums Re p^H c and
+    # Re c^H (B^H Shat B c - 2 h) into q and r; the per-atom steps after the
+    # loop run once over the whole stack.
+    n = int(np.prod(support.shape[:-1]))  # rows of the stack, 1 for a lone model
+    C, HS, P, H = (a.reshape(n, *a.shape[-2:]) for a in (C, HS, P, H))
+    _, j, m = P.shape
+    group = max(1, _PASS_ENTRIES // (j * m)) if j else n
+    q = np.empty((n, m))
+    r = np.empty_like(q)
+    CP, HC, W = (np.empty((min(group, n), j, m), dtype=np.complex128) for _ in range(3))
+    for start in range(0, n, group):
+        t = slice(start, min(start + group, n))
+        cp, hc, wt = CP[: t.stop - start], HC[: t.stop - start], W[: t.stop - start]
+        np.matmul(C[t], P[t], out=cp)
+        np.conjugate(P[t], out=wt)
+        wt *= cp
+        np.add.reduce(wt.real, axis=-2, out=q[t])
+        np.matmul(HS[t], cp, out=hc)
+        hc -= np.multiply(H[t], 2.0, out=wt)
+        np.conjugate(cp, out=wt)
+        wt *= hc
+        np.add.reduce(wt.real, axis=-2, out=r[t])
+    q, r = (a.reshape(*support.shape[:-1], m) for a in (q, r))
     sigma2 = sigma2[..., None]
-    W = np.conjugate(P)
-    W *= CP
-    q = W.real.sum(axis=-2)
     np.subtract(sq, q, out=q)
     q /= sigma2
-    # Re c^H (B^H Shat B c - 2 h), one elementwise pass over the rows
-    HC = np.take_along_axis(H, idx, axis=-1) @ CP
-    HC -= np.multiply(H, 2.0, out=W)
-    np.conjugate(CP, out=W)
-    W *= HC
-    r = W.real.sum(axis=-2)
     np.add(s, r, out=r)
     r /= sigma2**2
     return _check_positive(q), r, rows

@@ -38,10 +38,12 @@ from covlearn.clbcd import Problem
 from util import population_snapshots
 
 # The methods whose runners read a row solve_stack kept on a Problem.
-STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "music")
+STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "somp", "music")
 
 # Each stacked tag's stacked solver, by module and name.
-STACKED_SOLVERS = ((clomp, "_clomp"), (clbcd, "_power_iteration"), (baselines, "_music"))
+STACKED_SOLVERS = (
+    (clomp, "_clomp"), (clbcd, "_power_iteration"), (baselines, "_somp"), (baselines, "_music")
+)
 
 # The exceptions the Monte-Carlo engine counts as a failed trial.
 COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
@@ -317,7 +319,7 @@ def test_each_cell_finds_only_its_own_methods_row(monkeypatch):
 @pytest.mark.parametrize("kind", ["ula-doa", "gaussian-ssr"])
 def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind):
     # every cell of a healthy chunk reads the row its stack kept: no size-1
-    # solve, for each of the nine stacked tags
+    # solve, for each of the ten stacked tags
     stack_sizes = _count_stacks(monkeypatch)
     doas = (-20.0, 30.0) if kind == "ula-doa" else None
     cfg = ScenarioConfig(kind, 8, 91, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=doas, trials=5,
@@ -388,7 +390,9 @@ def test_a_stack_of_one_problem_keeps_its_row(tag):
     problem = Problem(Y, d)
     solve_stack(spec, [problem], d, k, True, 1.0, 40)
     (kept,) = problem._solved.values()
-    assert solve_trial(spec, problem, d, k, True, 1.0, 40) is kept
+    result = solve_trial(spec, problem, d, k, True, 1.0, 40)
+    # somp keeps the SupportSet that baselines.somp returns, and its runner builds on it
+    assert (result.support if tag == "somp" else result) is kept
     assert not problem._solved
     assert _outcome(spec, problem, d, k, True, 40) == _outcome(spec, Y, d, k, True, 40)
 

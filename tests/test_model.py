@@ -25,7 +25,7 @@ from covlearn import (
     support_atom_forms,
     ula_grid,
 )
-from covlearn.model import _qr_full_rank, hermitize
+from covlearn.model import _PASS_ENTRIES, _qr_full_rank, hermitize
 from util import (
     dense_atom_forms,
     dense_covariance,
@@ -35,6 +35,7 @@ from util import (
     random_state,
     random_unit_dictionary,
     ULA_SHAPES,
+    one_pass_support_forms,
 )
 
 
@@ -533,6 +534,32 @@ class TestSupportAtomForms:
                     d, scms[i], supports[i, :j], gammas[i, :j], sigma2s[i], lone_rows[i]
                 )
                 assert q[i].tobytes() == q0.tobytes() and r[i].tobytes() == r0.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,m",
+        # at j = 1: 11, 3, 2 and 1 rows per pass; at j = 3: 3, 1, 1 and 1
+        [(6, _PASS_ENTRIES // 12 + 1), (6, _PASS_ENTRIES // 3 - 1), (20, 1801),
+         (6, _PASS_ENTRIES // 2 + 1)],
+    )
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("stack", [1, 3, 12])
+    def test_passes_over_rows_give_the_one_pass_bits(self, n, m, grid, stack):
+        # the j x M passes run over groups of rows that fit _PASS_ENTRIES, the
+        # last group taking the rest; each row must get the bits of one pass
+        rng = np.random.default_rng(m + stack)
+        d = ula_grid(n, m) if grid else gaussian_dictionary(n, m, rng)
+        X = rng.standard_normal((stack, n, 2 * n)) + 1j * rng.standard_normal((stack, n, 2 * n))
+        scm = np.array([sample_covariance(x) for x in X])
+        sigma2 = rng.uniform(0.5, 2.0, stack)
+        for j in (0, 1, 3):
+            support = np.array([rng.choice(m, j, replace=False) for _ in range(stack)])
+            gamma = rng.uniform(0.5, 3.0, (stack, j))
+            head = max(j - 1, 0)
+            _, _, prefix = support_atom_forms(d, scm, support[:, :head], gamma[:, :head], sigma2)
+            for carried in (None, prefix):
+                q, r, rows = support_atom_forms(d, scm, support, gamma, sigma2, carried)
+                q0, r0 = one_pass_support_forms(rows, gamma, sigma2)
+                assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
 
     def test_invalid_arguments(self):
         d, support, gamma_sub, sigma2, scm = _support_model("gaussian")

@@ -99,6 +99,37 @@ def dense_atom_forms(atoms, H):
     return np.array([np.vdot(a, H @ a).real for a in np.asarray(atoms).T])
 
 
+def one_pass_support_forms(rows, gamma, sigma2):
+    """(q, r) of support_atom_forms from the Gram rows it returned, in one
+    pass over the whole stack: its j x M passes as written before they ran
+    over groups of rows, the operands in the same order, so the groups must
+    give these bits."""
+    support, sq, s, P, H = rows
+    gamma = np.asarray(gamma, dtype=np.float64)
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    d = np.sqrt(gamma)[..., None]
+    dT = d.swapaxes(-1, -2)
+    idx = np.asarray(support)[..., None, :]
+    G = d * np.take_along_axis(P, idx, axis=-1) * dT
+    diagonal = np.einsum("...ii->...i", G)
+    diagonal += sigma2[..., None]
+    CP = (d * np.linalg.inv(G) * dT) @ P
+    sigma2 = sigma2[..., None]
+    W = np.conjugate(P)
+    W *= CP
+    q = W.real.sum(axis=-2)
+    np.subtract(sq, q, out=q)
+    q /= sigma2
+    HC = np.take_along_axis(H, idx, axis=-1) @ CP
+    HC -= np.multiply(H, 2.0, out=W)
+    np.conjugate(CP, out=W)
+    W *= HC
+    r = W.real.sum(axis=-2)
+    np.add(s, r, out=r)
+    r /= sigma2**2
+    return q, r
+
+
 def max_rel_err(actual, expected):
     """Largest entrywise deviation relative to the largest expected entry."""
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
