@@ -20,9 +20,10 @@ from .model import (
     _qr_full_rank,
     atom_forms,
     atom_quadratic_forms,
+    provisional_mle,
     pseudo_inverse_apply,
 )
-from .scenario import grid_angles_deg, ula_grid
+from .scenario import grid_angles_deg, steering_matrix, ula_grid
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
@@ -195,6 +196,8 @@ def _somp(problems, k: int) -> list:
     every row overwrites. Every row's grown support is then factored by one
     stacked QR and fit by one stacked solve.
     """
+    if len(shapes := sorted({p.Y.shape for p in problems})) > 1:
+        raise ValueError(f"somp stacks snapshot matrices of one shape, got {shapes}")
     dictionary = problems[0].dictionary
     A = dictionary.atoms
     # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once
@@ -253,13 +256,31 @@ def _music(problems, k: int) -> list:
     return results
 
 
-def mle_single_source(scm: np.ndarray, n_points: int) -> float:
+def mle_single_source(scm: np.ndarray, n_points: int) -> float | np.ndarray:
     """Single-source ML direction: argmax of a(theta)^H Shat a(theta) over
     the uniform n_points angle grid of :func:`grid_angles_deg`.
 
     The powers are read through :func:`atom_forms` on the shared
-    ``ula_grid(N, n_points)``. Ties resolve to the lowest grid index.
+    ``ula_grid(N, n_points)``. Ties resolve to the lowest grid index. A
+    stack (S, N, N) gives one direction per row, each the one it gets alone.
     """
     scm = np.asarray(scm, dtype=np.complex128)
-    power = atom_forms(ula_grid(scm.shape[0], n_points), scm[None])[0]
-    return float(grid_angles_deg(n_points)[int(np.argmax(power))])
+    power = atom_forms(ula_grid(scm.shape[-1], n_points), scm[..., None, :, :])[..., 0, :]
+    theta = grid_angles_deg(n_points)[np.argmax(power, axis=-1)]
+    return float(theta) if scm.ndim == 2 else theta
+
+
+FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
+
+
+def _mle1(problems, k: int) -> list:
+    """mle1 on a stack: each row's fine-grid direction and the
+    :func:`provisional_mle` fit of its steering vector there."""
+    if k != 1:
+        raise ValueError("mle1 handles exactly one source")
+    n = problems[0].dictionary.n_sensors
+    scm = np.array([p.scm for p in problems])
+    thetas = mle_single_source(scm, FINE_GRID_POINTS)
+    powers, sigma2 = provisional_mle(scm, steering_matrix(n, thetas).T[..., None], n)
+    return [SolverResult(None, None, s2, 1, True, theta_deg=(float(theta),), powers=p)
+            for theta, p, s2 in zip(thetas, powers, sigma2)]

@@ -1,9 +1,8 @@
 """Registry mapping method tags to solver adapters with a uniform outcome.
 
 The Monte-Carlo engine and the CLI dispatch through one table, which names
-each tag's runner and, for the methods that stack, the stacked solver and
-arguments of that runner, so every method sees identical data and reports
-comparable telemetry.
+each tag's runner and the stacked solver and arguments of that runner, so
+every method sees identical data and reports comparable telemetry.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ import numpy as np
 
 from . import baselines, clbcd, clomp
 from .clbcd import _COUNTED, Problem, SolverConfig, SolverResult
-from .model import Dictionary, noise_mle, provisional_mle
-from .scenario import steering_matrix
-
-FINE_GRID_POINTS = 18001  # 0.01 deg resolution for the single-source searcher
+from .model import Dictionary, noise_mle
 
 METHOD_DESCRIPTIONS = {
     "cl-bcd": "block-coordinate descent with fixed-point power updates",
@@ -92,39 +88,26 @@ def _somp(problem: Problem, dictionary: Dictionary, k: int, config: SolverConfig
     return SolverResult(support, gamma, sigma2, iterations=k, converged=True)
 
 
-def _mle1(problem: Problem, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
-    if k != 1:
-        raise ValueError("mle1 handles exactly one source")
-    scm = problem.scm
-    theta = baselines.mle_single_source(scm, FINE_GRID_POINTS)
-    atom = steering_matrix(dictionary.n_sensors, [theta])
-    gamma_src, sigma2 = provisional_mle(scm, atom, dictionary.n_sensors)
-    return SolverResult(None, None, sigma2, 1, True, theta_deg=(theta,), powers=gamma_src)
-
-
 def _power(tag: str):
     """The stack of ``tag``'s power iteration, whose rules clbcd._POWER_RULES names."""
     return lambda k, c: (clbcd._power_iteration, tag, k, c)
 
 
 # tag -> (run(problem, dictionary, k, config) -> SolverResult, stack(k, config)
-# -> the (solve_stack, *args) that run passes to Problem.solve, or None for
-# mle1, the one method that does not stack). Both look their functions up per
-# call, so a patched module attribute is the one that runs.
+# -> the (solve_stack, *args) that run passes to Problem.solve). Both look their
+# functions up per call, so a patched module attribute is the one that runs.
 _METHODS = {
     "cl-bcd": (lambda p, d, k, c: clbcd.run_clbcd(p, d, k, c), _power("cl-bcd")),
-    "cl-omp": (lambda p, d, k, c: clomp.run_clomp(p, d, k),
-               lambda k, c: (clomp._clomp, k)),
+    "cl-omp": (lambda p, d, k, c: clomp.run_clomp(p, d, k), lambda k, c: (clomp._clomp, k)),
     "iaa": (lambda p, d, k, c: baselines.run_iaa(p, d, k, c), _power("iaa")),
     "samv2": (lambda p, d, k, c: baselines.run_samv2(p, d, k, c), _power("samv2")),
     "sbl": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c), _power("sbl")),
     "sbl1": (lambda p, d, k, c: baselines.run_sbl(p, d, k, c, b=0.5), _power("sbl1")),
     "msbl": (lambda p, d, k, c: baselines.run_msbl(p, d, k, c), _power("msbl")),
-    "music": (lambda p, d, k, c: baselines.music_doas(p, d, k),
-              lambda k, c: (baselines._music, k)),
+    "music": (lambda p, d, k, c: baselines.music_doas(p, d, k), lambda k, c: (baselines._music, k)),
     "cwo": (lambda p, d, k, c: baselines.run_cwo(p, d, k, c), _power("cwo")),
     "somp": (_somp, lambda k, c: (baselines._somp, k)),
-    "mle1": (_mle1, None),
+    "mle1": (lambda p, d, k, c: p.solve(baselines._mle1, k), lambda k, c: (baselines._mle1, k)),
 }
 
 
@@ -149,9 +132,8 @@ def solve_trial(
     and, for msbl and cwo, the scenario's noise variance ``noise_var``; the
     other methods only check the three, as :class:`SolverConfig` does.
     """
-    run, _ = _METHODS[spec.tag]
     config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
-    return run(Problem.of(Y, dictionary, k), dictionary, k, config)
+    return _METHODS[spec.tag][0](Problem.of(Y, dictionary, k), dictionary, k, config)
 
 
 def solve_stack(
@@ -166,19 +148,16 @@ def solve_stack(
     """Solve ``problems``, a list of one or more Problems over ``dictionary``
     (else ValueError), as one stack of spec's method, and keep each row on
     its Problem for the next :func:`solve_trial` of it with the same
-    arguments: the result it gets alone. Every method but mle1 stacks. A
-    stack that raises a counted error (ArithmeticError, LinAlgError,
-    ValueError) keeps nothing: each Problem then gets the result or the
-    exception class of its lone solve.
+    arguments: the result it gets alone. A stack that raises a counted error
+    (ArithmeticError, LinAlgError, ValueError) keeps nothing: each Problem
+    then gets the result or the exception class of its lone solve.
     """
     problems = [Problem.of(p, dictionary, k) for p in problems]
     if not problems:
         raise ValueError("a stack holds one or more problems")
-    stack = _METHODS[spec.tag][1]
-    if stack is None:
-        return
     # the key names what solve(problems, *args) computes, so args are hashable
-    solve, *args = key = stack(k, SolverConfig(max_iter, peak=peak, known_sigma2=noise_var))
+    config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
+    solve, *args = key = _METHODS[spec.tag][1](k, config)
     try:
         results = solve(problems, *args)
     except _COUNTED:

@@ -593,9 +593,9 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     consecutive trials, whose size never depends on ``threads``: on
     "ula-doa", whose trials share one steering grid, max(1, 12 // len(snr_db))
     trials; on "gaussian-ssr", whose trials each draw their own dictionary,
-    one trial. Each stacking method (every method but mle1) solves a chunk's
-    Problems, which share one dictionary, as one stack, and each cell's
-    runtime carries an even share of its stack.
+    one trial. Each method solves a chunk's Problems, which share one
+    dictionary, as one stack, and each cell's runtime carries an even share
+    of its stack.
     A solve that raises a numerical error (ArithmeticError, LinAlgError or
     ValueError) is counted as a failure of its cell, and a Problem that
     cannot be built (non-finite snapshots, no energy) as one failure of

@@ -406,6 +406,23 @@ class TestMleSingleSource:
             scm = sample_covariance(Y)
             assert mle_single_source(scm, 18001) == dense_mle_single_source(scm, fine)
 
+    @pytest.mark.parametrize("n_points", [181, 18001])
+    def test_a_stack_scans_each_row_as_alone(self, n_points):
+        # one atom_forms call over the (S, 1, N, N) stack keeps each row's own
+        # product, so every row's direction is its lone scan's, and the dense
+        # oracle's argmax
+        rng = np.random.default_rng(57 + n_points)
+        for n, s in [(6, 1), (12, 5), (20, 12)]:
+            sources = np.sqrt(rng.uniform(0.5, 20.0, s)) * steering_matrix(n, rng.uniform(-89, 89, s))
+            noise = rng.standard_normal((s, n, 10)) + 1j * rng.standard_normal((s, n, 10))
+            scm = np.array([sample_covariance(a[:, None] @ rng.standard_normal((1, 10)) + e)
+                            for a, e in zip(sources.T, noise)])
+            got = mle_single_source(scm, n_points)
+            assert got.shape == (s,)
+            assert got.tobytes() == np.array([mle_single_source(row, n_points) for row in scm]).tobytes()
+            fine = grid_angles_deg(n_points)
+            assert got.tolist() == [dense_mle_single_source(row, fine) for row in scm]
+
     def test_fine_grid_is_built_once(self, monkeypatch):
         ula_grid.cache_clear()
         grid = ula_grid(7, 91)
@@ -424,7 +441,7 @@ class TestMleSingleSource:
             for _ in range(2)
         ]
         assert thetas[0] == thetas[1]
-        assert built == [methods.FINE_GRID_POINTS]
+        assert built == [baselines.FINE_GRID_POINTS]
 
 
 @pytest.fixture(scope="module")

@@ -37,12 +37,15 @@ from covlearn import baselines, clbcd, cli, clomp, methods, scenario, solve_stac
 from covlearn.clbcd import Problem
 from util import population_snapshots
 
-# The methods whose runners read a row solve_stack kept on a Problem.
-STACKED_TAGS = ("cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "somp", "music")
+# The methods whose runners read a row solve_stack kept on a Problem: every tag.
+STACKED_TAGS = (
+    "cl-omp", "cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "somp", "music", "mle1"
+)
 
 # Each stacked tag's stacked solver, by module and name.
 STACKED_SOLVERS = (
-    (clomp, "_clomp"), (clbcd, "_power_iteration"), (baselines, "_somp"), (baselines, "_music")
+    (clomp, "_clomp"), (clbcd, "_power_iteration"), (baselines, "_somp"), (baselines, "_music"),
+    (baselines, "_mle1"),
 )
 
 # The exceptions the Monte-Carlo engine counts as a failed trial.
@@ -56,8 +59,13 @@ def _outcome(spec, data, d, k, peak, max_iter=SolverConfig.max_iter):
         res = solve_trial(spec, data, d, k, peak, 1.0, max_iter)
     except COUNTED as exc:
         return type(exc)
-    gamma = None if res.gamma is None else res.gamma.tobytes()
-    return (res.support, gamma, res.sigma2, res.iterations, res.converged)
+    gamma, powers = (None if a is None else a.tobytes() for a in (res.gamma, res.powers))
+    return (res.support, gamma, res.sigma2, res.iterations, res.converged, res.theta_deg, powers)
+
+
+def _k(tag, k):
+    """The sparsity ``tag`` solves at: mle1 searches one direction."""
+    return 1 if tag == "mle1" else k
 
 
 def _stacked(spec, Ys, d, k, peak, first, max_iter=SolverConfig.max_iter):
@@ -95,7 +103,9 @@ def _snapshots(ula, seed, snrs):
     data=st.data(),
 )
 def test_a_solve_in_a_stack_equals_the_solve_alone(ula, seed, snrs, tag, max_iter, data):
+    ula = ula or tag == "mle1"  # mle1 scans a steering grid
     d, k, Ys = _snapshots(ula, seed, snrs)
+    k = _k(tag, k)
     spec = MethodSpec(tag)
     first = data.draw(st.integers(0, len(Ys) - 1), label="first")
     alone = [_outcome(spec, Y, d, k, ula, max_iter) for Y in Ys]
@@ -122,7 +132,7 @@ def test_rows_leave_the_stack_as_they_converge(monkeypatch):
     d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5, 10.0))
     spec = MethodSpec("cl-bcd")
     alone = [_outcome(spec, Y, d, k, True, 8) for Y in Ys]
-    assert [outcome[3:] for outcome in alone] == [(6, True)] * 3 + [(8, False)]
+    assert [outcome[3:5] for outcome in alone] == [(6, True)] * 3 + [(8, False)]
     stack_sizes = []
     build = clbcd.build_covariance
 
@@ -224,13 +234,30 @@ def _clomp_duplicate_atom_case():
 @pytest.mark.parametrize("tag", STACKED_TAGS)
 def test_a_failing_row_fails_only_its_own_cell(tag):
     d, Ys = _clomp_duplicate_atom_case() if tag == "cl-omp" else _duplicate_atom_case()
-    spec = MethodSpec(tag)
-    alone = [_outcome(spec, Y, d, 2, False, 100) for Y in Ys]
+    spec, k = MethodSpec(tag), _k(tag, 2)
+    alone = [_outcome(spec, Y, d, k, False, 100) for Y in Ys]
     if tag in ("cl-omp", "cl-bcd", "iaa", "sbl", "sbl1"):
         assert alone[0] is RankDeficientError
     assert all(isinstance(outcome, tuple) for outcome in alone[1:])
     for first in range(len(Ys)):
-        assert _stacked(spec, Ys, d, 2, False, first, 100) == alone
+        assert _stacked(spec, Ys, d, k, False, first, 100) == alone
+
+
+def test_somp_solves_snapshot_matrices_of_other_shapes_alone():
+    # somp stacks the snapshot matrices themselves, so a stack of L = 6 and
+    # L = 9 raises before any work, keeps nothing, and each problem then
+    # gets its lone support
+    d, k, (Y,) = _snapshots(True, 12, (0.0,))
+    Ys = [Y[:, :6], Y[:, :9]]
+    problems = [Problem(Y, d) for Y in Ys]
+    with pytest.raises(ValueError, match=r"one shape, got \[\(20, 6\), \(20, 9\)\]"):
+        baselines._somp(problems, k)
+    spec = MethodSpec("somp")
+    solve_stack(spec, problems, d, k, True, 1.0)
+    assert not any(p._solved or p._fits for p in problems)
+    assert [_outcome(spec, p, d, k, True) for p in problems] == [
+        _outcome(spec, Y, d, k, True) for Y in Ys
+    ]
 
 
 def _count_stacks(monkeypatch):
@@ -316,17 +343,22 @@ def test_each_cell_finds_only_its_own_methods_row(monkeypatch):
     assert len(kept) == 4 * 5 * 3 and set(kept) == {1}
 
 
-@pytest.mark.parametrize("kind", ["ula-doa", "gaussian-ssr"])
-def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind):
+@pytest.mark.parametrize("kind, k", [
+    pytest.param("ula-doa", 2, id="ula-doa"),
+    pytest.param("gaussian-ssr", 2, id="gaussian-ssr"),
+    pytest.param("ula-doa", 1, id="ula-doa-k1"),
+])
+def test_every_stacked_tag_reads_its_kept_rows_in_the_engine(monkeypatch, kind, k):
     # every cell of a healthy chunk reads the row its stack kept: no size-1
-    # solve, for each of the ten stacked tags
+    # solve, for every tag that can solve the scenario (mle1 only ula-doa at k = 1)
     stack_sizes = _count_stacks(monkeypatch)
-    doas = (-20.0, 30.0) if kind == "ula-doa" else None
-    cfg = ScenarioConfig(kind, 8, 91, 16, 2, (-5.0, 0.0, 5.0), true_doas_deg=doas, trials=5,
+    tags = [tag for tag in STACKED_TAGS if tag != "mle1" or (kind, k) == ("ula-doa", 1)]
+    doas = (-20.0, 30.0)[:k] if kind == "ula-doa" else None
+    cfg = ScenarioConfig(kind, 8, 91, 16, k, (-5.0, 0.0, 5.0), true_doas_deg=doas, trials=5,
                          max_iter=8)
-    assert all(r.failures == 0 for r in run_monte_carlo(cfg, STACKED_TAGS))
+    assert all(r.failures == 0 for r in run_monte_carlo(cfg, tags))
     chunks = [12, 3] if kind == "ula-doa" else [3] * 5
-    assert stack_sizes == [rows for rows in chunks for _ in STACKED_TAGS]
+    assert stack_sizes == [rows for rows in chunks for _ in tags]
 
 
 def test_each_cell_carries_its_share_of_its_stack(tmp_path, monkeypatch):
@@ -386,7 +418,7 @@ def test_a_stack_holds_problems_over_one_dictionary():
 def test_a_stack_of_one_problem_keeps_its_row(tag):
     # a group of one, such as a one-SNR chunk, is solved once, by its stack
     d, k, (Y,) = _snapshots(True, 8, (-5.5,))
-    spec = MethodSpec(tag)
+    spec, k = MethodSpec(tag), _k(tag, k)
     problem = Problem(Y, d)
     solve_stack(spec, [problem], d, k, True, 1.0, 40)
     (kept,) = problem._solved.values()
@@ -399,7 +431,7 @@ def test_a_stack_of_one_problem_keeps_its_row(tag):
 
 @pytest.mark.parametrize("tag", methods.METHOD_TAGS)
 def test_an_empty_stack_is_rejected(tag):
-    # also by the methods that do not stack
+    # by solve_stack itself, before it looks up any tag's stacked solver
     d = ula_grid(6, 91)
     with pytest.raises(ValueError, match="one or more problems"):
         solve_stack(MethodSpec(tag), [], d, 2, True, 1.0)
