@@ -30,7 +30,6 @@ from .baselines import (
     somp,
 )
 from .clbcd import (
-    ClBcdConfig,
     Problem,
     SolverConfig,
     SolverResult,
@@ -45,6 +44,7 @@ from .model import (
     CovarianceState,
     DegenerateDowndateError,
     Dictionary,
+    InvalidDataError,
     NumericError,
     RankDeficientError,
     atom_forms,

@@ -15,6 +15,7 @@ from .clbcd import Problem, SolverConfig, SolverResult, _solve_power
 from .model import (
     CovarianceState,
     Dictionary,
+    InvalidDataError,
     _noise_floor,
     _one_atom_forms,
     _qr_full_rank,
@@ -175,7 +176,7 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
     current residual, refits all selected rows by least squares, K times.
     Y is an N x L snapshot matrix or a :class:`Problem` over ``dictionary``;
     it is validated like every other solver's input (its sample covariance
-    must have energy), so all-zero snapshots raise ValueError. A Problem
+    must have energy), so all-zero snapshots raise InvalidDataError. A Problem
     reads the row a stacked solve kept for it, if any.
 
     Each step factors its support once and forms the residual the next step
@@ -188,7 +189,8 @@ def somp(Y, dictionary: Dictionary, k: int) -> SupportSet:
 
 def _somp(problems, k: int) -> list:
     """somp on a stack of problems over one dictionary, one SupportSet per
-    problem; their snapshot matrices share one shape (else ValueError).
+    problem; their snapshot matrices share one shape (else InvalidDataError,
+    so each is solved alone).
 
     The K steps run in lockstep. Each forms every row's residual and
     correlations one row at a time: the correlations A^H R and their squares
@@ -197,7 +199,7 @@ def _somp(problems, k: int) -> list:
     stacked QR and fit by one stacked solve.
     """
     if len(shapes := sorted({p.Y.shape for p in problems})) > 1:
-        raise ValueError(f"somp stacks snapshot matrices of one shape, got {shapes}")
+        raise InvalidDataError(f"somp stacks snapshot matrices of one shape, got {shapes}")
     dictionary = problems[0].dictionary
     A = dictionary.atoms
     # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once

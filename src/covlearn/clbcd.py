@@ -26,6 +26,7 @@ import numpy as np
 from .model import (
     CovarianceState,
     Dictionary,
+    InvalidDataError,
     NumericError,
     _noise_floor,
     atom_forms,
@@ -37,7 +38,6 @@ from .model import (
 from .sparsity import SupportSet, hard_threshold
 
 __all__ = [
-    "ClBcdConfig",
     "Problem",
     "SolverConfig",
     "SolverResult",
@@ -74,9 +74,6 @@ class SolverConfig:
             raise ValueError(f"known_sigma2={self.known_sigma2} must be positive and finite")
 
 
-ClBcdConfig = SolverConfig  # a second name, kept for the callers that use it
-
-
 @dataclass(frozen=True)
 class SolverResult:
     """Outcome of one method on one problem: estimates plus telemetry.
@@ -104,10 +101,10 @@ def matched_filter_powers(dictionary: Dictionary, scm: np.ndarray) -> np.ndarray
     return _matched_filter(dictionary, atom_forms(dictionary, scm[None])[0])
 
 
-# The exceptions a solve may raise for its data: the engine counts each as a
-# failed cell, and a stacked solve that raises one keeps no row, so each of
-# its problems is solved alone.
-_COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
+# The exceptions a solve raises for its data: the engine counts each as a failed
+# cell, and a stacked solve that raises one keeps no row. Any other exception,
+# the plain ValueError of a config or of a shape bug included, propagates.
+_COUNTED = (NumericError, np.linalg.LinAlgError, InvalidDataError)
 
 
 class Problem:
@@ -115,10 +112,10 @@ class Problem:
 
     The methods see the data through Y itself (somp) or through the sample
     covariance Shat = Y Y^H / L, which the constructor forms once and
-    validates: N x N for the dictionary's N sensors, finite, and with
-    tr(Shat) > 0 (else ValueError). The trace that check computes is kept
-    as :attr:`trace`, which the solvers read for their noise-only starts
-    and noise floors. Three things are evaluated on first use
+    validates: N x N for the dictionary's N sensors (else ValueError), finite
+    and with tr(Shat) > 0 (else InvalidDataError). The trace that check
+    computes is kept as :attr:`trace`, which the solvers read for their
+    noise-only starts and noise floors. Three things are evaluated on first use
     and then kept: the per-atom forms a_i^H Shat a_i (:attr:`forms`), the
     matched-filter spectrum derived from them (:attr:`matched_filter`) and
     the noise-variance refit of each support asked for (see
@@ -136,10 +133,10 @@ class Problem:
         if scm.shape != (dictionary.n_sensors,) * 2:
             raise ValueError("sample covariance shape does not match the dictionary")
         if not np.isfinite(scm).all():
-            raise ValueError("sample covariance entries must be finite")
+            raise InvalidDataError("sample covariance entries must be finite")
         trace = np.trace(scm).real
         if not trace > 0:
-            raise ValueError("sample covariance has no energy")
+            raise InvalidDataError("sample covariance has no energy")
         scm.flags.writeable = False
         self.Y = Y
         self.dictionary = dictionary

@@ -1,8 +1,8 @@
 """Batch experiment runner.
 
 Reads a line-oriented ``key = value`` config (documented in the README),
-runs the Monte-Carlo campaign, and writes ``results.csv`` plus
-``meta.json`` into the output directory. Output rows are deterministic
+runs the Monte-Carlo campaign, and writes ``results.csv``, ``results.json``
+and ``meta.json`` into the output directory. Output rows are deterministic
 for a fixed config and seed at any thread count; the timing column (CPU
 time of the solving thread, ``time.thread_time``) is only populated when
 ``--timings`` is passed, so the default CSV is byte-reproducible.
@@ -35,8 +35,6 @@ CSV_COLUMNS = (
     "mean_runtime_s",
 )
 
-EMIT_FORMATS = ("csv", "json")
-
 _RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 _SCENARIO_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
@@ -58,7 +56,6 @@ _LIST_KEYS = {
     "source_offsets_db": float,
     "true_doas_deg": float,
     "methods": str,
-    "emit": str,
 }
 _REQUIRED_KEYS = ("kind", "n", "m", "l", "k", "snr_db", "methods")
 # the config keys whose ScenarioConfig field has another name
@@ -67,12 +64,11 @@ _FIELD_OF_KEY = {"n": "n_sensors", "m": "n_atoms", "l": "n_snapshots"}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated experiment: scenario, method list, output destination/formats."""
+    """A validated experiment: scenario, method list and output directory."""
 
     scenario: ScenarioConfig
     methods: tuple
     output_dir: str = "results"
-    emit: tuple = EMIT_FORMATS
 
 
 class SpecError(ValueError):
@@ -139,10 +135,7 @@ def parse_spec(path) -> ExperimentSpec:
             raise SpecError(f"{path}: missing required key {key!r}")
 
     tags = values.pop("methods")
-    destination = {key: values.pop(key) for key in ("output_dir", "emit") if key in values}
-    for fmt in destination.get("emit", ()):
-        if fmt not in EMIT_FORMATS:
-            raise SpecError(f"{path}: key 'emit' entries must be in {EMIT_FORMATS}")
+    output_dir = values.pop("output_dir", ExperimentSpec.output_dir)
 
     try:
         scenario = ScenarioConfig(**{_FIELD_OF_KEY.get(k, k): v for k, v in values.items()})
@@ -155,7 +148,7 @@ def parse_spec(path) -> ExperimentSpec:
     except ValueError as exc:
         raise SpecError(f"{path}:{entries['methods'][1]}: key 'methods': {exc}") from exc
 
-    return ExperimentSpec(scenario, methods, **destination)
+    return ExperimentSpec(scenario, methods, output_dir)
 
 
 def _fmt(value) -> str:
@@ -193,24 +186,21 @@ def run_experiment(
     records = run_monte_carlo(spec.scenario, spec.methods, threads=threads)
     wall = time.perf_counter() - started
 
-    if "csv" in spec.emit:
-        with open(out / "results.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(_record_row(rec, timings) for rec in records)
+    with open(out / "results.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(_record_row(rec, timings) for rec in records)
 
-    if "json" in spec.emit:
-        # every field is a scalar, so a shallow dict serializes as asdict's copy does
-        rows = [{name: getattr(rec, name) for name in _RECORD_FIELDS} for rec in records]
-        if not timings:
-            for row in rows:
-                row["mean_runtime_s"] = None
-        _write_json(out / "results.json", rows)
+    # every field is a scalar, so a shallow dict serializes as asdict's copy does
+    rows = [{name: getattr(rec, name) for name in _RECORD_FIELDS} for rec in records]
+    if not timings:
+        for row in rows:
+            row["mean_runtime_s"] = None
+    _write_json(out / "results.json", rows)
 
     meta = {
         "scenario": {name: getattr(spec.scenario, name) for name in _SCENARIO_FIELDS},
         "methods": [m.tag for m in spec.methods],
-        "emit": list(spec.emit),
         "seed": spec.scenario.seed,
         "build_version": __version__,
         "wall_time_s": wall,

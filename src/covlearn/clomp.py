@@ -24,6 +24,7 @@ from .clbcd import Problem, SolverResult
 from .model import (
     CovarianceState,
     Dictionary,
+    InvalidDataError,
     _one_atom_forms,
     atom_quadratic_forms,
     provisional_mle,
@@ -126,7 +127,7 @@ def _clomp(problems, k: int) -> list:
         for support, q_row, r_row in zip(chosen, q, r):
             sweep = _sweep(q_row, r_row, support)
             if not np.any(np.isfinite(sweep.errors)):
-                raise ValueError("no candidate atoms remain for the sweep")
+                raise InvalidDataError("no candidate atoms remain for the sweep")
             support.append(int(np.argmin(sweep.errors)))  # lowest index wins ties
         gamma_sub, sigma2 = provisional_mle(scm, dictionary.take(chosen), n)
 

@@ -149,7 +149,7 @@ def solve_stack(
     (else ValueError), as one stack of spec's method, and keep each row on
     its Problem for the next :func:`solve_trial` of it with the same
     arguments: the result it gets alone. A stack that raises a counted error
-    (ArithmeticError, LinAlgError, ValueError) keeps nothing: each Problem
+    (NumericError, LinAlgError, InvalidDataError) keeps nothing: each Problem
     then gets the result or the exception class of its lone solve.
     """
     problems = [Problem.of(p, dictionary, k) for p in problems]

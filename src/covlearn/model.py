@@ -40,6 +40,10 @@ class NumericError(ArithmeticError):
     """A numerically impossible or non-finite intermediate was encountered."""
 
 
+class InvalidDataError(ValueError):
+    """The data, or an estimate computed from it, is not a valid model input."""
+
+
 class DegenerateDowndateError(NumericError):
     """gamma_i * a_i^H Theta a_i is too close to 1 for a rank-one downdate."""
 
@@ -222,13 +226,13 @@ class CovarianceState:
 def sample_covariance(Y: np.ndarray) -> np.ndarray:
     """Sample covariance (1/L) Y Y^H of an N x L snapshot matrix.
 
-    Hermitian by construction (explicitly symmetrized after the product).
+    Hermitian by construction; non-finite snapshots raise InvalidDataError.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ValueError("snapshot matrix must be non-empty and 2-D")
     if not np.isfinite(Y).all():
-        raise ValueError("snapshot matrix entries must be finite")
+        raise InvalidDataError("snapshot matrix entries must be finite")
     scm = Y @ Y.conj().T / Y.shape[1]
     return hermitize(scm, out=scm)
 
@@ -236,7 +240,7 @@ def sample_covariance(Y: np.ndarray) -> np.ndarray:
 def _check_model(gamma, n_powers: int, sigma2):
     """(gamma, sigma2) as float64 after checking that gamma has n_powers
     entries, all finite and nonnegative, and that sigma2 is finite and
-    positive (else ValueError). A stack has gamma (S, n_powers) and sigma2 (S,)."""
+    positive (else InvalidDataError). A stack has gamma (S, n_powers) and sigma2 (S,)."""
     gamma = np.asarray(gamma, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if gamma.ndim > 2 or gamma.shape[-1:] != (n_powers,):
@@ -245,9 +249,9 @@ def _check_model(gamma, n_powers: int, sigma2):
         raise ValueError("a stack of powers needs one noise variance per row")
     # a NaN makes min() NaN, and every comparison with NaN is False
     if gamma.size and not (gamma.min() >= 0.0 and gamma.max() < np.inf):
-        raise ValueError("signal powers must be finite and nonnegative")
+        raise InvalidDataError("signal powers must be finite and nonnegative")
     if not (sigma2.min() > 0.0 and sigma2.max() < np.inf):
-        raise ValueError("noise variance must be positive")
+        raise InvalidDataError("noise variance must be positive")
     return gamma, sigma2
 
 
@@ -264,8 +268,10 @@ def build_covariance(dictionary: Dictionary, gamma, sigma2) -> CovarianceState:
 
     Raises
     ------
+    InvalidDataError
+        If some gamma_i is negative or not finite, or sigma2 <= 0.
     ValueError
-        If any gamma_i < 0, gamma has the wrong length, or sigma2 <= 0.
+        If gamma has the wrong length.
     NumericError
         If the factorization of Sigma fails (cannot happen for sigma2 > 0
         with finite atoms, but guarded).
@@ -454,8 +460,9 @@ def support_atom_forms(
     fault on a shared 2-vCPU VM. Each row's products and sums are those of
     one pass, so every bit is too.
 
-    Returns (q, r, rows). Raises NumericError if some q_i <= 0, and
-    ValueError for invalid powers or a ``rows`` whose support is not a prefix.
+    Returns (q, r, rows). Raises NumericError if some q_i <= 0,
+    InvalidDataError for invalid powers and ValueError for a ``rows`` whose
+    support is not a prefix.
     """
     scm = np.asarray(scm, dtype=np.complex128)
     support = np.asarray(support, dtype=np.intp).reshape(*scm.shape[:-2], -1)

@@ -596,8 +596,8 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     one trial. Each method solves a chunk's Problems, which share one
     dictionary, as one stack, and each cell's runtime carries an even share
     of its stack.
-    A solve that raises a numerical error (ArithmeticError, LinAlgError or
-    ValueError) is counted as a failure of its cell, and a Problem that
+    A solve that raises a numerical or data error (NumericError, LinAlgError
+    or InvalidDataError) is counted as a failure of its cell, and a Problem that
     cannot be built (non-finite snapshots, no energy) as one failure of
     every method; any other exception is a programming error and propagates.
     A method that cannot solve the scenario (see

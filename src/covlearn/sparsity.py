@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import InvalidDataError
+
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -106,7 +108,7 @@ def hard_threshold(gamma, k: int, peak: bool = False) -> SupportSet:
     if g.ndim != 1:
         raise ValueError("power vector must be 1-D")
     if not np.isfinite(g).all():
-        raise ValueError("power vector entries must be finite")
+        raise InvalidDataError("power vector entries must be finite")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > g.size:

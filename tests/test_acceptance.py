@@ -164,7 +164,7 @@ def test_criterion_4_stationarity_at_convergence():
         E = (rng.standard_normal((16, 2000)) + 1j * rng.standard_normal((16, 2000))) / np.sqrt(2)
         Y = A.take(true) @ (np.sqrt(powers)[:, None] * W) + E
 
-        res = cl.run_clbcd(Y, A, 3, cl.ClBcdConfig(max_iter=5000, tol=1e-12))
+        res = cl.run_clbcd(Y, A, 3, cl.SolverConfig(max_iter=5000, tol=1e-12))
         assert res.converged
         state = cl.build_covariance(A, res.gamma, res.sigma2)
         grad, _ = cl.nll_gradient(state, cl.sample_covariance(Y))
@@ -316,7 +316,6 @@ snr_db = 3, 6
 methods = cl-omp, cl-bcd, sbl, somp
 seed = 4242
 trials = 10
-emit = csv
 """
     cfg_file = tmp_path / "structural.cfg"
     cfg_file.write_text(cfg_text)

@@ -484,13 +484,14 @@ class TestRunners:
             run_msbl(Y, A, 2, SolverConfig())
         with pytest.raises(ValueError):
             run_cwo(Y, A, 2, SolverConfig())
-        # a stack is refused by the same counted error, not a TypeError, and
-        # keeps no row
+        # a stack is refused by the same config error, not a TypeError; it is
+        # not a counted failure, so solve_stack raises it and keeps no row
         for tag in ("msbl", "cwo"):
             problems = [Problem(Y, A), Problem(2.0 * Y, A)]
             with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
                 clbcd._power_iteration(problems, tag, 2, SolverConfig())
-            methods.solve_stack(methods.MethodSpec(tag), problems, A, 2, False, None)
+            with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
+                methods.solve_stack(methods.MethodSpec(tag), problems, A, 2, False, None)
             assert all(not p._solved for p in problems)
             with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
                 methods.solve_trial(methods.MethodSpec(tag), problems[0], A, 2, False, None)

@@ -61,7 +61,6 @@ class TestParseSpec:
         spec = parse_spec(write(tmp_path, MINI))
         assert spec.scenario.kind == "gaussian-ssr"
         assert spec.scenario.trials == 6
-        assert spec.emit == ("csv", "json")
         assert spec.methods == (MethodSpec("cl-omp"), MethodSpec("somp"))
         assert spec.scenario.max_iter == 500
 
@@ -130,11 +129,13 @@ class TestParseSpec:
             "peak = true",
             "method.msbl.known_sigma2 = -1",
             "method.cl-bcd.tol = -1e-3",
+            "emit = csv",
         ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
-        # tol is SolverConfig's, msbl/cwo get the scenario's noise_var and
-        # the support rule follows kind; none of them is a config key
+        # tol is SolverConfig's, msbl/cwo get the scenario's noise_var, the
+        # support rule follows kind and every run writes all three output
+        # files; none of them is a config key
         key = line.split(" =")[0]
         cfg = write(tmp_path, MINI.replace("cl-omp, somp", "cl-bcd, msbl") + line + "\n")
         with pytest.raises(SpecError, match=rf":11: key '{key}': unknown key"):
@@ -185,9 +186,8 @@ class TestParseSpec:
             (None, "cannot read config"),
             (MINI + "tracing\n", r":11: expected 'key = value', got 'tracing'"),
             (MINI + "rho =\n", r":11: key 'rho' has no value"),
-            (MINI + "emit = ,\n", r":11: key 'emit': empty list"),
+            (MINI + "source_offsets_db = ,\n", r":11: key 'source_offsets_db': empty list"),
             (MINI.replace("l = 12\n", ""), r": missing required key 'l'"),
-            (MINI + "emit = csv, xml\n", r": key 'emit' entries must be in \('csv', 'json'\)"),
         ],
     )
     def test_malformed_config_is_a_spec_error(self, tmp_path, text, message):
@@ -212,8 +212,7 @@ class TestParseSpec:
         required = dict(kind="gaussian-ssr", n_sensors=10, n_atoms=30, n_snapshots=12, k=2,
                         snr_db=(4.0,))
         assert spec.scenario == ScenarioConfig(**required, **defaults(ScenarioConfig))
-        assert defaults(ExperimentSpec) == {"output_dir": spec.output_dir, "emit": spec.emit}
-        assert spec.emit == cli.EMIT_FORMATS
+        assert defaults(ExperimentSpec) == {"output_dir": spec.output_dir}
 
     def test_doa_spec_round_trip(self, tmp_path):
         spec = parse_spec(write(tmp_path, DOA + "methods = cl-omp\n"))
@@ -267,13 +266,6 @@ class TestRunExperiment:
         assert meta["methods"] == ["cl-omp", "cl-bcd", "iaa", "music", "mle1"]
         assert meta["scenario"]["max_iter"] == 9
         assert "max_iter" not in meta
-
-    def test_csv_only_emit(self, tmp_path):
-        spec = parse_spec(write(tmp_path, MINI + "emit = csv\n"))
-        run_experiment(spec, tmp_path / "csvonly")
-        assert (tmp_path / "csvonly" / "results.csv").exists()
-        assert not (tmp_path / "csvonly" / "results.json").exists()
-        assert (tmp_path / "csvonly" / "meta.json").exists()
 
 
 class TestMain:

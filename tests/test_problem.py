@@ -14,10 +14,12 @@ import pytest
 
 from covlearn import (
     Dictionary,
+    InvalidDataError,
     MethodSpec,
     RankDeficientError,
     SupportSet,
     gaussian_dictionary,
+    hard_threshold,
     run_monte_carlo,
     solve_trial,
     steering_matrix,
@@ -93,6 +95,33 @@ def _overflowing_problem():
 )
 def test_outside_input_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _mixed_shape_somp_stack():
+    d = ula_grid(6, 91)
+    baselines._somp([Problem(np.eye(6, 8, dtype=complex), d),
+                     Problem(np.eye(6, 9, dtype=complex), d)], 1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: model.sample_covariance(np.full((6, 4), np.nan + 0j)), "snapshot matrix entries"),
+        (_overflowing_problem, "sample covariance entries must be finite"),
+        (lambda: Problem(np.zeros((6, 4), dtype=complex), ula_grid(6, 91)), "no energy"),
+        (lambda: model.build_covariance(ula_grid(6, 91), -np.ones(91), 1.0),
+         "signal powers must be finite and nonnegative"),
+        (lambda: model.build_covariance(ula_grid(6, 91), np.ones(91), 0.0),
+         "noise variance must be positive"),
+        (lambda: hard_threshold(np.array([1.0, np.nan]), 1), "power vector entries"),
+        (_mixed_shape_somp_stack, "one shape"),
+    ],
+)
+def test_data_failures_are_invalid_data_errors(call, message):
+    # the class the engine counts, and a ValueError for every other caller
+    assert InvalidDataError in clbcd._COUNTED and issubclass(InvalidDataError, ValueError)
+    with pytest.raises(InvalidDataError, match=message):
         call()
 
 

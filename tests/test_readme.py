@@ -1,8 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its config schema is the parser's."""
 
 import re
 import warnings
 from pathlib import Path
+
+from covlearn import cli
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -14,3 +16,10 @@ def test_every_python_block_runs_without_a_runtime_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_config_schema_table_names_exactly_the_accepted_keys():
+    section = README.read_text().split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    first_cells = re.findall(r"^\| (`.*?) \|", section, flags=re.M)
+    documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted({**cli._SCALAR_KEYS, **cli._LIST_KEYS})

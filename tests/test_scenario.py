@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covlearn import methods, scenario
+from covlearn import clbcd, clomp, methods, scenario
 from covlearn import (
     MethodSpec,
     MetricsRecord,
@@ -458,6 +458,31 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_monte_carlo(cfg, ["cl-omp"], threads=threads)
         assert calls == []
+
+    def test_data_failures_are_counted(self, monkeypatch):
+        # every cl-omp sweep finds no finite candidate: InvalidDataError,
+        # counted in every cell while music runs on
+        def no_candidates(q, r, excluded):
+            return clomp.SweepResult(np.zeros_like(q), np.full_like(q, np.inf))
+
+        monkeypatch.setattr(clomp, "_sweep", no_candidates)
+        cfg = ScenarioConfig("ula-doa", 12, 361, 20, 1, (6.0,), true_doas_deg=(-24.8,), seed=5,
+                             trials=3)
+        by = {r.method: r for r in run_monte_carlo(cfg, ["cl-omp", "music"])}
+        assert (by["cl-omp"].trials, by["cl-omp"].failures) == (0, 3)
+        assert (by["music"].trials, by["music"].failures) == (3, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_shape_bug_in_a_solver_step_raises(self, monkeypatch, threads):
+        # a power step that drops the last atom: numpy's broadcast ValueError
+        # is a programming error, not a counted failure, so the run stops
+        iaa_update = clbcd.iaa_update
+        monkeypatch.setattr(clbcd, "iaa_update", lambda state, scm: iaa_update(state, scm)[..., :-1])
+        cfg = ScenarioConfig("ula-doa", 12, 361, 20, 2, (6.0,), true_doas_deg=(-24.8, 10.2),
+                             seed=5, trials=4)
+        with pytest.raises(ValueError) as raised:
+            run_monte_carlo(cfg, ["cl-omp", "cl-bcd"], threads=threads)
+        assert not isinstance(raised.value, clbcd._COUNTED)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, threads):

@@ -274,7 +274,6 @@ def json_outputs(spec, records, threads, timings, wall, build_version):
     meta = {
         "scenario": asdict(spec.scenario),
         "methods": [m.tag for m in spec.methods],
-        "emit": list(spec.emit),
         "seed": spec.scenario.seed,
         "build_version": build_version,
         "wall_time_s": wall,
