@@ -6,8 +6,8 @@ Library layout:
 - :mod:`covlearn.sparsity`: top-K element/peak selection
 - :mod:`covlearn.clbcd`: the stacked power iteration of cl-bcd, IAA, SAMV2,
   SBL, M-SBL and CWO; the problem (snapshots, their validated sample covariance
-  and its caches, and the rows a stacked solve kept for it), the stacked
-  iteration loop ``iterate``, config and result type shared by every solver
+  and its caches, and the rows a stacked solve kept for it), the support
+  rule, config and result type shared by every solver
 - :mod:`covlearn.clomp`: greedy conditional-likelihood pursuit
 - :mod:`covlearn.baselines`: comparison methods (IAA, SAMV2, SBL, ...)
 - :mod:`covlearn.scenario`: experiment synthesis, metrics, Monte-Carlo engine

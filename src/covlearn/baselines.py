@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clbcd import Problem, SolverConfig, SolverResult, _solve_power
+from .clbcd import Problem, SolverConfig, SolverResult, _solve_power, _support
 from .model import (
     CovarianceState,
     Dictionary,
@@ -25,7 +25,7 @@ from .model import (
     pseudo_inverse_apply,
 )
 from .scenario import grid_angles_deg, steering_matrix, ula_grid
-from .sparsity import SupportSet, hard_threshold
+from .sparsity import SupportSet
 
 __all__ = [
     "ratio_update",
@@ -128,8 +128,8 @@ def run_sbl(
 def run_msbl(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverResult:
     """EM iteration on the signal powers with a known noise variance.
 
-    The final power spectrum is pruned to its K largest entries (or peaks)
-    to produce the reported support.
+    The final power spectrum is pruned to its K largest entries (peaks on
+    a steering grid) to produce the reported support.
     """
     return _solve_power("msbl", Y, dictionary, k, config)
 
@@ -230,7 +230,9 @@ def _somp(problems, k: int) -> list:
 
 
 def music_doas(Y, grid: Dictionary, k: int) -> SolverResult:
-    """Grid MUSIC: K largest pseudospectrum peaks over the steering grid.
+    """Grid MUSIC: the support of the pseudospectrum 1 / a_i^H P_n a_i, read
+    as every solver reads its powers: the K largest peaks on a steering grid,
+    the K largest entries on any other dictionary.
 
     Y is an N x L snapshot matrix or a :class:`Problem` over ``grid``, which
     reads the row a stacked solve kept for it, if any. The noise subspace
@@ -252,7 +254,7 @@ def _music(problems, k: int) -> list:
     proj = atom_forms(grid, (noise_basis @ noise_basis.conj().swapaxes(-1, -2))[:, None])[:, 0]
     results = []
     for problem, p, e in zip(problems, proj, evals):
-        support = hard_threshold(1.0 / np.maximum(p, 1e-300), k, peak=True)
+        support = _support(1.0 / np.maximum(p, 1e-300), k, grid)
         sigma2 = max(float(np.mean(e[: n - k])), _noise_floor(problem.trace, n))
         results.append(SolverResult(support, None, sigma2, iterations=1, converged=True))
     return results

@@ -9,11 +9,12 @@ power iterates stop moving in relative sup-norm. iaa, samv2, sbl, sbl1, msbl
 and cwo run the same power iteration with their own (power rule, noise rule)
 pair, which :data:`_POWER_RULES` names.
 
-Problems over one dictionary can be solved as one stack: :func:`iterate`
-runs every row together and drops each row once it has converged, and
-:func:`covlearn.methods.solve_stack` keeps each row on its problem until
+Problems over one dictionary can be solved as one stack: the power
+iteration runs every row together and drops each row once it has converged,
+and :func:`covlearn.methods.solve_stack` keeps each row on its problem until
 that problem's :meth:`Problem.solve` asks for it, each row with the bits
-it gets alone.
+it gets alone. Every solver reads its reported support off the dictionary
+(:func:`_support`): K largest peaks on a steering grid, else K largest entries.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "iaa_update",
-    "iterate",
     "matched_filter_powers",
     "relative_change",
     "run_clbcd",
@@ -54,15 +54,14 @@ class SolverConfig:
     """Settings of every iterative solver, cl-bcd and the baselines alike.
 
     max_iter caps the iterations; the iteration stops once the powers move
-    less than tol in relative sup-norm. peak selects top-K local peaks
-    instead of top-K entries for the reported support. known_sigma2
-    supplies the noise variance to the methods that do not estimate it
-    (M-SBL, CWO); when given it must be positive and finite.
+    less than tol in relative sup-norm. known_sigma2 supplies the noise
+    variance to the methods that do not estimate it (M-SBL, CWO); when given
+    it must be positive and finite. The support rule is not a setting: the
+    dictionary decides it (see :func:`_support`).
     """
 
     max_iter: int = 500
     tol: float = 0.5e-4
-    peak: bool = False
     known_sigma2: float | None = None
 
     def __post_init__(self):
@@ -228,50 +227,6 @@ def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     return r
 
 
-def iterate(dictionary: Dictionary, step, gamma0, sigma2_0, max_iter: int, tol: float):
-    """Fixed-point iteration of a stack of (gamma, sigma2), shared by every iterative solver.
-
-    gamma0 is (S, M) and sigma2_0 is (S,): S problems over one dictionary,
-    and S = 1 solves one. Each iteration builds the model covariances of
-    the rows still running as one stacked state and calls
-    ``step(state, rows) -> (gamma_new, sigma2_new)``, where ``rows`` indexes
-    those rows in the stack and the results have one row per entry. A row
-    stops, and leaves the stack, once :func:`relative_change` of its powers
-    falls below tol. Returns (gamma, sigma2, iterations, converged), one
-    entry per row; a row at the cap keeps its last iterate with
-    iterations = max_iter and converged = False.
-
-    Raises NumericError if a step returns a negative power.
-    """
-    gamma = np.array(gamma0, dtype=np.float64)
-    sigma2 = np.array(sigma2_0, dtype=np.float64)
-    iterations = np.full(len(gamma), max_iter)
-    converged = np.zeros(len(gamma), dtype=bool)
-    rows = np.arange(len(gamma))
-    for it in range(1, max_iter + 1):
-        # Keep the state bound until the next one is built: freeing it inside
-        # the iteration shifted glibc's heap trimming and nearly doubled the
-        # page faults of a Gaussian N=32, M=256 run.
-        # with every row running, the common case, pass the stack itself:
-        # build_covariance copies it into the state, so a gather is a second copy
-        live = rows if rows.size < len(gamma) else slice(None)
-        state = build_covariance(dictionary, gamma[live], sigma2[live])
-        gamma_new, sigma2_new = step(state, rows)
-        # row by row: a NaN row must not hide another row's negative power
-        if (gamma_new.min(axis=-1) < 0.0).any():
-            raise NumericError("power iterate went negative")
-        done = relative_change(gamma_new, state.gamma) < tol
-        gamma[rows] = gamma_new
-        sigma2[rows] = sigma2_new
-        if done.any():
-            iterations[rows[done]] = it
-            converged[rows[done]] = True
-            rows = rows[~done]
-            if not rows.size:
-                break
-    return gamma, sigma2, iterations, converged
-
-
 def run_clbcd(
     Y: np.ndarray, dictionary: Dictionary, k: int, config: SolverConfig | None = None
 ) -> SolverResult:
@@ -304,13 +259,24 @@ def _solve_power(tag: str, Y, dictionary: Dictionary, k: int, config: SolverConf
     return Problem.of(Y, dictionary, k).solve(_power_iteration, tag, k, config)
 
 
+def _support(powers: np.ndarray, k: int, dictionary: Dictionary) -> SupportSet:
+    """The support every solver reports of ``powers`` over ``dictionary``: the
+    K largest peaks on a steering grid (a Vandermonde dictionary, whose
+    adjacent atoms see one source together), else the K largest entries."""
+    return hard_threshold(powers, k, peak=dictionary.is_vandermonde)
+
+
 def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
     """``tag``'s power iteration on a stack of problems over one dictionary,
     one result per problem: from the matched filter (cwo: zero powers), each
-    step applies the tag's rules (:data:`_POWER_RULES`) against the previous
-    iterate's model; the "known" noise rule needs known_sigma2 (else
-    ValueError). The reported support is the top-K of the final powers: the
-    one the last step (or cl-bcd's closed-form start) refit under the "refit"
+    step applies the tag's rules (:data:`_POWER_RULES`) against the model of
+    the previous iterate, built for the rows still running as one stacked
+    state; the "known" noise rule needs known_sigma2 (else ValueError). A row
+    stops, and leaves the stack, once :func:`relative_change` of its powers
+    falls below tol; a row at the cap keeps its last iterate with iterations
+    = max_iter and converged False. A step that returns a negative power
+    raises NumericError. The reported support (:func:`_support`) is the one
+    the last step (or cl-bcd's closed-form start) refit under the "refit"
     noise rule, with that refit as sigma2; the other rules threshold the
     final powers once, and "loading" reports the refit on that support."""
     from . import baselines  # which imports this module; the rules are looked up per call
@@ -337,33 +303,43 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
         # cl-bcd's iteration 1, in closed form: from the noise-only start
         # Theta = I / s2 (gamma = 0), q_i = ||a_i||^2 / s2 and r_i = a_i^H Shat a_i
         # / s2^2, so the power step r_i / q_i^2 is the matched filter for any
-        # s2. It stops as :func:`iterate` would against the zero start.
+        # s2. It stops as the loop below would against the zero start.
         first = 1
-        supports = [hard_threshold(g, k, config.peak) for g in gamma]
+        supports = [_support(g, k, dictionary) for g in gamma]
         sigma2 = _noise_refits(problems, supports)
         converged = relative_change(gamma, np.zeros_like(gamma)) < config.tol
-    iterations = np.full(len(problems), first)
-    live = np.flatnonzero(~converged)
-
-    def step(state, rows):
-        running = live[rows]
-        powers = update(state, scm[running])
+    iterations = np.where(converged, first, config.max_iter)
+    rows = np.flatnonzero(~converged)
+    for it in range(first + 1, config.max_iter + 1):
+        if not rows.size:
+            break
+        # Keep the state bound until the next one is built: freeing it inside
+        # the iteration shifted glibc's heap trimming and nearly doubled the
+        # page faults of a Gaussian N=32, M=256 run.
+        # with every row running, the common case, pass the stack itself:
+        # build_covariance copies it into the state, so a gather is a second copy
+        live = rows if rows.size < len(problems) else slice(None)
+        state = build_covariance(dictionary, gamma[live], sigma2[live])
+        powers = update(state, scm[rows])
         if noise == "refit":
-            new = [hard_threshold(g, k, config.peak) for g in powers]
-            for i, support in zip(running, new):
+            new = [_support(g, k, dictionary) for g in powers]
+            for i, support in zip(rows, new):
                 supports[i] = support
-            return powers, _noise_refits([problems[i] for i in running], new)
-        if noise == "samv2":
-            floor = _noise_floor(tr[running], n)
-            return powers, np.maximum(baselines.samv2_noise_update(state, scm[running]), floor)
-        return powers, sigma2[running]
-
-    if len(live):
-        out = iterate(dictionary, step, gamma[live], sigma2[live], config.max_iter - first, config.tol)
-        gamma[live], sigma2[live], iterations[live], converged[live] = out
-        iterations[live] += first
+            sigma2[rows] = _noise_refits([problems[i] for i in rows], new)
+        elif noise == "samv2":
+            sigma2[rows] = np.maximum(baselines.samv2_noise_update(state, scm[rows]),
+                                      _noise_floor(tr[rows], n))
+        # row by row: a NaN row must not hide another row's negative power
+        if (powers.min(axis=-1) < 0.0).any():
+            raise NumericError("power iterate went negative")
+        done = relative_change(powers, state.gamma) < config.tol
+        gamma[rows] = powers
+        if done.any():
+            iterations[rows[done]] = it
+            converged[rows[done]] = True
+            rows = rows[~done]
     if noise != "refit":
-        supports = [hard_threshold(g, k, config.peak) for g in gamma]
+        supports = [_support(g, k, dictionary) for g in gamma]
     if noise == "loading":
         sigma2 = _noise_refits(problems, supports)
     return [

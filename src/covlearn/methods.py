@@ -25,7 +25,7 @@ METHOD_DESCRIPTIONS = {
     "msbl": "EM iteration on signal powers, known noise variance",
     "cwo": "cyclic coordinatewise likelihood descent, known noise variance",
     "somp": "simultaneous orthogonal matching pursuit",
-    "music": "subspace pseudospectrum peaks on the steering grid",
+    "music": "subspace pseudospectrum: top-K peaks on a steering grid, top-K entries otherwise",
     "mle1": "single-source exhaustive grid maximum likelihood",
 }
 
@@ -35,7 +35,7 @@ METHOD_TAGS = tuple(METHOD_DESCRIPTIONS)
 @dataclass(frozen=True)
 class MethodSpec:
     """A method tag. Everything else of a solve is the run's: the iteration
-    cap, the support rule and the noise variance (see :func:`solve_trial`)."""
+    cap and the noise variance (see :func:`solve_trial`)."""
 
     tag: str
 
@@ -116,7 +116,7 @@ def solve_trial(
     Y: np.ndarray,
     dictionary: Dictionary,
     k: int,
-    peak: bool,
+    *,
     noise_var: float,
     max_iter: int = SolverConfig.max_iter,
 ) -> SolverResult:
@@ -128,11 +128,12 @@ def solve_trial(
     once, and a Problem returns the row :func:`solve_stack` kept for it under
     the same arguments. The iterative methods (cl-bcd, iaa, samv2, sbl, sbl1,
     msbl, cwo) run at the run's iteration cap ``max_iter`` with
-    :class:`SolverConfig`'s tolerance, the scenario's support rule ``peak``
-    and, for msbl and cwo, the scenario's noise variance ``noise_var``; the
-    other methods only check the three, as :class:`SolverConfig` does.
+    :class:`SolverConfig`'s tolerance and, for msbl and cwo, the scenario's
+    noise variance ``noise_var``; the other methods only check the two, as
+    :class:`SolverConfig` does. The support rule is the dictionary's: K
+    largest peaks on a steering grid, else K largest entries.
     """
-    config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
+    config = SolverConfig(max_iter, known_sigma2=noise_var)
     return _METHODS[spec.tag][0](Problem.of(Y, dictionary, k), dictionary, k, config)
 
 
@@ -141,7 +142,7 @@ def solve_stack(
     problems,
     dictionary: Dictionary,
     k: int,
-    peak: bool,
+    *,
     noise_var: float,
     max_iter: int = SolverConfig.max_iter,
 ) -> None:
@@ -156,7 +157,7 @@ def solve_stack(
     if not problems:
         raise ValueError("a stack holds one or more problems")
     # the key names what solve(problems, *args) computes, so args are hashable
-    config = SolverConfig(max_iter, peak=peak, known_sigma2=noise_var)
+    config = SolverConfig(max_iter, known_sigma2=noise_var)
     solve, *args = key = _METHODS[spec.tag][1](k, config)
     try:
         results = solve(problems, *args)

@@ -158,9 +158,11 @@ class ScenarioConfig:
     the per-source dB average in "ula-doa" mode; source_offsets_db holds
     the per-source levels relative to the first source. true_doas_deg is
     required for "ula-doa" and rejected for "gaussian-ssr", whose supports
-    are drawn per trial. The support rule follows the kind (see
-    :attr:`peak`) and is not a field. max_iter caps every iterative method
-    of the run and must pass :class:`~covlearn.clbcd.SolverConfig`'s check.
+    are drawn per trial. The support rule is not a field: every method reads
+    it off the dictionary, so "ula-doa" runs, on the steering grid, report
+    K largest peaks and "gaussian-ssr" runs K largest entries. max_iter caps
+    every iterative method of the run and must pass
+    :class:`~covlearn.clbcd.SolverConfig`'s check.
     """
 
     kind: str
@@ -239,12 +241,6 @@ class ScenarioConfig:
             object.__setattr__(self, "true_doas_deg", doas)
         elif self.true_doas_deg is not None:
             raise ValueError("true_doas_deg applies only to ula-doa scenarios")
-
-    @property
-    def peak(self) -> bool:
-        """Support rule: K largest grid peaks for "ula-doa", K largest
-        entries for "gaussian-ssr"."""
-        return self.kind == "ula-doa"
 
     def source_powers(self, snr_db: float) -> np.ndarray:
         """Per-source powers for one SNR point, in config source order."""
@@ -532,17 +528,17 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
             cases.append((cells, si, problem, truth))
         cells_by_trial.append(cells)
     problems = [problem for _, _, problem, _ in cases]
-    args = (dictionary, config.k, config.peak, config.noise_var, config.max_iter)
+    run = {"noise_var": config.noise_var, "max_iter": config.max_iter}
     for mi, spec in enumerate(specs if problems else ()):
         # CPU time of this thread: wall time in a pool thread would also
         # count the other workers it waits behind
         t0 = time.thread_time()
-        solve_stack(spec, problems, *args)
+        solve_stack(spec, problems, dictionary, config.k, **run)
         share = (time.thread_time() - t0) / len(problems)
         for cells, si, problem, truth in cases:
             t0 = time.thread_time()
             try:
-                outcome = solve_trial(spec, problem, *args)
+                outcome = solve_trial(spec, problem, dictionary, config.k, **run)
             except _COUNTED:
                 cells[(mi, si)] = _FAILED
                 continue
@@ -582,11 +578,10 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
 
     ``methods`` is a sequence of tags or MethodSpec objects, and the run
     specifies every solve (see :func:`covlearn.methods.solve_trial`): each
-    iterative method stops at ``config.max_iter`` and reads the support rule
-    ``config.peak``, and msbl and cwo take ``config.noise_var`` as their known
-    noise variance. Returns one MetricsRecord per (method, snr_db), in that
-    nesting order. Results are independent of ``threads``, which must be at
-    least 1. Each (trial, SNR) builds one :class:`~covlearn.clbcd.Problem`
+    iterative method stops at ``config.max_iter``, and msbl and cwo take
+    ``config.noise_var`` as their known noise variance. Returns one
+    MetricsRecord per (method, snr_db), in that nesting order. Results are
+    independent of ``threads``, which must be at least 1. Each (trial, SNR) builds one :class:`~covlearn.clbcd.Problem`
     from its snapshots, which
     every method solves; building it, with its per-atom forms and matched
     filter, is not part of any method's runtime. The trials run in chunks of

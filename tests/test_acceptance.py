@@ -278,7 +278,7 @@ def test_criterion_9_structural_properties(tmp_path):
     E = (rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))) / np.sqrt(2)
     Y = A.take(true) @ (np.sqrt([12.0, 9.0, 7.0])[:, None] * W) + E
     for tag in ("cl-bcd", "cl-omp", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo", "somp"):
-        out = cl.solve_trial(cl.MethodSpec(tag), Y, A, 3, False, 1.0)
+        out = cl.solve_trial(cl.MethodSpec(tag), Y, A, 3, noise_var=1.0)
         assert out.sigma2 > 0.0
         if out.gamma is not None:
             assert out.gamma.min() >= 0.0

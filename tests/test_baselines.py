@@ -7,7 +7,9 @@ from covlearn import (
     CovarianceState,
     atom_forms,
     Dictionary,
+    MethodSpec,
     build_covariance,
+    gaussian_dictionary,
     iaa_update,
     matched_filter_powers,
     mle_single_source,
@@ -22,6 +24,7 @@ from covlearn import (
     run_sbl,
     sample_covariance,
     samv2_noise_update,
+    solve_trial,
     somp,
     steering_matrix,
     ula_grid,
@@ -276,7 +279,7 @@ class TestSomp:
             d = ula_grid(8, 91) if grid else random_unit_dictionary(rng, 16, 64)
             Y = rng.standard_normal((d.n_sensors, 12)) + 1j * rng.standard_normal((d.n_sensors, 12))
             formed.clear()
-            res = methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, False, 1.0)
+            res = methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, noise_var=1.0)
             assert len(formed) == 1
             assert res.support == somp(Y, d, 3)
             gamma, sigma2 = somp_refit(Y, d, res.support.indices)
@@ -300,7 +303,7 @@ class TestSomp:
         rng = np.random.default_rng(49)
         d = ula_grid(8, 91) if grid else random_unit_dictionary(rng, 16, 64)
         Y = rng.standard_normal((d.n_sensors, 12)) + 1j * rng.standard_normal((d.n_sensors, 12))
-        methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, False, 1.0)
+        methods.solve_trial(methods.MethodSpec("somp"), Y, d, 3, noise_var=1.0)
         assert sizes == [1, 2, 3]
 
 
@@ -339,6 +342,28 @@ class TestMusic:
         found = sorted(grid_angles_deg(m)[list(sup.indices)])
         npt.assert_allclose(found, [-20.0, 15.0], atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "ula"])
+    def test_reads_the_support_rule_off_the_dictionary(self, kind):
+        # the K largest entries of the pseudospectrum on a dense dictionary,
+        # whose atoms 10 and 11 are neighbours in index only, and the K
+        # largest peaks on a steering grid, whose top-2 entries flank one peak
+        rng = np.random.default_rng(71)
+        if kind == "gaussian":
+            d, k, true = gaussian_dictionary(16, 64, rng), 3, (10, 11, 40)
+            atoms = d.take(list(true))
+        else:
+            d, k, true = ula_grid(8, 1801), 2, (800, 1153)
+            atoms = steering_matrix(8, grid_angles_deg(1801)[list(true)])
+        n = d.n_sensors
+        X = 10.0 * (rng.standard_normal((k, 64)) + 1j * rng.standard_normal((k, 64)))
+        Y = atoms @ X + rng.standard_normal((n, 64)) + 1j * rng.standard_normal((n, 64))
+        noise_basis = np.linalg.eigh(sample_covariance(Y))[1][:, : n - k]
+        spectrum = 1.0 / np.sum(np.abs(noise_basis.conj().T @ d.atoms) ** 2, axis=0)
+        peak = kind == "ula"
+        assert hard_threshold(spectrum, k, peak=peak).indices == true
+        assert hard_threshold(spectrum, k, peak=not peak).indices != true
+        assert music_doas(Y, d, k).support.indices == true
+
     def test_scaling_invariance(self):
         rng = np.random.default_rng(48)
         grid = ula_grid(6, 121)
@@ -347,6 +372,31 @@ class TestMusic:
             music_doas(Y, grid, 2).support.indices
             == music_doas(np.sqrt(7.3) * Y, grid, 2).support.indices
         )
+
+
+def _rule_case(kind):
+    """(dictionary, k, Y, true): sources on atoms 10 and 11 of a Gaussian
+    dictionary, which the K largest peaks would split, or two off-grid
+    directions on a steering grid, whose K largest entries flank one peak."""
+    rng = np.random.default_rng((73, kind == "ula"))
+    if kind == "ula":
+        d, k, true = ula_grid(12, 361), 2, (159, 230)
+        atoms = steering_matrix(12, [-10.2, 25.3])
+    else:
+        d, k, true = gaussian_dictionary(16, 64, rng), 3, (10, 11, 40)
+        atoms = d.take(list(true))
+    X = 3.0 * (rng.standard_normal((k, 40)) + 1j * rng.standard_normal((k, 40)))
+    E = rng.standard_normal((d.n_sensors, 40)) + 1j * rng.standard_normal((d.n_sensors, 40))
+    return d, k, atoms @ X + E, true
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ula"])
+@pytest.mark.parametrize("tag", ["cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl", "cwo"])
+def test_the_power_iteration_reads_the_support_rule_off_the_dictionary(kind, tag):
+    d, k, Y, true = _rule_case(kind)
+    res = solve_trial(MethodSpec(tag), Y, d, k, noise_var=1.0, max_iter=100)
+    assert res.support == hard_threshold(res.gamma, k, d.is_vandermonde)
+    assert res.support.indices == true
 
 
 class TestSteeringGridForms:
@@ -437,7 +487,7 @@ class TestMleSingleSource:
         rng = np.random.default_rng(54)
         Y = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
         thetas = [
-            methods.solve_trial(methods.MethodSpec("mle1"), Y, grid, 1, True, 1.0).theta_deg
+            methods.solve_trial(methods.MethodSpec("mle1"), Y, grid, 1, noise_var=1.0).theta_deg
             for _ in range(2)
         ]
         assert thetas[0] == thetas[1]
@@ -491,10 +541,10 @@ class TestRunners:
             with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
                 clbcd._power_iteration(problems, tag, 2, SolverConfig())
             with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
-                methods.solve_stack(methods.MethodSpec(tag), problems, A, 2, False, None)
+                methods.solve_stack(methods.MethodSpec(tag), problems, A, 2, noise_var=None)
             assert all(not p._solved for p in problems)
             with pytest.raises(ValueError, match=f"{tag} requires a known_sigma2"):
-                methods.solve_trial(methods.MethodSpec(tag), problems[0], A, 2, False, None)
+                methods.solve_trial(methods.MethodSpec(tag), problems[0], A, 2, noise_var=None)
 
     def test_config_validation(self, easy_problem):
         A, Y, _ = easy_problem

@@ -52,11 +52,11 @@ STACKED_SOLVERS = (
 COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
 
 
-def _outcome(spec, data, d, k, peak, max_iter=SolverConfig.max_iter):
+def _outcome(spec, data, d, k, max_iter=SolverConfig.max_iter):
     """Every field of the solve's SolverResult, powers as bytes, or the
     class of the counted exception it raised."""
     try:
-        res = solve_trial(spec, data, d, k, peak, 1.0, max_iter)
+        res = solve_trial(spec, data, d, k, noise_var=1.0, max_iter=max_iter)
     except COUNTED as exc:
         return type(exc)
     gamma, powers = (None if a is None else a.tobytes() for a in (res.gamma, res.powers))
@@ -68,13 +68,13 @@ def _k(tag, k):
     return 1 if tag == "mle1" else k
 
 
-def _stacked(spec, Ys, d, k, peak, first, max_iter=SolverConfig.max_iter):
+def _stacked(spec, Ys, d, k, first, max_iter=SolverConfig.max_iter):
     """Outcomes of solving Ys as one stack through solve_stack, each row then
     read by solve_trial, row ``first`` first."""
     problems = [Problem(Y, d) for Y in Ys]
-    solve_stack(spec, problems, d, k, peak, 1.0, max_iter)
+    solve_stack(spec, problems, d, k, noise_var=1.0, max_iter=max_iter)
     order = [first] + [i for i in range(len(Ys)) if i != first]
-    out = {i: _outcome(spec, problems[i], d, k, peak, max_iter) for i in order}
+    out = {i: _outcome(spec, problems[i], d, k, max_iter) for i in order}
     return [out[i] for i in range(len(Ys))]
 
 
@@ -108,8 +108,8 @@ def test_a_solve_in_a_stack_equals_the_solve_alone(ula, seed, snrs, tag, max_ite
     k = _k(tag, k)
     spec = MethodSpec(tag)
     first = data.draw(st.integers(0, len(Ys) - 1), label="first")
-    alone = [_outcome(spec, Y, d, k, ula, max_iter) for Y in Ys]
-    assert _stacked(spec, Ys, d, k, ula, first, max_iter) == alone
+    alone = [_outcome(spec, Y, d, k, max_iter) for Y in Ys]
+    assert _stacked(spec, Ys, d, k, first, max_iter) == alone
 
 
 def test_a_stack_keeps_each_solves_rows_apart():
@@ -119,11 +119,11 @@ def test_a_stack_keeps_each_solves_rows_apart():
     asks = [(tag, cap) for tag in ("cl-bcd", "iaa", "samv2", "sbl", "sbl1", "msbl") for cap in (1, 8)]
     problems = [Problem(Y, d) for Y in Ys]
     for tag, cap in asks:
-        solve_stack(MethodSpec(tag), problems, d, k, True, 1.0, cap)
+        solve_stack(MethodSpec(tag), problems, d, k, noise_var=1.0, max_iter=cap)
     for i, problem in enumerate(problems):
         for tag, cap in asks[i:] + asks[:i]:  # each row asks in another order
             spec = MethodSpec(tag)
-            assert _outcome(spec, problem, d, k, True, cap) == _outcome(spec, Ys[i], d, k, True, cap)
+            assert _outcome(spec, problem, d, k, cap) == _outcome(spec, Ys[i], d, k, cap)
 
 
 def test_rows_leave_the_stack_as_they_converge(monkeypatch):
@@ -131,7 +131,7 @@ def test_rows_leave_the_stack_as_they_converge(monkeypatch):
     # need 10 at 10 dB, so a cap of 8 stops that row unconverged
     d, k, Ys = _snapshots(True, 3, (-5.5, -9.5, -13.5, 10.0))
     spec = MethodSpec("cl-bcd")
-    alone = [_outcome(spec, Y, d, k, True, 8) for Y in Ys]
+    alone = [_outcome(spec, Y, d, k, 8) for Y in Ys]
     assert [outcome[3:5] for outcome in alone] == [(6, True)] * 3 + [(8, False)]
     stack_sizes = []
     build = clbcd.build_covariance
@@ -141,7 +141,7 @@ def test_rows_leave_the_stack_as_they_converge(monkeypatch):
         return build(dictionary, gamma, sigma2)
 
     monkeypatch.setattr(clbcd, "build_covariance", counting)
-    assert _stacked(spec, Ys, d, k, True, 2, 8) == alone
+    assert _stacked(spec, Ys, d, k, 2, 8) == alone
     # iteration 1 is in closed form; iterations 2-6 run all four rows
     assert stack_sizes == [4] * 5 + [1] * 2
 
@@ -162,9 +162,9 @@ def _stack_sizes(monkeypatch, module, name):
 def test_cl_omp_refits_a_stack_once_per_greedy_step(monkeypatch):
     d, k, Ys = _snapshots(True, 4, (-5.5, -9.5, -13.5))
     spec = MethodSpec("cl-omp")
-    alone = [_outcome(spec, Y, d, k, True) for Y in Ys]
+    alone = [_outcome(spec, Y, d, k) for Y in Ys]
     sizes = _stack_sizes(monkeypatch, clomp, "provisional_mle")
-    assert _stacked(spec, Ys, d, k, True, 1) == alone
+    assert _stacked(spec, Ys, d, k, 1) == alone
     assert sizes == [len(Ys)] * k
 
 
@@ -173,7 +173,7 @@ def test_cl_omp_refits_a_stack_once_per_greedy_step(monkeypatch):
 def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
     d, k, Ys = _snapshots(ula, seed, (-5.5, -9.5, -13.5, 0.0))
     spec = MethodSpec("cl-bcd")
-    alone = [_outcome(spec, Y, d, k, ula) for Y in Ys]
+    alone = [_outcome(spec, Y, d, k) for Y in Ys]
     problems = [Problem(Y, d) for Y in Ys]
     update = clbcd.iaa_update
     memo_sizes = []
@@ -185,8 +185,8 @@ def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
 
     sizes = _stack_sizes(monkeypatch, clbcd, "noise_mle")
     monkeypatch.setattr(clbcd, "iaa_update", counting_update)
-    solve_stack(spec, problems, d, k, ula, 1.0)
-    assert [_outcome(spec, p, d, k, ula) for p in problems] == alone
+    solve_stack(spec, problems, d, k, noise_var=1.0)
+    assert [_outcome(spec, p, d, k) for p in problems] == alone
     memo_sizes.append(sum(len(p._noise) for p in problems))
     # the misses of the closed-form first iterate, then of each later step
     misses = np.diff([0] + memo_sizes)
@@ -197,19 +197,20 @@ def test_cl_bcd_refits_a_steps_memo_misses_in_one_call(monkeypatch, ula, seed):
 def test_iaa_refits_a_stacks_final_supports_in_one_call(monkeypatch):
     d, k, Ys = _snapshots(False, 8, (-5.5, -9.5, -13.5, 0.0))
     spec = MethodSpec("iaa")
-    alone = [_outcome(spec, Y, d, k, False) for Y in Ys]
+    alone = [_outcome(spec, Y, d, k) for Y in Ys]
     sizes = _stack_sizes(monkeypatch, clbcd, "noise_mle")
-    assert _stacked(spec, Ys, d, k, False, 0) == alone
+    assert _stacked(spec, Ys, d, k, 0) == alone
     assert sizes == [len(Ys)]
 
 
 def _duplicate_atom_case():
-    """(dictionary, Ys): atoms 0 and 1 coincide. A strong source there makes
-    every top-2 support {0, 1}, whose noise refit is rank deficient; the
-    other rows carry a source elsewhere or only noise."""
+    """(dictionary, Ys): atoms 0 and 2 coincide, with the -80 deg atom between
+    them, so on this steering dictionary both copies are peaks. A strong
+    source there makes every top-2 support {0, 2}, whose noise refit is rank
+    deficient; the other rows carry a source elsewhere or only noise."""
     rng = np.random.default_rng(53)
-    a = steering_matrix(6, [20.0])
-    d = Dictionary(np.hstack([a, a, steering_matrix(6, np.linspace(-80.0, 80.0, 30))]))
+    a, others = steering_matrix(6, [20.0]), steering_matrix(6, np.linspace(-80.0, 80.0, 30))
+    d = Dictionary(np.hstack([a, others[:, :1], a, others[:, 1:]]))
     X = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
     E = rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
     return d, [2.0 * a @ X + E, 2.0 * steering_matrix(6, [-41.0]) @ X + E, E]
@@ -235,12 +236,12 @@ def _clomp_duplicate_atom_case():
 def test_a_failing_row_fails_only_its_own_cell(tag):
     d, Ys = _clomp_duplicate_atom_case() if tag == "cl-omp" else _duplicate_atom_case()
     spec, k = MethodSpec(tag), _k(tag, 2)
-    alone = [_outcome(spec, Y, d, k, False, 100) for Y in Ys]
+    alone = [_outcome(spec, Y, d, k, 100) for Y in Ys]
     if tag in ("cl-omp", "cl-bcd", "iaa", "sbl", "sbl1"):
         assert alone[0] is RankDeficientError
     assert all(isinstance(outcome, tuple) for outcome in alone[1:])
     for first in range(len(Ys)):
-        assert _stacked(spec, Ys, d, k, False, first, 100) == alone
+        assert _stacked(spec, Ys, d, k, first, 100) == alone
 
 
 def test_somp_solves_snapshot_matrices_of_other_shapes_alone():
@@ -253,10 +254,10 @@ def test_somp_solves_snapshot_matrices_of_other_shapes_alone():
     with pytest.raises(ValueError, match=r"one shape, got \[\(20, 6\), \(20, 9\)\]"):
         baselines._somp(problems, k)
     spec = MethodSpec("somp")
-    solve_stack(spec, problems, d, k, True, 1.0)
+    solve_stack(spec, problems, d, k, noise_var=1.0)
     assert not any(p._solved or p._fits for p in problems)
-    assert [_outcome(spec, p, d, k, True) for p in problems] == [
-        _outcome(spec, Y, d, k, True) for Y in Ys
+    assert [_outcome(spec, p, d, k) for p in problems] == [
+        _outcome(spec, Y, d, k) for Y in Ys
     ]
 
 
@@ -331,9 +332,9 @@ def test_each_cell_finds_only_its_own_methods_row(monkeypatch):
     solve = methods.solve_trial
     kept = []
 
-    def counting(spec, problem, *args):
+    def counting(spec, problem, *args, **kwargs):
         kept.append(len(problem._solved))
-        return solve(spec, problem, *args)
+        return solve(spec, problem, *args, **kwargs)
 
     monkeypatch.setattr(methods, "solve_trial", counting)
     cfg = ScenarioConfig(
@@ -393,9 +394,9 @@ def test_the_engine_builds_every_cells_forms_outside_the_methods(monkeypatch):
     stack = methods.solve_stack
     seen = []
 
-    def checking(spec, problems, *args):
+    def checking(spec, problems, *args, **kwargs):
         seen.append(all("matched_filter" in p.__dict__ for p in problems))
-        return stack(spec, problems, *args)
+        return stack(spec, problems, *args, **kwargs)
 
     monkeypatch.setattr(methods, "solve_stack", checking)
     cfg = ScenarioConfig(
@@ -410,7 +411,7 @@ def test_a_stack_holds_problems_over_one_dictionary():
     grid, other = ula_grid(6, 91), gaussian_dictionary(6, 91, 1)
     problems = [Problem(Y, grid), Problem(Y, other)]
     with pytest.raises(ValueError, match="another dictionary"):
-        solve_stack(MethodSpec("cl-omp"), problems, grid, 2, True, 1.0)
+        solve_stack(MethodSpec("cl-omp"), problems, grid, 2, noise_var=1.0)
     assert all(not p._solved for p in problems)
 
 
@@ -420,13 +421,13 @@ def test_a_stack_of_one_problem_keeps_its_row(tag):
     d, k, (Y,) = _snapshots(True, 8, (-5.5,))
     spec, k = MethodSpec(tag), _k(tag, k)
     problem = Problem(Y, d)
-    solve_stack(spec, [problem], d, k, True, 1.0, 40)
+    solve_stack(spec, [problem], d, k, noise_var=1.0, max_iter=40)
     (kept,) = problem._solved.values()
-    result = solve_trial(spec, problem, d, k, True, 1.0, 40)
+    result = solve_trial(spec, problem, d, k, noise_var=1.0, max_iter=40)
     # somp keeps the SupportSet that baselines.somp returns, and its runner builds on it
     assert (result.support if tag == "somp" else result) is kept
     assert not problem._solved
-    assert _outcome(spec, problem, d, k, True, 40) == _outcome(spec, Y, d, k, True, 40)
+    assert _outcome(spec, problem, d, k, 40) == _outcome(spec, Y, d, k, 40)
 
 
 @pytest.mark.parametrize("tag", methods.METHOD_TAGS)
@@ -434,7 +435,7 @@ def test_an_empty_stack_is_rejected(tag):
     # by solve_stack itself, before it looks up any tag's stacked solver
     d = ula_grid(6, 91)
     with pytest.raises(ValueError, match="one or more problems"):
-        solve_stack(MethodSpec(tag), [], d, 2, True, 1.0)
+        solve_stack(MethodSpec(tag), [], d, 2, noise_var=1.0)
 
 
 def test_a_kept_row_does_not_keep_its_problem_alive():
@@ -443,7 +444,7 @@ def test_a_kept_row_does_not_keep_its_problem_alive():
     Y = np.random.default_rng(6).standard_normal((6, 10)).astype(complex)
     d = ula_grid(6, 91)
     problems = [Problem(Y, d), Problem(2.0 * Y, d)]
-    solve_stack(MethodSpec("cl-bcd"), problems, d, 2, True, 1.0)
+    solve_stack(MethodSpec("cl-bcd"), problems, d, 2, noise_var=1.0)
     assert all(p._solved for p in problems)
     dropped = weakref.ref(problems.pop())
     assert dropped() is None

@@ -25,7 +25,6 @@ from covlearn import (
 )
 from covlearn import clbcd
 from covlearn.cli import parse_spec
-from covlearn.clbcd import iterate
 from util import population_snapshots, random_unit_dictionary, refit_every_iteration
 
 
@@ -66,51 +65,54 @@ class TestRelativeChange:
         npt.assert_allclose(relative_change(np.array([2.0, 4.0]), np.array([2.0, 3.0])), 0.25)
 
 
-class TestIterate:
+class TestPowerIterationLoop:
+    """The stacked loop of clbcd._power_iteration, driven by a patched iaa_update
+    (the "iaa" tag) on the 2 x 2 identity dictionary, whose matched filter of
+    the snapshots sqrt(2c) I is (c, c)."""
+
     D = Dictionary(np.eye(2, dtype=complex))
 
     @staticmethod
-    def halving(state, rows):
-        # gamma halves its distance to (1, 1): relative steps 1, 1/3, 1/7, 1/15
-        return (state.gamma + 1.0) / 2.0, state.sigma2
+    def halving(state, scm):
+        # the powers halve their distance to (1, 1): from (2, 2) the relative
+        # steps are 1/3, 1/5, 1/9, 1/17
+        return (state.gamma + 1.0) / 2.0
 
-    def test_stops_at_the_first_small_step(self):
-        gamma, sigma2, iterations, converged = iterate(
-            self.D, self.halving, np.zeros((1, 2)), [0.5], 50, 0.1
-        )
-        assert (iterations.tolist(), converged.tolist(), sigma2.tolist()) == ([4], [True], [0.5])
-        npt.assert_array_equal(gamma, [[0.9375, 0.9375]])
-        out = iterate(self.D, self.halving, np.zeros((1, 2)), [0.5], 3, 0.1)
-        assert (out[2].tolist(), out[3].tolist()) == ([3], [False])
+    def _solve(self, monkeypatch, starts, step, max_iter):
+        monkeypatch.setattr(clbcd, "iaa_update", step)
+        problems = [clbcd.Problem(np.sqrt(2.0 * c) * np.eye(2), self.D) for c in starts]
+        return clbcd._power_iteration(problems, "iaa", 1, SolverConfig(max_iter=max_iter, tol=0.1))
 
-    def test_each_row_stops_on_its_own(self):
-        # from (0.5, 0.5) the relative steps are 1/3, 1/7, 1/15: one
-        # iteration fewer than from zero, so that row leaves the stack first
+    def test_stops_at_the_first_small_step(self, monkeypatch):
+        (res,) = self._solve(monkeypatch, [2.0], self.halving, 50)
+        assert (res.iterations, res.converged) == (4, True)
+        npt.assert_array_equal(res.gamma, [1.0625, 1.0625])
+        (res,) = self._solve(monkeypatch, [2.0], self.halving, 3)
+        assert (res.iterations, res.converged) == (3, False)
+        npt.assert_array_equal(res.gamma, [1.125, 1.125])
+
+    def test_each_row_stops_on_its_own(self, monkeypatch):
+        # from 1/2 the relative steps are 1/3, 1/7, 1/15 and from 9/2 they are
+        # 7/11, 7/15, 7/23, 7/39, 7/71: three, four and five iterations
         seen = []
 
-        def step(state, rows):
-            seen.append(rows.tolist())
-            return self.halving(state, rows)
+        def step(state, scm):
+            seen.append(scm[:, 0, 0].real.tolist())
+            return self.halving(state, scm)
 
-        start = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
-        gamma, sigma2, iterations, converged = iterate(self.D, step, start, [0.5, 1.0, 2.0], 50, 0.1)
-        assert iterations.tolist() == [4, 3, 4] and converged.all()
-        assert sigma2.tolist() == [0.5, 1.0, 2.0]
-        assert seen == [[0, 1, 2]] * 3 + [[0, 2]]
-        npt.assert_array_equal(gamma[1], [0.9375, 0.9375])
-        out = iterate(self.D, self.halving, start, [0.5, 1.0, 2.0], 3, 0.1)
-        assert (out[2].tolist(), out[3].tolist()) == ([3, 3, 3], [False, True, False])
+        results = self._solve(monkeypatch, [2.0, 0.5, 4.5], step, 50)
+        assert [res.iterations for res in results] == [4, 3, 5]
+        assert all(res.converged for res in results)
+        assert seen == [[2.0, 0.5, 4.5]] * 3 + [[2.0, 4.5], [4.5]]
+        npt.assert_array_equal(results[1].gamma, [0.9375, 0.9375])
+        results = self._solve(monkeypatch, [2.0, 0.5, 4.5], self.halving, 3)
+        assert [(res.iterations, res.converged) for res in results] == [
+            (3, False), (3, True), (3, False)
+        ]
 
-    def test_negative_power_raises(self):
-        with pytest.raises(NumericError):
-            iterate(
-                self.D,
-                lambda state, rows: (np.array([[1.0, -1.0]]), state.sigma2),
-                np.zeros((1, 2)),
-                [1.0],
-                5,
-                0.1,
-            )
+    def test_negative_power_raises(self, monkeypatch):
+        with pytest.raises(NumericError, match="went negative"):
+            self._solve(monkeypatch, [2.0], lambda state, scm: np.array([[1.0, -1.0]]), 5)
 
 
 class TestRunClBcd:
@@ -200,21 +202,21 @@ class TestRunClBcd:
 
 
 def _iterated_clbcd(Y, d, k, config):
-    """cl-bcd with iteration 1 run by ``iterate`` from the zero start, through
-    iaa_update: (support, gamma, sigma2, iterations, converged)."""
+    """cl-bcd with iteration 1 run as an iaa_update step from the zero start,
+    in a one-row loop of its own: (support, gamma, sigma2, iterations, converged).
+    The dictionary is dense, so the support is the K largest entries."""
     scm = sample_covariance(Y)
     n = d.n_sensors
-    support = None
-
-    def step(state, rows):
-        nonlocal support
-        gamma = iaa_update(state, scm[None])
-        support = hard_threshold(gamma[0], k, config.peak)
-        return gamma, [noise_mle(scm, d.take(support.indices), n)]
-
-    start = np.zeros((1, d.n_atoms))
-    out = iterate(d, step, start, [np.trace(scm).real / n], config.max_iter, config.tol)
-    return (support, *(value[0] for value in out))
+    gamma, sigma2 = np.zeros((1, d.n_atoms)), np.trace(scm).real / n
+    for it in range(1, config.max_iter + 1):
+        new = iaa_update(build_covariance(d, gamma, [sigma2]), scm[None])
+        support = hard_threshold(new[0], k)
+        sigma2 = noise_mle(scm, d.take(support.indices), n)
+        done = relative_change(new[0], gamma[0]) < config.tol
+        gamma = new
+        if done:
+            return support, gamma[0], sigma2, it, True
+    return support, gamma[0], sigma2, config.max_iter, False
 
 
 class TestFirstIterate:
@@ -270,7 +272,8 @@ class TestFirstIterate:
 
 
 def _refit_problem(kind, seed):
-    """(dictionary, snapshots, k, peak): K sources in white noise."""
+    """(dictionary, snapshots, k, peak): K sources in white noise, and the
+    support rule of the oracle, peaks on the steering grid."""
     rng = np.random.default_rng((31, seed))
     if kind == "gaussian":
         d, k, snapshots = gaussian_dictionary(32, 256, (32, seed)), 4, 32
@@ -308,9 +311,9 @@ class TestSupportNoiseRefit:
 
             monkeypatch.setattr(clbcd, "noise_mle", counting)
             if method == "cl-bcd":
-                res = run_clbcd(Y, d, k, SolverConfig(peak=peak))
+                res = run_clbcd(Y, d, k)
             else:
-                res = run_sbl(Y, d, k, SolverConfig(peak=peak, max_iter=max_iter), b=method)
+                res = run_sbl(Y, d, k, SolverConfig(max_iter=max_iter), b=method)
             monkeypatch.undo()
             assert len(counted) == len(set(supports))
             assert res.support == support
@@ -323,7 +326,7 @@ class TestSupportNoiseRefit:
 
 
 def _threshold_stack(kind):
-    """(k, peak, problems) of one stack over one dictionary. On the dense one
+    """(k, problems) of one stack over one dictionary. On the dense one
     the atoms span the first 5 of 6 sensors and the last row's snapshots
     live on the 6th, so its matched filter is all zero, as in
     TestFirstIterate's orthogonal case."""
@@ -345,16 +348,16 @@ def _threshold_stack(kind):
         Y = np.zeros((n, snapshots), dtype=complex)
         Y[-1] = rng.standard_normal(snapshots) + 1j * rng.standard_normal(snapshots)
         Ys.append(Y)
-    return k, kind == "ula", [clbcd.Problem(Y, d) for Y in Ys]
+    return k, [clbcd.Problem(Y, d) for Y in Ys]
 
 
 def _count_thresholds(monkeypatch):
     """Patch clbcd.hard_threshold to record each call; returns the record."""
     calls, threshold = [], clbcd.hard_threshold
 
-    def counting(gamma, *args):
+    def counting(gamma, *args, **kwargs):
         calls.append(None)
-        return threshold(gamma, *args)
+        return threshold(gamma, *args, **kwargs)
 
     monkeypatch.setattr(clbcd, "hard_threshold", counting)
     return calls
@@ -368,9 +371,9 @@ class TestOneThresholdPerIteration:
     @pytest.mark.parametrize("kind", ["ula", "dense"])
     @pytest.mark.parametrize("tag", ["cl-bcd", "sbl", "sbl1", "iaa", "samv2", "msbl"])
     def test_threshold_calls(self, monkeypatch, kind, tag):
-        k, peak, problems = _threshold_stack(kind)
+        k, problems = _threshold_stack(kind)
         calls = _count_thresholds(monkeypatch)
-        config = SolverConfig(max_iter=40, peak=peak, known_sigma2=1.0)
+        config = SolverConfig(max_iter=40, known_sigma2=1.0)
         results = clbcd._power_iteration(problems, tag, k, config)
         iterations = [res.iterations for res in results]
         if tag in ("cl-bcd", "sbl", "sbl1"):

@@ -134,8 +134,8 @@ class TestParseSpec:
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
         # tol is SolverConfig's, msbl/cwo get the scenario's noise_var, the
-        # support rule follows kind and every run writes all three output
-        # files; none of them is a config key
+        # support rule is read off the dictionary and every run writes all
+        # three output files; none of them is a config key
         key = line.split(" =")[0]
         cfg = write(tmp_path, MINI.replace("cl-omp, somp", "cl-bcd, msbl") + line + "\n")
         with pytest.raises(SpecError, match=rf":11: key '{key}': unknown key"):
@@ -216,7 +216,7 @@ class TestParseSpec:
 
     def test_doa_spec_round_trip(self, tmp_path):
         spec = parse_spec(write(tmp_path, DOA + "methods = cl-omp\n"))
-        assert spec.scenario.peak is True
+        assert not hasattr(spec.scenario, "peak")
         assert spec.scenario.true_doas_deg == (-24.8,)
 
     @pytest.mark.parametrize("cfg,suffix", CONFIG_TRAFFIC)

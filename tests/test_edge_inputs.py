@@ -30,7 +30,7 @@ COUNTED = (ArithmeticError, np.linalg.LinAlgError, ValueError)
 
 @st.composite
 def fewer_snapshots_than_sensors(draw):
-    """(Y, dictionary, k, peak) with L < N, on a steering grid or a Gaussian dictionary."""
+    """(Y, dictionary, k) with L < N, on a steering grid or a Gaussian dictionary."""
     n = draw(st.integers(2, 8))
     snapshots = draw(st.integers(1, n - 1))
     k = draw(st.integers(1, n - 1))
@@ -41,7 +41,7 @@ def fewer_snapshots_than_sensors(draw):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     Y = scale * (rng.standard_normal((n, snapshots)) + 1j * rng.standard_normal((n, snapshots)))
-    return Y, d, k, grid
+    return Y, d, k
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,9 +50,9 @@ def test_singular_sample_covariance_has_one_outcome(problem, tag):
     """L < N makes Shat singular: each method either returns an estimate
     with a positive finite noise variance and nonnegative powers, or raises
     one of the exceptions the engine counts as a failure."""
-    Y, d, k, peak = problem
+    Y, d, k = problem
     try:
-        res = solve_trial(MethodSpec(tag), Y, d, k, peak, noise_var=1.0, max_iter=40)
+        res = solve_trial(MethodSpec(tag), Y, d, k, noise_var=1.0, max_iter=40)
     except COUNTED:
         return
     assert np.isfinite(res.sigma2) and res.sigma2 > 0
@@ -77,7 +77,7 @@ def test_non_finite_snapshots_fail_every_method(tag, bad, where):
     Y = np.random.default_rng(where).standard_normal((6, 10)).astype(complex)
     Y.flat[where % Y.size] = bad
     with pytest.raises(ValueError, match="finite"):
-        solve_trial(MethodSpec(tag), Y, d, 1, True, noise_var=1.0)
+        solve_trial(MethodSpec(tag), Y, d, 1, noise_var=1.0)
 
     draw = scenario._complex_gaussian
 
@@ -148,14 +148,13 @@ def _duplicated_atom_case(seed, source_deg, snr_db):
     source_deg=st.floats(-80.0, 80.0),
     snr_db=st.none() | st.floats(-10.0, 25.0),
     k=st.integers(1, 2),
-    peak=st.booleans(),
 )
-def test_a_duplicated_atom_has_one_outcome(tag, seed, source_deg, snr_db, k, peak):
+def test_a_duplicated_atom_has_one_outcome(tag, seed, source_deg, snr_db, k):
     """Two coinciding atoms among N = M = 6: each method returns an estimate
     or raises one of the exceptions the engine counts as a failure."""
     Y, d = _duplicated_atom_case(seed, source_deg, snr_db)
     try:
-        solve_trial(MethodSpec(tag), Y, d, 1 if tag == "mle1" else k, peak, noise_var=1.0,
+        solve_trial(MethodSpec(tag), Y, d, 1 if tag == "mle1" else k, noise_var=1.0,
                     max_iter=40)
     except COUNTED:
         pass
@@ -165,7 +164,7 @@ def test_iaa_fails_on_a_duplicated_atom_by_its_fixed_loading():
     # the 1e-12 tr(Shat)/N loading leaves a^H Theta a of an atom at 0
     Y, d = _duplicated_atom_case(0, 20.0, 6.0)
     with pytest.raises(NumericError, match="must be positive"):
-        solve_trial(MethodSpec("iaa"), Y, d, 2, False, noise_var=1.0)
+        solve_trial(MethodSpec("iaa"), Y, d, 2, noise_var=1.0)
 
 
 def test_adjacent_atoms_of_the_fine_grid_are_full_rank():
@@ -189,7 +188,7 @@ def test_sources_on_adjacent_fine_grid_atoms_give_supports(seed):
     E = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
     Y = 3.0 * d.take([900, 901]) @ X + E
     for tag in GRID_TAGS:
-        res = solve_trial(MethodSpec(tag), Y, d, 2, True, noise_var=1.0, max_iter=40)
+        res = solve_trial(MethodSpec(tag), Y, d, 2, noise_var=1.0, max_iter=40)
         assert len(res.support) == 2
 
 
@@ -230,7 +229,7 @@ def test_sources_on_adjacent_atoms_have_one_outcome(tag, n, more_atoms, snapshot
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_qr_full_rank", recording)
         try:
-            solve_trial(MethodSpec(tag), Y, d, 1 if tag == "mle1" else 2, True, noise_var=1.0,
+            solve_trial(MethodSpec(tag), Y, d, 1 if tag == "mle1" else 2, noise_var=1.0,
                         max_iter=max_iter)
         except RankDeficientError:
             if tag in ("cl-omp", "cl-bcd"):

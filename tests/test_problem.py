@@ -40,7 +40,7 @@ def _fields(res):
 
 
 def _case(kind):
-    """(dictionary, Y, k, peak, tags): mle1 needs a steering grid and k = 1."""
+    """(dictionary, Y, k, tags): mle1 needs a steering grid and k = 1."""
     rng = np.random.default_rng(51)
     if kind == "ula":
         d, k = ula_grid(8, 91), 1
@@ -52,25 +52,38 @@ def _case(kind):
         tags = tuple(tag for tag in METHOD_TAGS if tag != "mle1")
     X = 3.0 * (rng.standard_normal((k, 24)) + 1j * rng.standard_normal((k, 24)))
     E = rng.standard_normal((d.n_sensors, 24)) + 1j * rng.standard_normal((d.n_sensors, 24))
-    return d, atoms @ X + E, k, kind == "ula", tags
+    return d, atoms @ X + E, k, tags
 
 
 @pytest.mark.parametrize("kind", ["ula", "gaussian"])
 def test_shared_problem_matches_solving_from_snapshots(kind):
-    d, Y, k, peak, tags = _case(kind)
+    d, Y, k, tags = _case(kind)
     spec = {tag: MethodSpec(tag) for tag in tags}
-    alone = {tag: _fields(solve_trial(spec[tag], Y, d, k, peak, 1.0, 100)) for tag in tags}
+    run = {"noise_var": 1.0, "max_iter": 100}
+    alone = {tag: _fields(solve_trial(spec[tag], Y, d, k, **run)) for tag in tags}
     for order in (tags, tags[::-1]):
         problem = Problem(Y, d)
         for tag in order:
-            assert _fields(solve_trial(spec[tag], problem, d, k, peak, 1.0, 100)) == alone[tag], tag
+            assert _fields(solve_trial(spec[tag], problem, d, k, **run)) == alone[tag], tag
+
+
+def test_a_positional_support_rule_is_a_type_error():
+    # the dictionary decides the support rule: a caller that still passes it
+    # by position fails instead of binding it to noise_var and max_iter
+    d, Y, k, _ = _case("gaussian")
+    with pytest.raises(TypeError):
+        solve_trial(MethodSpec("cl-bcd"), Y, d, k, True, 1.0)
+    with pytest.raises(TypeError):
+        methods.solve_stack(MethodSpec("cl-bcd"), [Problem(Y, d)], d, k, True, 1.0)
+    with pytest.raises(TypeError):
+        clbcd.SolverConfig(peak=True)
 
 
 def test_problem_over_another_dictionary_rejected():
-    d, Y, k, peak, _ = _case("gaussian")
+    d, Y, k, _ = _case("gaussian")
     twin = Dictionary(d.atoms, norm_mode="unit")  # equal atoms, another object
     with pytest.raises(ValueError, match="another dictionary"):
-        solve_trial(MethodSpec("cl-bcd"), Problem(Y, d), twin, k, peak, 1.0)
+        solve_trial(MethodSpec("cl-bcd"), Problem(Y, d), twin, k, noise_var=1.0)
 
 
 def _overflowing_problem():
@@ -89,7 +102,7 @@ def _overflowing_problem():
          "sparsity k=5 exceeds the number of atoms 4"),
         (lambda: methods.resolve_methods([]), "at least one method is required"),
         (lambda: solve_trial(MethodSpec("mle1"), np.eye(6, 8, dtype=complex), ula_grid(6, 91),
-                             2, True, 1.0),
+                             2, noise_var=1.0),
          "mle1 handles exactly one source"),
     ],
 )
@@ -126,7 +139,7 @@ def test_data_failures_are_invalid_data_errors(call, message):
 
 
 def test_problem_arrays_are_read_only():
-    d, Y, _, _, _ = _case("gaussian")
+    d, Y, _, _ = _case("gaussian")
     problem = Problem(Y, d)
     for a in (problem.Y, problem.scm, problem.forms, problem.matched_filter):
         assert not a.flags.writeable
@@ -134,11 +147,12 @@ def test_problem_arrays_are_read_only():
 
 
 def test_rank_deficient_refit_raises_for_every_method_that_asks(monkeypatch):
-    # atoms 0 and 1 coincide and carry the strong source, so every top-2
-    # support is {0, 1} and its noise refit is rank deficient
+    # atoms 0 and 2 coincide and carry the strong source, with the -80 deg atom
+    # between them, so on this steering dictionary every top-2 support is the
+    # two peaks {0, 2}, and its noise refit is rank deficient
     rng = np.random.default_rng(53)
-    a = steering_matrix(6, [20.0])
-    d = Dictionary(np.hstack([a, a, steering_matrix(6, np.linspace(-80.0, 80.0, 30))]))
+    a, others = steering_matrix(6, [20.0]), steering_matrix(6, np.linspace(-80.0, 80.0, 30))
+    d = Dictionary(np.hstack([a, others[:, :1], a, others[:, 1:]]))
     Y = 2.0 * a @ (rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30)))
     Y = Y + rng.standard_normal((6, 30)) + 1j * rng.standard_normal((6, 30))
     refits = []
@@ -152,10 +166,10 @@ def test_rank_deficient_refit_raises_for_every_method_that_asks(monkeypatch):
     for tag in ("cl-bcd", "iaa", "sbl", "sbl1"):
         before = len(refits)
         with pytest.raises(RankDeficientError):
-            solve_trial(MethodSpec(tag), problem, d, 2, False, 1.0)
+            solve_trial(MethodSpec(tag), problem, d, 2, noise_var=1.0)
         assert len(refits) == before + 1, tag  # refit again, not read from the memo
     with pytest.raises(RankDeficientError):
-        clbcd._noise_refits([problem], [SupportSet((0, 1))])
+        clbcd._noise_refits([problem], [SupportSet((0, 2))])
 
 
 @pytest.mark.parametrize("workload, cells", [("doa", 3), ("ssr", 5)])

@@ -23,3 +23,14 @@ def test_config_schema_table_names_exactly_the_accepted_keys():
     first_cells = re.findall(r"^\| (`.*?) \|", section, flags=re.M)
     documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
     assert sorted(documented) == sorted({**cli._SCALAR_KEYS, **cli._LIST_KEYS})
+
+
+def test_the_quick_start_recovers_its_sources(capsys):
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    # the Gaussian dictionary's sources by every runner, then the steering
+    # grid's two sources as its two largest peaks
+    assert [line.split("]")[0] + "]" for line in lines[:-1]] == ["[3, 40, 171]"] * 5
+    assert lines[-1] == "[700, 930]"

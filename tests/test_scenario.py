@@ -18,6 +18,7 @@ from covlearn import (
     gaussian_dictionary,
     generate_snapshots,
     grid_angles_deg,
+    hard_threshold,
     per_metric,
     power_nmse,
     run_monte_carlo,
@@ -315,13 +316,20 @@ class TestScenarioConfig:
         npt.assert_allclose(mean_db, -5.5)
         npt.assert_allclose(10 * np.log10(p[1] / p[0]), 3.0)
 
-    def test_peak_defaults_by_kind(self):
-        ssr = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,))
-        doa = ScenarioConfig(
-            "ula-doa", 8, 181, 8, 1, (0.0,), true_doas_deg=(-10.0,)
-        )
-        assert ssr.peak is False and doa.peak is True
-        with pytest.raises(TypeError):  # the rule follows kind; it is not a field
+    def test_the_support_rule_is_read_off_each_kinds_dictionary(self):
+        # "ula-doa" solves on the steering grid, a Vandermonde dictionary, so
+        # its supports are K largest peaks; the Gaussian dictionaries of
+        # "gaussian-ssr" are not, so theirs are K largest entries
+        ssr = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (10.0,), trials=3)
+        doa = ScenarioConfig("ula-doa", 8, 181, 8, 2, (10.0,), true_doas_deg=(-10.0, 20.0))
+        for cfg, peak in ((ssr, False), (doa, True)):
+            assert not hasattr(cfg, "peak")
+            for t in range(cfg.trials if cfg is ssr else 1):
+                d, [(Y, _)] = scenario._draw_trial(cfg, scenario._chunk_constants(cfg), t)
+                assert d.is_vandermonde is peak
+                res = solve_trial(MethodSpec("cl-bcd"), Y, d, cfg.k, noise_var=cfg.noise_var)
+                assert res.support == hard_threshold(res.gamma, cfg.k, peak=peak)
+        with pytest.raises(TypeError):  # not a field
             ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,), peak=True)
 
 
@@ -520,7 +528,7 @@ def _replay(cfg, tag):
                                    cfg.noise_var, cfg.n_snapshots, rng)
             grid_deg = grid_angles_deg(m)
             support = [np.argmin(np.abs(grid_deg - th)) for th in cfg.true_doas_deg]
-        res = solve_trial(MethodSpec(tag), Y, d, k, cfg.peak, cfg.noise_var)
+        res = solve_trial(MethodSpec(tag), Y, d, k, noise_var=cfg.noise_var)
         iters.append(res.iterations)
         if res.support is not None:
             est_sets.append(res.support.indices)

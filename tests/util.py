@@ -25,7 +25,6 @@ from covlearn import (
     steering_matrix,
     sweep_errors,
 )
-from covlearn.clbcd import iterate
 
 
 def random_unit_dictionary(rng, n, m):
@@ -198,10 +197,11 @@ def sorting_hard_threshold(gamma, k, peak=False):
 
 def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.5e-4):
     """cl-bcd (method "cl-bcd") or sbl (method 1.0 or 0.5, the ratio exponent)
-    with ``noise_mle`` run on the top-K support in every iteration.
+    with ``noise_mle`` run on the top-K support in every iteration, in a
+    one-row loop of its own.
 
     cl-bcd's iteration 1 is the matched filter with the refit on its
-    support, and ``iterate`` runs the other max_iter - 1 (max_iter >= 2, and
+    support, and the loop runs the other max_iter - 1 (max_iter >= 2, and
     the matched filter must not be all zero: iteration 1 does not stop).
     Returns (support, gamma, sigma2, iterations, supports), where supports
     lists the support of every iteration's refit.
@@ -209,27 +209,28 @@ def refit_every_iteration(scm, dictionary, k, peak, method, max_iter=500, tol=0.
     n = dictionary.n_sensors
     supports = []
 
-    def step(state, rows):
+    def refit(gamma):
+        supports.append(sorting_hard_threshold(gamma, k, peak))
+        return noise_mle(scm, dictionary.take(supports[-1]), n)
+
+    gamma = matched_filter_powers(dictionary, scm)[None]
+    first = 1 if method == "cl-bcd" else 0
+    sigma2 = refit(gamma[0]) if first else np.trace(scm).real / n
+    iterations = max_iter
+    for it in range(first + 1, max_iter + 1):
+        state = build_covariance(dictionary, gamma, [sigma2])
         if method == "cl-bcd":
-            gamma = iaa_update(state, scm[None])
+            new = iaa_update(state, scm[None])
         else:
-            gamma = ratio_update(state, scm[None], method)
-        indices = sorting_hard_threshold(gamma[0], k, peak)
-        supports.append(indices)
-        return gamma, [noise_mle(scm, dictionary.take(indices), n)]
-
-    def solve(gamma0, sigma2_0, cap):
-        out = iterate(dictionary, step, gamma0[None], [sigma2_0], cap, tol)
-        return tuple(value[0] for value in out[:3])
-
-    gamma0 = matched_filter_powers(dictionary, scm)
-    if method == "cl-bcd":
-        supports.append(sorting_hard_threshold(gamma0, k, peak))
-        sigma2_0 = noise_mle(scm, dictionary.take(supports[0]), n)
-        gamma, sigma2, iterations = solve(gamma0, sigma2_0, max_iter - 1)
-        return SupportSet(supports[-1]), gamma, sigma2, iterations + 1, supports
-    gamma, sigma2, iterations = solve(gamma0, np.trace(scm).real / n, max_iter)
-    return SupportSet(sorting_hard_threshold(gamma, k, peak)), gamma, sigma2, iterations, supports
+            new = ratio_update(state, scm[None], method)
+        sigma2 = refit(new[0])
+        # sup-norm relative step; the powers stay nonnegative and nonzero here
+        step = np.abs(new - gamma).max() / new.max()
+        gamma = new
+        if step < tol:
+            iterations = it
+            break
+    return SupportSet(supports[-1]), gamma[0], sigma2, iterations, supports
 
 
 def somp_refit(Y, dictionary, support):
