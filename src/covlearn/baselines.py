@@ -1,10 +1,12 @@
 """Comparison methods sharing the covariance-learning model.
 
-Iterative spectral estimators (IAA, SAMV2, SBL power-ratio variants, cyclic
-coordinatewise optimization, M-SBL expectation-maximization), the classic
-greedy SOMP, grid MUSIC, and the exhaustive single-source grid MLE. All
-iterative runners share the sup-norm relative stopping rule and take the
-same :class:`SolverConfig` as the main solvers.
+The runners of the iterative spectral estimators (IAA, SAMV2, SBL
+power-ratio variants, cyclic coordinatewise optimization, M-SBL
+expectation-maximization), whose update rules live beside the one power
+iteration that applies them in :mod:`covlearn.clbcd`; the classic greedy
+SOMP, grid MUSIC, and the exhaustive single-source grid MLE. All iterative
+runners share the sup-norm relative stopping rule and take the same
+:class:`SolverConfig` as the main solvers.
 """
 
 from __future__ import annotations
@@ -13,72 +15,18 @@ import numpy as np
 
 from .clbcd import Problem, SolverConfig, SolverResult, _solve_power, _support
 from .model import (
-    CovarianceState,
     Dictionary,
     InvalidDataError,
     _noise_floor,
-    _one_atom_forms,
     _qr_full_rank,
     atom_forms,
-    atom_quadratic_forms,
+    grid_angles_deg,
     provisional_mle,
     pseudo_inverse_apply,
+    steering_matrix,
+    ula_grid,
 )
-from .scenario import grid_angles_deg, steering_matrix, ula_grid
 from .sparsity import SupportSet
-
-__all__ = [
-    "ratio_update",
-    "samv2_noise_update",
-    "msbl_update",
-    "run_iaa",
-    "run_samv2",
-    "run_sbl",
-    "run_msbl",
-    "run_cwo",
-    "somp",
-    "music_doas",
-    "mle_single_source",
-]
-
-
-# ---------------------------------------------------------------------------
-# single-step update rules
-# ---------------------------------------------------------------------------
-
-
-def ratio_update(state: CovarianceState, scm: np.ndarray, b: float = 1.0) -> np.ndarray:
-    """Multiplicative power update gamma_i <- gamma_i * (r_i / q_i)^b.
-
-    Zeros are preserved exactly; the update is stationary wherever the
-    ratio equals one, for either exponent.
-    """
-    if b not in (0.5, 1.0):
-        raise ValueError("ratio exponent b must be 1/2 or 1")
-    q, r = atom_quadratic_forms(state, scm)
-    ratio = np.maximum(r, 0.0) / q
-    return state.gamma * ratio**b
-
-
-def samv2_noise_update(state: CovarianceState, scm: np.ndarray):
-    """SAMV2 noise rule sigma2 <- tr(Theta^2 Shat) / tr(Theta^2), one value
-    per row of a stacked state."""
-    t2 = state.theta @ state.theta
-    num = np.einsum("...ij,...ji->...", t2, scm).real
-    den = np.trace(t2, axis1=-2, axis2=-1).real
-    return num / den
-
-
-def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
-    """One M-SBL EM step on the signal powers at the state's noise variance.
-
-    The posterior source moments against Sigma = A Gamma A^H + sigma2 I
-    collapse through the sample covariance to
-    gamma_i <- gamma_i^2 r_i + gamma_i (1 - gamma_i q_i). Zero powers remain zero.
-    """
-    q, r = atom_quadratic_forms(state, scm)
-    g = state.gamma
-    return np.maximum(g * g * r + g * (1.0 - g * q), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +91,6 @@ def run_cwo(Y, dictionary: Dictionary, k: int, config: SolverConfig) -> SolverRe
     the powers.
     """
     return _solve_power("cwo", Y, dictionary, k, config)
-
-
-def _cwo_sweep(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
-    """One sweep of :func:`run_cwo` on each row of a stacked state."""
-    dictionary = state.dictionary
-    powers = np.array(state.gamma)
-    for gamma, theta, row_scm in zip(powers, state.theta, scm):
-        theta = np.array(theta)
-        for i in range(dictionary.n_atoms):
-            # exact minimizer move max(r/q^2 - 1/q, -gamma_i) with q = a^H Theta a
-            # and r = a^H Theta Shat Theta a
-            ta, q, r = _one_atom_forms(theta, dictionary.atom(i), row_scm)
-            delta = max(r / q**2 - 1.0 / q, -gamma[i])
-            if delta != 0.0:
-                gamma[i] += delta
-                theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
-        if gamma.min() < 0.0:
-            np.maximum(gamma, 0.0, out=gamma)  # roundoff from exact -gamma_i steps
-    return powers
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ all atoms (against the inverse covariance of the previous iterate) with the
 closed-form noise-variance refit on the current top-K support, until the
 power iterates stop moving in relative sup-norm. iaa, samv2, sbl, sbl1, msbl
 and cwo run the same power iteration with their own (power rule, noise rule)
-pair, which :data:`_POWER_RULES` names.
+pair, which :data:`_POWER_RULES` names; every rule (:func:`iaa_update`,
+:func:`ratio_update`, :func:`samv2_noise_update`, :func:`msbl_update`, CWO's
+coordinate sweep) lives here beside it, and :mod:`covlearn.baselines` holds
+the runners.
 
 Problems over one dictionary can be solved as one stack: the power
 iteration runs every row together and drops each row once it has converged,
@@ -30,6 +33,7 @@ from .model import (
     InvalidDataError,
     NumericError,
     _noise_floor,
+    _one_atom_forms,
     atom_forms,
     atom_quadratic_forms,
     build_covariance,
@@ -37,16 +41,6 @@ from .model import (
     sample_covariance,
 )
 from .sparsity import SupportSet, hard_threshold
-
-__all__ = [
-    "Problem",
-    "SolverConfig",
-    "SolverResult",
-    "iaa_update",
-    "matched_filter_powers",
-    "relative_change",
-    "run_clbcd",
-]
 
 
 @dataclass(frozen=True)
@@ -227,6 +221,61 @@ def iaa_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
     return r
 
 
+def ratio_update(state: CovarianceState, scm: np.ndarray, b: float = 1.0) -> np.ndarray:
+    """Multiplicative power update gamma_i <- gamma_i * (r_i / q_i)^b.
+
+    Zeros are preserved exactly; the update is stationary wherever the
+    ratio equals one, for either exponent.
+    """
+    if b not in (0.5, 1.0):
+        raise ValueError("ratio exponent b must be 1/2 or 1")
+    q, r = atom_quadratic_forms(state, scm)
+    ratio = np.maximum(r, 0.0) / q
+    return state.gamma * ratio**b
+
+
+def samv2_noise_update(state: CovarianceState, scm: np.ndarray):
+    """SAMV2 noise rule sigma2 <- tr(Theta^2 Shat) / tr(Theta^2), one value
+    per row of a stacked state."""
+    t2 = state.theta @ state.theta
+    num = np.einsum("...ij,...ji->...", t2, scm).real
+    den = np.trace(t2, axis1=-2, axis2=-1).real
+    return num / den
+
+
+def msbl_update(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
+    """One M-SBL EM step on the signal powers at the state's noise variance.
+
+    The posterior source moments against Sigma = A Gamma A^H + sigma2 I
+    collapse through the sample covariance to
+    gamma_i <- gamma_i^2 r_i + gamma_i (1 - gamma_i q_i). Zero powers remain zero.
+    """
+    q, r = atom_quadratic_forms(state, scm)
+    g = state.gamma
+    return np.maximum(g * g * r + g * (1.0 - g * q), 0.0)
+
+
+def _cwo_sweep(state: CovarianceState, scm: np.ndarray) -> np.ndarray:
+    """CWO's power rule, one coordinate sweep per row of a stacked state: each
+    atom in turn moves to its exact conditional minimizer (clamped at zero)
+    against the row's copy of Theta, downdated by every earlier move."""
+    dictionary = state.dictionary
+    powers = np.array(state.gamma)
+    for gamma, theta, row_scm in zip(powers, state.theta, scm):
+        theta = np.array(theta)
+        for i in range(dictionary.n_atoms):
+            # exact minimizer move max(r/q^2 - 1/q, -gamma_i) with q = a^H Theta a
+            # and r = a^H Theta Shat Theta a
+            ta, q, r = _one_atom_forms(theta, dictionary.atom(i), row_scm)
+            delta = max(r / q**2 - 1.0 / q, -gamma[i])
+            if delta != 0.0:
+                gamma[i] += delta
+                theta -= (delta / (1.0 + delta * q)) * np.outer(ta, ta.conj())
+        if gamma.min() < 0.0:
+            np.maximum(gamma, 0.0, out=gamma)  # roundoff from exact -gamma_i steps
+    return powers
+
+
 def run_clbcd(
     Y: np.ndarray, dictionary: Dictionary, k: int, config: SolverConfig | None = None
 ) -> SolverResult:
@@ -239,9 +288,9 @@ def run_clbcd(
 
 
 # tag -> (power rule, noise rule, ratio exponent b) of :func:`_power_iteration`.
-# Power rules: "iaa" iaa_update, "ratio" baselines.ratio_update, "msbl" baselines.msbl_update,
-# "cwo" the coordinate sweep baselines._cwo_sweep.
-# Noise rules: "refit" on each step's top-K support, "samv2" baselines.samv2_noise_update
+# Power rules: "iaa" iaa_update, "ratio" ratio_update, "msbl" msbl_update,
+# "cwo" the coordinate sweep _cwo_sweep.
+# Noise rules: "refit" on each step's top-K support, "samv2" samv2_noise_update
 # floored, "loading" IAA's fixed 1e-12 tr(Shat)/N, "known" the config's known_sigma2.
 _POWER_RULES = {
     "cl-bcd": ("iaa", "refit", None),
@@ -279,13 +328,12 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
     the last step (or cl-bcd's closed-form start) refit under the "refit"
     noise rule, with that refit as sigma2; the other rules threshold the
     final powers once, and "loading" reports the refit on that support."""
-    from . import baselines  # which imports this module; the rules are looked up per call
-
     power, noise, b = _POWER_RULES[tag]
     if noise == "known" and config.known_sigma2 is None:
         raise ValueError(f"{tag} requires a known_sigma2")
-    update = {"iaa": iaa_update, "msbl": baselines.msbl_update, "cwo": baselines._cwo_sweep,
-              "ratio": lambda state, scm: baselines.ratio_update(state, scm, b)}[power]
+    # the rules are looked up per call, so a patched module attribute runs
+    update = {"iaa": iaa_update, "msbl": msbl_update, "cwo": _cwo_sweep,
+              "ratio": lambda state, scm: ratio_update(state, scm, b)}[power]
     dictionary = problems[0].dictionary
     n = dictionary.n_sensors
     scm = np.array([p.scm for p in problems])
@@ -327,7 +375,7 @@ def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:
                 supports[i] = support
             sigma2[rows] = _noise_refits([problems[i] for i in rows], new)
         elif noise == "samv2":
-            sigma2[rows] = np.maximum(baselines.samv2_noise_update(state, scm[rows]),
+            sigma2[rows] = np.maximum(samv2_noise_update(state, scm[rows]),
                                       _noise_floor(tr[rows], n))
         # row by row: a NaN row must not hide another row's negative power
         if (powers.min(axis=-1) < 0.0).any():

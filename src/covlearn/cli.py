@@ -155,7 +155,7 @@ def _fmt(value) -> str:
     return "" if value is None else format(value, ".12g")
 
 
-def _record_row(rec, timings: bool) -> list:
+def _record_row(rec) -> list:
     return [
         rec.method,
         _fmt(rec.snr_db),
@@ -164,7 +164,7 @@ def _record_row(rec, timings: bool) -> list:
         _fmt(rec.rmse_theta_deg),
         _fmt(rec.nmse_gamma),
         _fmt(rec.mean_iters),
-        _fmt(rec.mean_runtime_s) if timings else "",
+        _fmt(rec.mean_runtime_s),
     ]
 
 
@@ -185,17 +185,16 @@ def run_experiment(
     started = time.perf_counter()
     records = run_monte_carlo(spec.scenario, spec.methods, threads=threads)
     wall = time.perf_counter() - started
+    if not timings:  # both writers leave the runtime out, so their bytes reproduce
+        records = [replace(rec, mean_runtime_s=None) for rec in records]
 
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_record_row(rec, timings) for rec in records)
+        writer.writerows(map(_record_row, records))
 
     # every field is a scalar, so a shallow dict serializes as asdict's copy does
     rows = [{name: getattr(rec, name) for name in _RECORD_FIELDS} for rec in records]
-    if not timings:
-        for row in rows:
-            row["mean_runtime_s"] = None
     _write_json(out / "results.json", rows)
 
     meta = {

@@ -32,13 +32,6 @@ from .model import (
 )
 from .sparsity import SupportSet
 
-__all__ = [
-    "SweepResult",
-    "conditional_gamma_star",
-    "sweep_errors",
-    "run_clomp",
-]
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -6,9 +6,11 @@ top of white noise of variance sigma2, so the snapshot covariance is
 
     Sigma = A diag(gamma) A^H + sigma2 * I.
 
-This module holds the model types, the negative log-likelihood and its
-gradient, the rank-one (leave-one-atom-out) identities used by the solvers,
-and the closed-form maximum-likelihood refits on a fixed support.
+This module holds the model types, the half-wavelength ULA steering
+geometry (:func:`steering_matrix` and the shared grid dictionary
+:func:`ula_grid`), the negative log-likelihood and its gradient, the
+rank-one (leave-one-atom-out) identities used by the solvers, and the
+closed-form maximum-likelihood refits on a fixed support.
 
 It alone decides how A and A^H are applied. A dictionary whose atoms form a
 unit-modulus Vandermonde matrix, a_i[p] = z_i^p with |z_i| = 1 (the steering
@@ -31,6 +33,7 @@ read-only so states can be shared across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +206,36 @@ class Dictionary:
         """Submatrix restricted to the given atom indices (in that order); S
         rows of j indices give the stack of S submatrices, (S, N, j)."""
         return np.moveaxis(self.atoms[:, np.array(list(indices), dtype=np.intp)], 0, -2)
+
+
+def steering_matrix(n_sensors: int, angles_deg) -> np.ndarray:
+    """Half-wavelength ULA steering vectors exp(j pi n sin(theta)), one
+    column per angle; every angle must lie in [-90, 90] degrees."""
+    angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
+    if not np.all((angles >= -90.0) & (angles <= 90.0)):  # NaN fails too
+        raise ValueError("angles outside [-90, 90] deg")
+    n = np.arange(n_sensors)[:, None]
+    return np.exp(1j * np.pi * n * np.sin(np.deg2rad(angles))[None, :])
+
+
+def grid_angles_deg(n_points: int) -> np.ndarray:
+    """Uniform angle grid over [-90, 90] deg (1801 points gives 0.1 deg steps)."""
+    if n_points < 2:
+        raise ValueError("grid needs at least two points")
+    return np.linspace(-90.0, 90.0, n_points)
+
+
+@functools.lru_cache(maxsize=8)
+def ula_grid(n_sensors: int, n_points: int, /) -> Dictionary:
+    """Steering-vector dictionary over the uniform angle grid.
+
+    Built once per (n_sensors, n_points) and process: every call with the
+    same pair returns the same shared object (the arguments are
+    positional-only, so each pair has one memo key). A Dictionary is frozen
+    and all its arrays are read-only, so sharing it across calls and
+    threads is safe. The memo holds the eight most recently used grids.
+    """
+    return Dictionary(steering_matrix(n_sensors, grid_angles_deg(n_points)), norm_mode="array")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Two scenario kinds are supported: "gaussian-ssr" (unit-norm random complex
 Gaussian dictionary, random K-row support per trial, first-source SNR
 anchor) and "ula-doa" (half-wavelength uniform linear array, fixed true
-directions that may lie off the steering grid, mean-SNR anchor).
+directions that may lie off the steering grid, each nearest its own grid
+atom, mean-SNR anchor). Every solve goes through :mod:`covlearn.methods`.
 
 Each trial owns an RNG derived from (master_seed, trial_index); the same
 per-trial source/noise draws are reused across the SNR sweep with powers
@@ -20,45 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import methods
 from .clbcd import _COUNTED, Problem, SolverConfig
-from .model import Dictionary
+from .methods import check_methods, resolve_methods
+from .model import Dictionary, grid_angles_deg, steering_matrix, ula_grid
 
 SCENARIO_KINDS = ("gaussian-ssr", "ula-doa")
 
 
 # ---------------------------------------------------------------------------
-# dictionaries and steering vectors
+# dictionaries
 # ---------------------------------------------------------------------------
-
-
-def steering_matrix(n_sensors: int, angles_deg) -> np.ndarray:
-    """Half-wavelength ULA steering vectors exp(j pi n sin(theta)), one
-    column per angle; every angle must lie in [-90, 90] degrees."""
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
-    if not np.all((angles >= -90.0) & (angles <= 90.0)):  # NaN fails too
-        raise ValueError("angles outside [-90, 90] deg")
-    n = np.arange(n_sensors)[:, None]
-    return np.exp(1j * np.pi * n * np.sin(np.deg2rad(angles))[None, :])
-
-
-def grid_angles_deg(n_points: int) -> np.ndarray:
-    """Uniform angle grid over [-90, 90] deg (1801 points gives 0.1 deg steps)."""
-    if n_points < 2:
-        raise ValueError("grid needs at least two points")
-    return np.linspace(-90.0, 90.0, n_points)
-
-
-@functools.lru_cache(maxsize=8)
-def ula_grid(n_sensors: int, n_points: int, /) -> Dictionary:
-    """Steering-vector dictionary over the uniform angle grid.
-
-    Built once per (n_sensors, n_points) and process: every call with the
-    same pair returns the same shared object (the arguments are
-    positional-only, so each pair has one memo key). A Dictionary is frozen
-    and all its arrays are read-only, so sharing it across calls and
-    threads is safe. The memo holds the eight most recently used grids.
-    """
-    return Dictionary(steering_matrix(n_sensors, grid_angles_deg(n_points)), norm_mode="array")
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -84,6 +57,12 @@ def gaussian_dictionary(n_sensors: int, n_atoms: int, seed) -> Dictionary:
     """
     atoms = _complex_gaussian(np.random.default_rng(seed), (n_sensors, n_atoms))
     return Dictionary(atoms / np.linalg.norm(atoms, axis=0), norm_mode="unit")
+
+
+def _nearest_atoms(grid_deg: np.ndarray, angles_deg) -> list:
+    """Index of the grid angle nearest each of ``angles_deg``, the lower one
+    on a tie: the atoms a method should report for sources there."""
+    return [int(np.argmin(np.abs(grid_deg - theta))) for theta in angles_deg]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +137,9 @@ class ScenarioConfig:
     the per-source dB average in "ula-doa" mode; source_offsets_db holds
     the per-source levels relative to the first source. true_doas_deg is
     required for "ula-doa" and rejected for "gaussian-ssr", whose supports
-    are drawn per trial. The support rule is not a field: every method reads
+    are drawn per trial; no two of its directions may share their nearest
+    atom of the n_atoms-point steering grid, since the true support of k
+    sources is k atoms. The support rule is not a field: every method reads
     it off the dictionary, so "ula-doa" runs, on the steering grid, report
     K largest peaks and "gaussian-ssr" runs K largest entries. max_iter caps
     every iterative method of the run and must pass
@@ -238,6 +219,11 @@ class ScenarioConfig:
                 raise ValueError(
                     "true DOAs must lie in [-90, 90) deg; +90 deg has -90 deg's steering vector"
                 )
+            atoms = _nearest_atoms(grid_angles_deg(self.n_atoms), doas)
+            for j, i in enumerate(atoms):
+                if i in atoms[:j]:  # the true support of k sources is k atoms
+                    raise ValueError(f"true_doas_deg {doas[atoms.index(i)]} and {doas[j]} share "
+                                     f"the nearest grid atom {i} of the m={self.n_atoms} grid")
             object.__setattr__(self, "true_doas_deg", doas)
         elif self.true_doas_deg is not None:
             raise ValueError("true_doas_deg applies only to ula-doa scenarios")
@@ -422,7 +408,7 @@ def _chunk_constants(config: ScenarioConfig) -> _ChunkConstants:
     grid_deg = grid_angles_deg(config.n_atoms)
     order = np.argsort(doas)
     theta = np.asarray(doas)[order]
-    support = frozenset(int(np.argmin(np.abs(grid_deg - th))) for th in doas)
+    support = frozenset(_nearest_atoms(grid_deg, doas))
     truths = tuple(_Truth(support, p[order], theta) for p in powers)
     return _ChunkConstants(powers, chols, ula_grid(config.n_sensors, config.n_atoms),
                            steering_matrix(config.n_sensors, doas), grid_deg, truths)
@@ -510,9 +496,6 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
     dictionary in a chunk is a programming error: solve_stack's ValueError
     propagates.
     """
-    # looked up per call, so a patched module attribute runs
-    from .methods import solve_stack, solve_trial
-
     constants = _chunk_constants(config)
     cells_by_trial, cases = [], []  # cases: (cells, SNR index, Problem, truth) of each valid cell
     for t in trials:
@@ -529,16 +512,17 @@ def _solve_chunk(config: ScenarioConfig, specs: tuple, trials) -> list:
         cells_by_trial.append(cells)
     problems = [problem for _, _, problem, _ in cases]
     run = {"noise_var": config.noise_var, "max_iter": config.max_iter}
+    # solve_stack and solve_trial are looked up per call, so a patched module attribute runs
     for mi, spec in enumerate(specs if problems else ()):
         # CPU time of this thread: wall time in a pool thread would also
         # count the other workers it waits behind
         t0 = time.thread_time()
-        solve_stack(spec, problems, dictionary, config.k, **run)
+        methods.solve_stack(spec, problems, dictionary, config.k, **run)
         share = (time.thread_time() - t0) / len(problems)
         for cells, si, problem, truth in cases:
             t0 = time.thread_time()
             try:
-                outcome = solve_trial(spec, problem, dictionary, config.k, **run)
+                outcome = methods.solve_trial(spec, problem, dictionary, config.k, **run)
             except _COUNTED:
                 cells[(mi, si)] = _FAILED
                 continue
@@ -581,25 +565,23 @@ def run_monte_carlo(config: ScenarioConfig, methods, threads: int = 1):
     iterative method stops at ``config.max_iter``, and msbl and cwo take
     ``config.noise_var`` as their known noise variance. Returns one
     MetricsRecord per (method, snr_db), in that nesting order. Results are
-    independent of ``threads``, which must be at least 1. Each (trial, SNR) builds one :class:`~covlearn.clbcd.Problem`
-    from its snapshots, which
+    independent of ``threads``, which must be at least 1. Each (trial, SNR)
+    builds one :class:`~covlearn.clbcd.Problem` from its snapshots, which
     every method solves; building it, with its per-atom forms and matched
     filter, is not part of any method's runtime. The trials run in chunks of
     consecutive trials, whose size never depends on ``threads``: on
-    "ula-doa", whose trials share one steering grid, max(1, 12 // len(snr_db))
-    trials; on "gaussian-ssr", whose trials each draw their own dictionary,
-    one trial. Each method solves a chunk's Problems, which share one
-    dictionary, as one stack, and each cell's runtime carries an even share
-    of its stack.
-    A solve that raises a numerical or data error (NumericError, LinAlgError
-    or InvalidDataError) is counted as a failure of its cell, and a Problem that
-    cannot be built (non-finite snapshots, no energy) as one failure of
-    every method; any other exception is a programming error and propagates.
-    A method that cannot solve the scenario (see
-    :func:`covlearn.methods.check_methods`) raises ValueError before any trial.
+    "ula-doa", whose trials share one steering grid,
+    max(1, 12 // len(snr_db)) trials; on "gaussian-ssr", whose trials each
+    draw their own dictionary, one trial. Each method solves a chunk's
+    Problems, which share one dictionary, as one stack, and each cell's
+    runtime carries an even share of its stack. A solve that raises a numerical or data error
+    (NumericError, LinAlgError or InvalidDataError) is counted as a failure
+    of its cell, and a Problem that cannot be built (non-finite snapshots,
+    no energy) as one failure of every method; any other exception is a
+    programming error and propagates. A method that cannot solve the
+    scenario (see :func:`covlearn.methods.check_methods`) raises ValueError
+    before any trial.
     """
-    from .methods import check_methods, resolve_methods
-
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     specs = resolve_methods(methods)

@@ -32,7 +32,7 @@ from covlearn import (
     hard_threshold,
     Problem,
 )
-from covlearn import baselines, clbcd, methods, model, scenario
+from covlearn import baselines, clbcd, methods, model
 from util import (
     ULA_SHAPES,
     cwo_update,
@@ -167,7 +167,7 @@ class TestCwoUpdate:
 
 
 class TestCwoSweep:
-    """baselines._cwo_sweep, cwo's power rule, against the coordinate oracle."""
+    """clbcd._cwo_sweep, cwo's power rule, against the coordinate oracle."""
 
     def _case(self, rng, rows, dense):
         d = random_unit_dictionary(rng, 5, 8) if dense else ula_grid(5, 8)
@@ -184,7 +184,7 @@ class TestCwoSweep:
     def test_one_sweep_is_m_successive_coordinate_steps(self):
         d, gamma, sigma2, scm = self._case(np.random.default_rng(46), 1, True)
         state = build_covariance(d, gamma, sigma2)
-        swept = baselines._cwo_sweep(state, scm)
+        swept = clbcd._cwo_sweep(state, scm)
         expected = np.array(gamma[0])
         for i in range(d.n_atoms):
             expected[i] = cwo_update(build_covariance(d, expected, sigma2[0]), scm[0], i)
@@ -197,9 +197,9 @@ class TestCwoSweep:
     @pytest.mark.parametrize("dense", [True, False])
     def test_each_row_of_a_stack_sweeps_as_it_does_alone(self, dense):
         d, gamma, sigma2, scm = self._case(np.random.default_rng(47), 3, dense)
-        swept = baselines._cwo_sweep(build_covariance(d, gamma, sigma2), scm)
+        swept = clbcd._cwo_sweep(build_covariance(d, gamma, sigma2), scm)
         for j in range(3):
-            alone = baselines._cwo_sweep(
+            alone = clbcd._cwo_sweep(
                 build_covariance(d, gamma[j : j + 1], sigma2[j : j + 1]), scm[j : j + 1]
             )
             assert swept[j].tobytes() == alone[0].tobytes()
@@ -477,13 +477,13 @@ class TestMleSingleSource:
         ula_grid.cache_clear()
         grid = ula_grid(7, 91)
         built = []
-        real = scenario.steering_matrix
+        real = model.steering_matrix
 
         def counting(n, angles):
             built.append(len(angles))
             return real(n, angles)
 
-        monkeypatch.setattr(scenario, "steering_matrix", counting)
+        monkeypatch.setattr(model, "steering_matrix", counting)
         rng = np.random.default_rng(54)
         Y = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
         thetas = [

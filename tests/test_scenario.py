@@ -260,6 +260,16 @@ class TestScenarioConfig:
             ScenarioConfig("gaussian-ssr", 10, 30, 12, 3, (4.0, 8.0), rho=0.9999999999999999)
         ScenarioConfig("gaussian-ssr", 10, 30, 12, 3, (4.0, 8.0), rho=0.999999)
 
+    def test_true_doas_sharing_a_nearest_atom_are_rejected(self):
+        # on the 1-deg grid both directions are nearest 10 deg, atom 100: the
+        # true support of k=2 sources would be one atom, and PER 0 by construction
+        with pytest.raises(ValueError, match=r"true_doas_deg 10\.0 and 10\.3 .* atom 100 "):
+            ScenarioConfig("ula-doa", 8, 181, 16, 2, (10.0,), true_doas_deg=(10.0, 10.3))
+        with pytest.raises(ValueError, match=r"true_doas_deg -20\.0 and -19\.6 .* atom 70 "):
+            ScenarioConfig("ula-doa", 8, 181, 16, 3, (10.0,), true_doas_deg=(-20.0, 10.0, -19.6))
+        # on the 0.1-deg grid they are atoms 1000 and 1003
+        ScenarioConfig("ula-doa", 8, 1801, 16, 2, (10.0,), true_doas_deg=(10.0, 10.3))
+
     def test_offsets_default_and_length_check(self):
         cfg = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (1.0,))
         assert cfg.source_offsets_db == (0.0, 0.0)
@@ -637,14 +647,18 @@ def _small_runs(draw):
     kind = draw(st.sampled_from(scenario.SCENARIO_KINDS))
     k = draw(st.integers(1, 2))
     n = draw(st.integers(k + 1, 8))
+    m = draw(st.integers(n, 91))
     levels = st.floats(-10.0, 20.0, allow_nan=False)
     doas = None
     if kind == "ula-doa":
-        doas = tuple(draw(st.lists(st.floats(-85.0, 85.0), min_size=k, max_size=k)))
+        # each direction nearest its own grid atom, as the config requires
+        grid_deg = grid_angles_deg(m)
+        doas = tuple(draw(st.lists(st.floats(-85.0, 85.0), min_size=k, max_size=k,
+                                   unique_by=lambda t: scenario._nearest_atoms(grid_deg, [t])[0])))
     cfg = ScenarioConfig(
         kind,
         n,
-        draw(st.integers(n, 91)),
+        m,
         draw(st.integers(1, 2 * n)),
         k,
         tuple(draw(st.lists(levels, min_size=1, max_size=3, unique=True))),

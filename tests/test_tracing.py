@@ -52,3 +52,19 @@ def test_traced_runners_and_solve_spans_are_recorded(tmp_path):
     for tag in tracing.SOLVE_TAGS:
         assert f"methods.solve_trial.{tag}" in labels
     assert not hasattr(covlearn.clbcd.run_clbcd, "__wrapped__")  # restored
+
+
+def test_every_timed_name_records_a_span(tmp_path):
+    # a timed function moved to another module would read 0 calls, not fail
+    tracing = _load_tracing()
+    cfg = tmp_path / "doa.cfg"
+    cfg.write_text(CONFIG)
+    tracer = tracing.Tracer()
+    tracer.install(covlearn)
+    try:
+        status = covlearn.cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert status == 0
+    labels = {span[1] for span in tracer.spans}
+    assert [name for name in tracing.TIMED if name not in labels] == []
