@@ -124,15 +124,14 @@ def _somp(problems, k: int) -> list:
     The K steps run in lockstep. Each forms every row's residual and
     correlations one row at a time: the correlations A^H R and their squares
     conj(A^H R) A^H R, which np.linalg.norm would sum, are (M, L) arrays that
-    every row overwrites. Every row's grown support is then factored by one
-    stacked QR and fit by one stacked solve.
+    every row overwrites; A^H reads the dictionary's conj(A) cache. Every row's
+    grown support is then factored by one stacked QR and fit by one stacked solve.
     """
     if len(shapes := sorted({p.Y.shape for p in problems})) > 1:
         raise InvalidDataError(f"somp stacks snapshot matrices of one shape, got {shapes}")
     dictionary = problems[0].dictionary
     A = dictionary.atoms
-    # a dense dictionary keeps conj(A); a steering grid does not, so it conjugates once
-    A_h = (A.conj() if dictionary._atoms_conj is None else dictionary._atoms_conj).T
+    A_h = dictionary._atoms_conj.T
     norms = np.sqrt(dictionary._norms2)
     Y = np.array([p.Y for p in problems])
     corr = np.empty((A.shape[1], Y.shape[-1]), dtype=np.complex128)

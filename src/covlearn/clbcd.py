@@ -67,7 +67,7 @@ class SolverConfig:
             raise ValueError(f"known_sigma2={self.known_sigma2} must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverResult:
     """Outcome of one method on one problem: estimates plus telemetry.
 
@@ -310,9 +310,9 @@ def _solve_power(tag: str, Y, dictionary: Dictionary, k: int, config: SolverConf
 
 def _support(powers: np.ndarray, k: int, dictionary: Dictionary) -> SupportSet:
     """The support every solver reports of ``powers`` over ``dictionary``: the
-    K largest peaks on a steering grid (a Vandermonde dictionary, whose
-    adjacent atoms see one source together), else the K largest entries."""
-    return hard_threshold(powers, k, peak=dictionary.is_vandermonde)
+    K largest peaks on a steering grid (:attr:`Dictionary.is_steering_grid`),
+    whose adjacent atoms see one source together, else the K largest entries."""
+    return hard_threshold(powers, k, peak=dictionary.is_steering_grid)
 
 
 def _power_iteration(problems, tag: str, k: int, config: SolverConfig) -> list:

@@ -33,7 +33,7 @@ from .model import (
 from .sparsity import SupportSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Per-atom sweep outcome.
 

@@ -13,14 +13,13 @@ rank-one (leave-one-atom-out) identities used by the solvers, and the
 closed-form maximum-likelihood refits on a fixed support.
 
 It alone decides how A and A^H are applied. A dictionary whose atoms form a
-unit-modulus Vandermonde matrix, a_i[p] = z_i^p with |z_i| = 1 (the steering
-grid of a half-wavelength uniform linear array), is recognised from its atoms
-at construction, with no option. For such a dictionary Sigma is Hermitian
-Toeplitz, assembled from the N coefficients A gamma, and every per-atom form
-a_i^H H a_i is a trigonometric polynomial in z_i whose coefficients are the
-diagonal sums of H: covariance assembly and the per-atom forms cost
-O(N^2 + NM) instead of O(N^2 M). Every other dictionary takes the dense
-O(N^2 M) path.
+unit-modulus Vandermonde matrix, a_i[p] = z_i^p with |z_i| = 1, is recognised
+from its atoms at construction, with no option. For such a dictionary Sigma
+is Hermitian Toeplitz, assembled from the N coefficients A gamma, and every
+per-atom form a_i^H H a_i is a trigonometric polynomial in z_i whose
+coefficients are the diagonal sums of H: covariance assembly and the per-atom
+forms cost O(N^2 + NM) instead of O(N^2 M). Every other dictionary takes the
+dense O(N^2 M) path through conj(A), which any dictionary builds on first read.
 
 A model whose powers sit on a small support of j atoms, B = A_support, has
 per-atom forms that need no N x N matrix: :func:`support_atom_forms` reads
@@ -81,7 +80,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Vandermonde:
     """Index tables of a dictionary with atoms[p, i] = z_i**p and |z_i| = 1.
 
@@ -89,12 +88,15 @@ class _Vandermonde:
     ``order`` sorts the flattened entries by lag and ``starts`` marks where
     each lag begins, for ``np.add.reduceat``. ``powers`` stacks Re z^d over
     Im z^d for d = 1..N-1, shape (2N-2, M), so Re(t @ z^d) is one real product.
+    ``ordered``: angle(z_i) is strictly monotone in i, which the peak rule
+    needs and the Toeplitz path does not.
     """
 
     lags: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     powers: np.ndarray
+    ordered: bool
 
 
 # Largest |atoms[p, i] - z_i**p| per sensor accepted as Vandermonde: steering
@@ -129,10 +131,11 @@ def _detect_vandermonde(atoms: np.ndarray) -> _Vandermonde | None:
     tables = (lags, order, starts, powers)
     for a in tables:
         a.flags.writeable = False
-    return _Vandermonde(*tables)
+    step = np.diff(np.angle(z))
+    return _Vandermonde(*tables, ordered=bool((step > 0).all() or (step < 0).all()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Known N x M complex dictionary whose columns are atoms.
 
@@ -141,22 +144,17 @@ class Dictionary:
     atoms : ndarray, shape (n_sensors, n_atoms)
         Complex atom matrix, finite and with no all-zero atom (else
         ValueError). Copied and frozen at construction.
-    norm_mode : {"unit", "array", None}
-        Optional normalization contract. "unit" asserts each column has
-        unit Euclidean norm (compressed-sensing convention); "array"
-        asserts ||a_i||^2 == n_sensors (sensor-array convention).
 
-    A dictionary whose atoms form a unit-modulus Vandermonde matrix (a ULA
-    steering grid) is detected here and takes the O(N^2 + NM) structured
-    path of :func:`build_covariance` and :func:`atom_forms`. Any other
-    dictionary caches its conjugated atoms for the dense path.
+    A dictionary is its atoms and what is computed from them, alike for
+    every kind: the ||a_i||^2 every formula reads (no norm convention is
+    declared), the tables of a unit-modulus Vandermonde matrix, detected
+    here, and conj(A), built on first read. Every array is read-only, and a
+    dictionary equals only itself.
     """
 
     atoms: np.ndarray
-    norm_mode: str | None = None
-    _vandermonde: _Vandermonde | None = field(init=False, repr=False, compare=False)
-    _norms2: np.ndarray = field(init=False, repr=False, compare=False)
-    _atoms_conj: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _vandermonde: _Vandermonde | None = field(init=False, repr=False)
+    _norms2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -164,31 +162,33 @@ class Dictionary:
             raise ValueError("dictionary must be a non-empty 2-D matrix")
         if not np.isfinite(atoms).all():
             raise ValueError("dictionary entries must be finite")
-        if self.norm_mode not in (None, "unit", "array"):
-            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
         norms2 = np.sum(np.abs(atoms) ** 2, axis=0)
-        if self.norm_mode == "unit" and not np.allclose(norms2, 1.0, atol=3e-12, rtol=0.0):
-            raise ValueError("unit mode requires unit-norm atoms")
-        if self.norm_mode == "array" and not np.allclose(norms2, atoms.shape[0], atol=1e-9, rtol=0.0):
-            raise ValueError("array mode requires ||a_i||^2 == n_sensors")
         if not norms2.all():
             zero = np.flatnonzero(norms2 == 0.0)
             raise ValueError(f"dictionary atoms must be nonzero; atom {zero[0]} is all zero")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "_norms2", _readonly(norms2))
         object.__setattr__(self, "_vandermonde", _detect_vandermonde(self.atoms))
-        # The dense path reads conj(A) in every assembly and form pass; the
-        # Vandermonde path never does, so only a dense dictionary keeps it.
-        conj = None
-        if self._vandermonde is None:
-            conj = self.atoms.conj()
-            conj.flags.writeable = False
-        object.__setattr__(self, "_atoms_conj", conj)
+
+    @functools.cached_property
+    def _atoms_conj(self) -> np.ndarray:
+        """conj(A), read-only, built on first read: the dense path and SOMP's
+        A^H read it, so a steering grid builds it only for SOMP. Threads that
+        race to build it build equal arrays."""
+        conj = self.atoms.conj()
+        conj.flags.writeable = False
+        return conj
 
     @property
     def is_vandermonde(self) -> bool:
-        """True when the atoms are a_i[p] = z_i^p with |z_i| = 1 (ULA steering grid)."""
+        """True when the atoms are a_i[p] = z_i^p with |z_i| = 1, in any order."""
         return self._vandermonde is not None
+
+    @property
+    def is_steering_grid(self) -> bool:
+        """A Vandermonde dictionary with angle(z_i) strictly monotone in i, as in
+        every :func:`ula_grid`: index neighbours are angular neighbours."""
+        return self._vandermonde is not None and self._vandermonde.ordered
 
     @property
     def n_sensors(self) -> int:
@@ -235,10 +235,10 @@ def ula_grid(n_sensors: int, n_points: int, /) -> Dictionary:
     and all its arrays are read-only, so sharing it across calls and
     threads is safe. The memo holds the eight most recently used grids.
     """
-    return Dictionary(steering_matrix(n_sensors, grid_angles_deg(n_points)), norm_mode="array")
+    return Dictionary(steering_matrix(n_sensors, grid_angles_deg(n_points)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceState:
     """Model covariance Sigma = A diag(gamma) A^H + sigma2 I with caches.
 

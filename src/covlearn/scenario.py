@@ -56,7 +56,7 @@ def gaussian_dictionary(n_sensors: int, n_atoms: int, seed) -> Dictionary:
     fixed seed reproduces the atoms bitwise.
     """
     atoms = _complex_gaussian(np.random.default_rng(seed), (n_sensors, n_atoms))
-    return Dictionary(atoms / np.linalg.norm(atoms, axis=0), norm_mode="unit")
+    return Dictionary(atoms / np.linalg.norm(atoms, axis=0))
 
 
 def _nearest_atoms(grid_deg: np.ndarray, angles_deg) -> list:
@@ -345,7 +345,7 @@ def power_nmse(est_powers, true_powers) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Truth:
     """What one (trial, SNR) cell is scored against: the support a method
     should report (the drawn one, or the grid points nearest the true
@@ -357,7 +357,7 @@ class _Truth:
     support: frozenset
     powers: np.ndarray
     theta_deg: np.ndarray | None = None
-    power2: float = field(init=False, repr=False, compare=False)
+    power2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "power2", _norm2(self.powers))
@@ -379,7 +379,7 @@ class _TrialCell:
 _FAILED = _TrialCell(ok=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ChunkConstants:
     """What every trial of a run shares, per SNR in snr_db order: the source
     powers and the Cholesky factors of their covariance, stacked (S, k, k).

@@ -56,7 +56,7 @@ class TestIaaUpdate:
         n = 4
         atoms = steering_matrix(n, [-10.0, 5.0, 40.0])
         st = CovarianceState(
-            Dictionary(atoms, norm_mode="array"),
+            Dictionary(atoms),
             np.zeros(3),
             1.0,
             np.eye(n, dtype=complex),
@@ -244,7 +244,7 @@ class TestMsblEmStep:
 
 class TestSomp:
     def test_identity_dictionary_selects_largest_rows(self):
-        d = Dictionary(np.eye(4, dtype=complex), norm_mode="unit")
+        d = Dictionary(np.eye(4, dtype=complex))
         Y = np.diag([1.0, 5.0, 2.0, 4.0]).astype(complex)
         sup = somp(Y, d, 2)
         assert sup.same_atoms({1, 3})
@@ -252,7 +252,7 @@ class TestSomp:
     def test_orthogonal_noiseless_exact_recovery(self):
         rng = np.random.default_rng(47)
         Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        d = Dictionary(Q, norm_mode="unit")
+        d = Dictionary(Q)
         X = np.zeros((8, 5), dtype=complex)
         X[[2, 6]] = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
         sup = somp(Q @ X, d, 2)
@@ -261,6 +261,20 @@ class TestSomp:
     def test_all_zero_snapshots_rejected(self):
         with pytest.raises(ValueError, match="no energy"):
             somp(np.zeros((6, 10), dtype=complex), ula_grid(6, 91), 2)
+
+    def test_a_steering_grid_conjugates_once(self):
+        # the grid builds its read-only conj(A) at the first somp solve, and
+        # every later solve reads that one array
+        grid = ula_grid.__wrapped__(6, 91)
+        assert "_atoms_conj" not in vars(grid)
+        rng = np.random.default_rng(46)
+        Y = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
+        first = somp(Y, grid, 2)
+        conj = vars(grid)["_atoms_conj"]
+        npt.assert_array_equal(conj, grid.atoms.conj())
+        assert not conj.flags.writeable
+        assert somp(Y, grid, 2) == first
+        assert vars(grid)["_atoms_conj"] is conj
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_method_refit_forms_one_sample_covariance(self, monkeypatch, grid):
@@ -395,7 +409,7 @@ def _rule_case(kind):
 def test_the_power_iteration_reads_the_support_rule_off_the_dictionary(kind, tag):
     d, k, Y, true = _rule_case(kind)
     res = solve_trial(MethodSpec(tag), Y, d, k, noise_var=1.0, max_iter=100)
-    assert res.support == hard_threshold(res.gamma, k, d.is_vandermonde)
+    assert res.support == hard_threshold(res.gamma, k, d.is_steering_grid)
     assert res.support.indices == true
 
 

@@ -204,10 +204,10 @@ def test_iaa_refits_a_stacks_final_supports_in_one_call(monkeypatch):
 
 
 def _duplicate_atom_case():
-    """(dictionary, Ys): atoms 0 and 2 coincide, with the -80 deg atom between
-    them, so on this steering dictionary both copies are peaks. A strong
-    source there makes every top-2 support {0, 2}, whose noise refit is rank
-    deficient; the other rows carry a source elsewhere or only noise."""
+    """(dictionary, Ys): atoms 0 and 2 coincide, and this steering
+    dictionary's angles are unsorted, so it takes the K largest entries. A
+    strong source there makes every top-2 support {0, 2}, whose noise refit is
+    rank deficient; the other rows carry a source elsewhere or only noise."""
     rng = np.random.default_rng(53)
     a, others = steering_matrix(6, [20.0]), steering_matrix(6, np.linspace(-80.0, 80.0, 30))
     d = Dictionary(np.hstack([a, others[:, :1], a, others[:, 1:]]))

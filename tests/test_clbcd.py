@@ -57,6 +57,54 @@ def test_solver_config_rejects_a_known_sigma2_that_is_not_positive_and_finite(si
         SolverConfig(known_sigma2=sigma2)
 
 
+class TestSupportRule:
+    """clbcd._support takes peaks only on a steering grid: a Vandermonde
+    dictionary whose phases run strictly monotone, so index neighbours are
+    angular neighbours."""
+
+    @staticmethod
+    def _two_sources():
+        # sources at -20 and 31 deg, the second one stronger
+        return sample_covariance(steering_matrix(8, [-20.0, 31.0]) * [1.0, 2.0])
+
+    @staticmethod
+    def _rules(powers, k, dictionary):
+        element, peak = hard_threshold(powers, k), hard_threshold(powers, k, peak=True)
+        assert element != peak  # the case tells the two rules apart
+        return clbcd._support(powers, k, dictionary), element, peak
+
+    def test_repeated_atoms_take_the_element_rule(self):
+        a = steering_matrix(6, [10.0])
+        d = Dictionary(np.hstack([a, a, steering_matrix(6, np.linspace(-80.0, 80.0, 30))]))
+        assert d.is_vandermonde and not d.is_steering_grid
+        # atoms 0 and 1 coincide and see the source together: one peak, two entries
+        Y = 3.0 * a + 0.1 * np.random.default_rng(5).standard_normal((6, 1))
+        powers = matched_filter_powers(d, sample_covariance(Y))
+        support, element, _ = self._rules(powers, 2, d)
+        assert support == element
+        assert support.indices == (0, 1)
+
+    def test_a_shuffled_grid_takes_the_element_rule(self):
+        grid = ula_grid(8, 181)
+        # this shuffle puts the atoms at 31 and 32 deg side by side, so they
+        # form one peak in the index order though they are two entries
+        perm = np.random.default_rng(2).permutation(181)
+        d = Dictionary(grid.atoms[:, perm])
+        assert d.is_vandermonde and not d.is_steering_grid
+        powers = matched_filter_powers(d, self._two_sources())
+        support, element, _ = self._rules(powers, 2, d)
+        assert support == element
+        assert sorted(perm[list(support)]) == [121, 122]
+
+    def test_a_reversed_grid_keeps_the_peak_rule(self):
+        d = Dictionary(ula_grid(8, 181).atoms[:, ::-1])
+        assert d.is_steering_grid
+        powers = matched_filter_powers(d, self._two_sources())
+        support, _, peak = self._rules(powers, 2, d)
+        assert support == peak
+        assert sorted(90 - i for i in support) == [-20, 31]  # the reversed grid's angles
+
+
 class TestRelativeChange:
     def test_zero_iterate_counts_as_converged(self):
         assert relative_change(np.zeros(4), np.ones(4)) == 0.0
@@ -118,7 +166,7 @@ class TestPowerIterationLoop:
 class TestRunClBcd:
     def test_high_snr_identity_dictionary(self):
         # single strong source on an orthonormal dictionary: near-certain recovery
-        d = Dictionary(np.eye(4, dtype=complex), norm_mode="unit")
+        d = Dictionary(np.eye(4, dtype=complex))
         hits = 0
         trials = 100
         for t in range(trials):

@@ -120,7 +120,7 @@ class TestRunClomp:
         assert res.converged
 
     def test_diagonal_case_selection_order(self):
-        d = Dictionary(np.eye(4, dtype=complex), norm_mode="unit")
+        d = Dictionary(np.eye(4, dtype=complex))
         scm = np.diag([9.0, 1.0, 4.0, 1.0]).astype(complex)
         res = run_clomp(population_snapshots(scm), d, 2)
         assert res.support.indices == (0, 2)  # strongest diagonal first

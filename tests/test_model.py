@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -76,18 +80,23 @@ class TestSampleCovariance:
 
 
 class TestDictionary:
-    def test_unit_mode_checks_norms(self):
-        good = Dictionary(np.eye(3, dtype=complex), norm_mode="unit")
-        assert good.n_sensors == good.n_atoms == 3
-        with pytest.raises(ValueError):
-            Dictionary(2.0 * np.eye(3, dtype=complex), norm_mode="unit")
+    def test_equal_only_to_itself(self):
+        # a dictionary holds arrays, so it compares and hashes by identity
+        a, b = Dictionary(np.eye(3, dtype=complex)), Dictionary(np.eye(3, dtype=complex))
+        assert a.n_sensors == a.n_atoms == 3
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
-    def test_array_mode_checks_norms(self):
-        n = 4
-        atoms = np.exp(1j * np.linspace(0, 1, n))[:, None] * np.ones((n, 2))
-        Dictionary(atoms, norm_mode="array")
-        with pytest.raises(ValueError):
-            Dictionary(0.5 * atoms, norm_mode="array")
+    def test_no_norm_convention_is_declared(self):
+        # every formula reads the cached ||a_i||^2, so there is no norm option
+        with pytest.raises(TypeError):
+            Dictionary(np.eye(3, dtype=complex), norm_mode="unit")
+
+    @pytest.mark.parametrize("n, m", [(4, 9), (8, 181), (20, 1801)])
+    def test_library_constructors_meet_their_norm_conventions(self, n, m):
+        # gaussian_dictionary's atoms have unit norm, a steering grid's ||a_i||^2 = N
+        npt.assert_allclose(gaussian_dictionary(n, m, seed=n)._norms2, 1.0, rtol=0.0, atol=3e-12)
+        npt.assert_allclose(ula_grid(n, m)._norms2, n, rtol=0.0, atol=1e-9)
 
     def test_all_zero_atom_rejected(self):
         # every method would divide by ||a_i||^2 = 0 and fail its own way
@@ -104,10 +113,36 @@ class TestDictionary:
     def test_dense_dictionary_caches_frozen_conjugate(self):
         rng = np.random.default_rng(8)
         d = random_unit_dictionary(rng, 5, 12)
-        npt.assert_array_equal(d._atoms_conj, d.atoms.conj())
-        assert not d._atoms_conj.flags.writeable
-        # the Vandermonde path never reads it, so a steering grid keeps none
-        assert ula_grid(5, 31)._atoms_conj is None
+        assert "_atoms_conj" not in vars(d)  # built on first read
+        conj = d._atoms_conj
+        npt.assert_array_equal(conj, d.atoms.conj())
+        assert not conj.flags.writeable
+        assert d._atoms_conj is conj
+        # the Vandermonde path never reads it, so a fresh steering grid holds none
+        grid = ula_grid.__wrapped__(5, 31)
+        build_covariance(grid, np.ones(31), 1.0)
+        atom_forms(grid, np.eye(5)[None])
+        assert "_atoms_conj" not in vars(grid)
+
+    def test_threads_racing_for_the_conjugate_read_equal_frozen_arrays(self):
+        # pool threads share a dictionary, and two may build its cache at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                d = random_unit_dictionary(np.random.default_rng(round_), 6, 40)
+                barrier = threading.Barrier(8)
+
+                def read():
+                    barrier.wait(timeout=10)
+                    return d._atoms_conj
+
+                with ThreadPoolExecutor(8) as pool:
+                    reads = [f.result(timeout=10) for f in [pool.submit(read) for _ in range(8)]]
+                for conj in (*reads, d._atoms_conj):
+                    assert conj.tobytes() == d.atoms.conj().tobytes() and not conj.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_atom_and_take(self):
         d = Dictionary(np.arange(6, dtype=complex).reshape(2, 3))
@@ -580,7 +615,6 @@ class TestSupportAtomForms:
         (lambda: Dictionary(np.ones(3)), "dictionary must be a non-empty 2-D matrix"),
         (lambda: Dictionary(np.ones((3, 0))), "dictionary must be a non-empty 2-D matrix"),
         (lambda: Dictionary(np.array([[1.0, np.nan]])), "dictionary entries must be finite"),
-        (lambda: Dictionary(np.ones((2, 2)), norm_mode="x"), "unknown norm_mode 'x'"),
         (lambda: build_covariance(ula_grid(6, 91), np.ones((2, 91)), np.ones(3)),
          "a stack of powers needs one noise variance per row"),
     ],

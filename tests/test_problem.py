@@ -81,7 +81,7 @@ def test_a_positional_support_rule_is_a_type_error():
 
 def test_problem_over_another_dictionary_rejected():
     d, Y, k, _ = _case("gaussian")
-    twin = Dictionary(d.atoms, norm_mode="unit")  # equal atoms, another object
+    twin = Dictionary(d.atoms)  # equal atoms, another object
     with pytest.raises(ValueError, match="another dictionary"):
         solve_trial(MethodSpec("cl-bcd"), Problem(Y, d), twin, k, noise_var=1.0)
 
@@ -147,9 +147,9 @@ def test_problem_arrays_are_read_only():
 
 
 def test_rank_deficient_refit_raises_for_every_method_that_asks(monkeypatch):
-    # atoms 0 and 2 coincide and carry the strong source, with the -80 deg atom
-    # between them, so on this steering dictionary every top-2 support is the
-    # two peaks {0, 2}, and its noise refit is rank deficient
+    # atoms 0 and 2 coincide and carry the strong source, so every top-2
+    # support is {0, 2} (this steering dictionary's angles are unsorted, so it
+    # takes the K largest entries), and its noise refit is rank deficient
     rng = np.random.default_rng(53)
     a, others = steering_matrix(6, [20.0]), steering_matrix(6, np.linspace(-80.0, 80.0, 30))
     d = Dictionary(np.hstack([a, others[:, :1], a, others[:, 1:]]))

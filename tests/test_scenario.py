@@ -14,6 +14,8 @@ from covlearn import (
     MethodSpec,
     MetricsRecord,
     ScenarioConfig,
+    SupportSet,
+    build_covariance,
     doa_rmse,
     gaussian_dictionary,
     generate_snapshots,
@@ -108,6 +110,17 @@ class TestUlaGrid:
                 a[(0,) * a.ndim] = 0
         with pytest.raises(AttributeError):
             grid.atoms = np.zeros((7, 61), complex)
+
+    def test_a_doa_run_without_somp_never_conjugates_the_grid(self):
+        # the steering-grid path reads no conj(A), so only a somp solve builds it
+        cfg = ScenarioConfig("ula-doa", 7, 151, 16, 2, (0.0, 10.0), true_doas_deg=(-20.0, 12.3),
+                             seed=4, trials=3)
+        grid = ula_grid(7, 151)
+        assert "_atoms_conj" not in vars(grid)
+        run_monte_carlo(cfg, ["cl-omp", "cl-bcd", "iaa", "music"], threads=2)
+        assert ula_grid(7, 151) is grid and "_atoms_conj" not in vars(grid)
+        run_monte_carlo(replace(cfg, trials=1), ["somp"])
+        assert not vars(grid)["_atoms_conj"].flags.writeable
 
 
 class TestGenerateSnapshots:
@@ -327,16 +340,16 @@ class TestScenarioConfig:
         npt.assert_allclose(10 * np.log10(p[1] / p[0]), 3.0)
 
     def test_the_support_rule_is_read_off_each_kinds_dictionary(self):
-        # "ula-doa" solves on the steering grid, a Vandermonde dictionary, so
-        # its supports are K largest peaks; the Gaussian dictionaries of
-        # "gaussian-ssr" are not, so theirs are K largest entries
+        # "ula-doa" solves on the steering grid, so its supports are K largest
+        # peaks; the Gaussian dictionaries of "gaussian-ssr" are not, so
+        # theirs are K largest entries
         ssr = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (10.0,), trials=3)
         doa = ScenarioConfig("ula-doa", 8, 181, 8, 2, (10.0,), true_doas_deg=(-10.0, 20.0))
         for cfg, peak in ((ssr, False), (doa, True)):
             assert not hasattr(cfg, "peak")
             for t in range(cfg.trials if cfg is ssr else 1):
                 d, [(Y, _)] = scenario._draw_trial(cfg, scenario._chunk_constants(cfg), t)
-                assert d.is_vandermonde is peak
+                assert d.is_steering_grid is peak
                 res = solve_trial(MethodSpec("cl-bcd"), Y, d, cfg.k, noise_var=cfg.noise_var)
                 assert res.support == hard_threshold(res.gamma, cfg.k, peak=peak)
         with pytest.raises(TypeError):  # not a field
@@ -704,3 +717,39 @@ def test_records_follow_neither_the_chunk_size_nor_the_thread_count(run):
         assert r.per is None or 0.0 <= r.per <= 1.0
         for value in (r.per, r.rmse_theta_deg, r.nmse_gamma, r.mean_iters):
             assert value is None or np.isfinite(value)
+
+
+# Frozen dataclasses that hold arrays compare and hash by identity, as
+# Dictionary does: value equality would compare arrays, whose `==` gives no
+# single truth value.
+_ARRAY_HOLDERS = {
+    "_Vandermonde": lambda: ula_grid.__wrapped__(3, 3)._vandermonde,
+    "CovarianceState": lambda: build_covariance(ula_grid(3, 3), np.ones(3), 1.0),
+    "SolverResult": lambda: clbcd.SolverResult(None, np.ones(3), 1.0, 1, True),
+    "SweepResult": lambda: clomp.SweepResult(np.ones(3), np.zeros(3)),
+    "_Truth": lambda: scenario._Truth(frozenset({0}), np.ones(2)),
+    "_ChunkConstants": lambda: scenario._ChunkConstants((np.ones(2),), np.eye(2)[None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDERS))
+def test_dataclasses_holding_arrays_compare_by_identity(name):
+    a, b = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_scalar_dataclasses_keep_value_equality():
+    # SolverConfig is a memo key, and records and cells are compared by value
+    cfg = ScenarioConfig("gaussian-ssr", 8, 32, 8, 2, (10.0,))
+    for make in (
+        lambda: clbcd.SolverConfig(max_iter=40),
+        lambda: MethodSpec("cl-bcd"),
+        lambda: SupportSet((2, 0)),
+        lambda: MetricsRecord("iaa", 10.0, 3, per=0.5),
+        lambda: scenario._TrialCell(True, per_hit=True, iterations=4),
+        lambda: replace(cfg, trials=3),
+    ):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)

@@ -29,7 +29,7 @@ from covlearn import (
 
 def random_unit_dictionary(rng, n, m):
     atoms = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-    return Dictionary(atoms / np.linalg.norm(atoms, axis=0), norm_mode="unit")
+    return Dictionary(atoms / np.linalg.norm(atoms, axis=0))
 
 
 def population_snapshots(sigma):
