@@ -147,12 +147,16 @@ def solve_stack(
     max_iter: int = SolverConfig.max_iter,
 ) -> None:
     """Solve ``problems``, a list of one or more Problems over ``dictionary``
-    (else ValueError), as one stack of spec's method, and keep each row on
-    its Problem for the next :func:`solve_trial` of it with the same
-    arguments: the result it gets alone. A stack that raises a counted error
-    (NumericError, LinAlgError, InvalidDataError) keeps nothing: each Problem
-    then gets the result or the exception class of its lone solve.
+    (else ValueError before any solve, a snapshot array included), as one
+    stack of spec's method, and keep each row on its Problem for the next
+    :func:`solve_trial` of it with the same arguments: the result it gets
+    alone. A stack that raises a counted error (NumericError, LinAlgError,
+    InvalidDataError) keeps nothing: each Problem then gets the result or the
+    exception class of its lone solve.
     """
+    # a snapshot array wrapped here would keep its row on a Problem no caller holds
+    if not all(isinstance(p, Problem) for p in problems):
+        raise ValueError("a stack holds Problems, not snapshot arrays")
     problems = [Problem.of(p, dictionary, k) for p in problems]
     if not problems:
         raise ValueError("a stack holds one or more problems")

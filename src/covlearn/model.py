@@ -22,9 +22,9 @@ forms cost O(N^2 + NM) instead of O(N^2 M). Every other dictionary takes the
 dense O(N^2 M) path through conj(A), which any dictionary builds on first read.
 
 A model whose powers sit on a small support of j atoms, B = A_support, has
-per-atom forms that need no N x N matrix: :func:`support_atom_forms` reads
-them off the support's Gram rows B^H A and B^H Shat A through the Woodbury
-identity, at O(NM) per support atom and O(j^2 M) per evaluation.
+per-atom forms that need no N x N matrix: :func:`support_atom_forms` forms
+the support's Gram rows B^H A and B^H Shat A and reads the forms off them
+through the Woodbury identity, at O(jNM + j^2 M) per evaluation.
 
 All functions are pure; arrays inside the frozen dataclasses are marked
 read-only so states can be shared across threads.
@@ -457,7 +457,7 @@ _PASS_ENTRIES = 4096
 
 
 def support_atom_forms(
-    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2, rows=None, forms=None
+    dictionary: Dictionary, scm: np.ndarray, support, gamma, sigma2, forms=None
 ):
     """Per-atom (q, r) of Sigma = sigma2 I + B diag(gamma) B^H, B = A_support, from Gram rows.
 
@@ -469,15 +469,14 @@ def support_atom_forms(
         r_i = a_i^H Theta Shat Theta a_i
             = (a_i^H Shat a_i - 2 Re c_i^H h_i + Re c_i^H B^H Shat B c_i) / sigma2^2
 
-    gamma lists the support powers in the order of ``support``. The Gram rows
-    P = B^H A and H = B^H Shat A are j x M for j support atoms, so once they
-    exist an evaluation costs O(j^2 M) and forms no N x N matrix. ``rows`` is
-    the third value a previous call returned for the same dictionary and scm
-    and a prefix of this support: its rows are kept and one row pair is
-    appended per new atom, at O(NM). Without it, the call also needs
-    a_i^H Shat a_i: ``forms`` when the caller has them, else evaluated through
-    :func:`atom_forms` (O(N^2 M) on a dense dictionary, O(N^2 + NM) on a
-    Vandermonde one); ||a_i||^2 is cached by the dictionary.
+    gamma lists the support powers in the order of ``support``. Every call
+    forms the Gram rows P = B^H A and H = B^H Shat A, j x M for j support
+    atoms, one (1, N) by (N, M) product per support atom and row of P and
+    H, at O(jNM); the evaluation from them costs O(j^2 M) and forms no
+    N x N matrix. It also needs a_i^H Shat a_i: ``forms`` when the caller
+    has them, else evaluated through :func:`atom_forms` (O(N^2 M) on a
+    dense dictionary, O(N^2 + NM) on a Vandermonde one); ||a_i||^2 is
+    cached by the dictionary. Nothing is kept between calls.
 
     A stack of S sample covariances (S, N, N) takes S supports of one size
     (S, j), powers (S, j), noise variances (S,) and forms (S, M), and gives
@@ -493,29 +492,20 @@ def support_atom_forms(
     fault on a shared 2-vCPU VM. Each row's products and sums are those of
     one pass, so every bit is too.
 
-    Returns (q, r, rows). Raises NumericError if some q_i <= 0,
-    InvalidDataError for invalid powers and ValueError for a ``rows`` whose
-    support is not a prefix.
+    Returns (q, r). Raises NumericError if some q_i <= 0 and
+    InvalidDataError for invalid powers.
     """
     scm = np.asarray(scm, dtype=np.complex128)
     support = np.asarray(support, dtype=np.intp).reshape(*scm.shape[:-2], -1)
     gamma, sigma2 = _check_model(gamma, support.shape[-1], sigma2)
     A = dictionary.atoms
-    if rows is None:
-        empty = np.empty((*support.shape[:-1], 0, A.shape[1]), dtype=np.complex128)
-        if forms is None:
-            forms = atom_forms(dictionary, scm[..., None, :, :])[..., 0, :]
-        rows = (support[..., :0], dictionary._norms2, forms, empty, empty)
-    known, sq, s, P, H = rows
-    j = known.shape[-1]
-    if support.shape[-1] < j or not np.array_equal(support[..., :j], known):
-        raise ValueError("rows were computed for a support that is not a prefix of this one")
-    if support.shape[-1] > j:
-        Bt = A.T[support[..., j:]]  # the new atoms as rows
-        ShB = scm @ Bt.swapaxes(-1, -2)
-        new = (Bt.conj() @ A, ShB.conj().swapaxes(-1, -2) @ A)
-        P, H = (np.concatenate(pair, axis=-2) for pair in zip((P, H), new)) if j else new
-        rows = (support, sq, s, P, H)
+    if forms is None:
+        forms = atom_forms(dictionary, scm[..., None, :, :])[..., 0, :]
+    # one product per support atom: a single (j, N) by (N, M) product rounds differently
+    Bt = A.T[support][..., None, :]  # the support atoms as (1, N) rows
+    ShB = scm[..., None, :, :] @ Bt.swapaxes(-1, -2)
+    P = (Bt.conj() @ A)[..., 0, :]
+    H = (ShB.conj().swapaxes(-1, -2) @ A)[..., 0, :]
     d = np.sqrt(gamma)[..., None]
     dT = d.swapaxes(-1, -2)
     idx = support[..., None, :]
@@ -548,11 +538,11 @@ def support_atom_forms(
         np.add.reduce(wt.real, axis=-2, out=r[t])
     q, r = (a.reshape(*support.shape[:-1], m) for a in (q, r))
     sigma2 = sigma2[..., None]
-    np.subtract(sq, q, out=q)
+    np.subtract(dictionary._norms2, q, out=q)
     q /= sigma2
-    np.add(s, r, out=r)
+    np.add(forms, r, out=r)
     r /= sigma2**2
-    return _check_positive(q), r, rows
+    return _check_positive(q), r
 
 
 def nll_gradient(state: CovarianceState, scm: np.ndarray):

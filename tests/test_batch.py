@@ -415,6 +415,20 @@ def test_a_stack_holds_problems_over_one_dictionary():
     assert all(not p._solved for p in problems)
 
 
+def test_a_stack_holds_problems_not_snapshot_arrays():
+    # a row kept on a Problem that solve_stack wrapped itself would reach no
+    # caller, so the stack is refused before any solve
+    rng = np.random.default_rng(7)
+    d = ula_grid(6, 91)
+    Y1, Y2 = (rng.standard_normal((6, 10)).astype(complex) for _ in range(2))
+    held = Problem(Y2, d)
+    with pytest.raises(ValueError, match="Problems, not snapshot arrays"):
+        solve_stack(MethodSpec("cl-bcd"), [Y1, held], d, 2, noise_var=1.0)
+    assert not held._solved
+    with pytest.raises(ValueError, match="Problems, not snapshot arrays"):
+        solve_stack(MethodSpec("cl-bcd"), [Y1, Y2], d, 2, noise_var=1.0)
+
+
 @pytest.mark.parametrize("tag", STACKED_TAGS)
 def test_a_stack_of_one_problem_keeps_its_row(tag):
     # a group of one, such as a one-SNR chunk, is solved once, by its stack

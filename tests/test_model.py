@@ -505,7 +505,7 @@ class TestSupportAtomForms:
         d, support, gamma_sub, sigma2, scm = _support_model(case)
         gamma = np.zeros(d.n_atoms)
         gamma[list(support)] = gamma_sub
-        q, r, _ = support_atom_forms(d, scm, support, gamma_sub, sigma2)
+        q, r = support_atom_forms(d, scm, support, gamma_sub, sigma2)
         q_lib, r_lib = atom_quadratic_forms(build_covariance(d, gamma, sigma2), scm)
         theta = np.linalg.inv(dense_covariance(d.atoms, gamma, sigma2))
         cases = (
@@ -518,7 +518,7 @@ class TestSupportAtomForms:
 
     def test_empty_support_is_the_noise_only_model(self):
         d, _, _, _, scm = _support_model("gaussian")
-        q, r, _ = support_atom_forms(d, scm, (), np.zeros(0), 2.0)
+        q, r = support_atom_forms(d, scm, (), np.zeros(0), 2.0)
         npt.assert_allclose(q, dense_atom_forms(d.atoms, np.eye(32)) / 2.0, rtol=1e-13)
         npt.assert_allclose(r, dense_atom_forms(d.atoms, scm) / 4.0, rtol=1e-12)
 
@@ -534,22 +534,12 @@ class TestSupportAtomForms:
         forms = atom_forms(d, scm[:, None])[:, 0]
         sigma2 = np.array([np.trace(s).real / n for s in scm])
         norms2 = np.sum(np.abs(d.atoms) ** 2, axis=0)
-        q, r, _ = support_atom_forms(d, scm, [[]] * 3, np.empty((3, 0)), sigma2, None, forms)
+        q, r = support_atom_forms(d, scm, [[]] * 3, np.empty((3, 0)), sigma2, forms=forms)
         for i in range(3):
             q_i, r_i = norms2 / sigma2[i], forms[i] / sigma2[i] ** 2
             assert q[i].tobytes() == q_i.tobytes() and r[i].tobytes() == r_i.tobytes()
-            q1, r1, _ = support_atom_forms(d, scm[i], (), np.empty(0), sigma2[i])
+            q1, r1 = support_atom_forms(d, scm[i], (), np.empty(0), sigma2[i])
             assert q1.tobytes() == q_i.tobytes() and r1.tobytes() == r_i.tobytes()
-
-    def test_rows_grown_one_atom_at_a_time(self):
-        d, support, gamma_sub, sigma2, scm = _support_model("gaussian")
-        rows = None
-        for j in range(len(support) + 1):
-            q, r, rows = support_atom_forms(d, scm, support[:j], gamma_sub[:j], sigma2, rows)
-            q0, r0, _ = support_atom_forms(d, scm, support[:j], gamma_sub[:j], sigma2)
-            npt.assert_allclose(q, q0, rtol=1e-12)
-            npt.assert_allclose(r, r0, rtol=1e-12)
-        assert tuple(rows[0]) == support and rows[3].shape == rows[4].shape == (4, 256)
 
     @pytest.mark.parametrize("case", ["gaussian", "ula-adjacent"])
     def test_a_stack_gives_each_rows_lone_forms(self, case):
@@ -559,15 +549,10 @@ class TestSupportAtomForms:
         gammas = np.array([gamma_sub, 2.0 * gamma_sub, gamma_sub[::-1]])
         sigma2s = np.array([sigma2, 0.5 * sigma2, 3.0 * sigma2])
         scms = np.array([scm, 2.0 * scm, scm.conj()])
-        rows, lone_rows = None, [None] * 3
         for j in range(len(support) + 1):
-            q, r, rows = support_atom_forms(
-                d, scms, supports[:, :j], gammas[:, :j], sigma2s, rows
-            )
+            q, r = support_atom_forms(d, scms, supports[:, :j], gammas[:, :j], sigma2s)
             for i in range(3):
-                q0, r0, lone_rows[i] = support_atom_forms(
-                    d, scms[i], supports[i, :j], gammas[i, :j], sigma2s[i], lone_rows[i]
-                )
+                q0, r0 = support_atom_forms(d, scms[i], supports[i, :j], gammas[i, :j], sigma2s[i])
                 assert q[i].tobytes() == q0.tobytes() and r[i].tobytes() == r0.tobytes()
 
     @pytest.mark.parametrize(
@@ -586,27 +571,32 @@ class TestSupportAtomForms:
         X = rng.standard_normal((stack, n, 2 * n)) + 1j * rng.standard_normal((stack, n, 2 * n))
         scm = np.array([sample_covariance(x) for x in X])
         sigma2 = rng.uniform(0.5, 2.0, stack)
+        forms = atom_forms(d, scm[:, None])[:, 0]
         for j in (0, 1, 3):
             support = np.array([rng.choice(m, j, replace=False) for _ in range(stack)])
             gamma = rng.uniform(0.5, 3.0, (stack, j))
-            head = max(j - 1, 0)
-            _, _, prefix = support_atom_forms(d, scm, support[:, :head], gamma[:, :head], sigma2)
-            for carried in (None, prefix):
-                q, r, rows = support_atom_forms(d, scm, support, gamma, sigma2, carried)
-                q0, r0 = one_pass_support_forms(rows, gamma, sigma2)
-                assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
+            q, r = support_atom_forms(d, scm, support, gamma, sigma2)
+            q0, r0 = one_pass_support_forms(d, scm, support, gamma, sigma2, forms)
+            assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
 
     def test_invalid_arguments(self):
         d, support, gamma_sub, sigma2, scm = _support_model("gaussian")
-        _, _, rows = support_atom_forms(d, scm, support[:2], gamma_sub[:2], sigma2)
-        with pytest.raises(ValueError, match="prefix"):
-            support_atom_forms(d, scm, support[1:3], gamma_sub[:2], sigma2, rows)
         with pytest.raises(ValueError):
             support_atom_forms(d, scm, support, gamma_sub[:2], sigma2)
         with pytest.raises(ValueError):
             support_atom_forms(d, scm, support, -gamma_sub, sigma2)
         with pytest.raises(ValueError):
             support_atom_forms(d, scm, support, gamma_sub, 0.0)
+
+    @pytest.mark.parametrize("case", ["gaussian", "ula-adjacent"])
+    def test_returns_the_forms_and_keeps_no_rows(self, case):
+        # a pure function of its arguments: no Gram rows go out or come back in
+        d, support, gamma_sub, sigma2, scm = _support_model(case)
+        out = support_atom_forms(d, scm, support, gamma_sub, sigma2)
+        assert type(out) is tuple and len(out) == 2
+        assert all(a.shape == (d.n_atoms,) for a in out)
+        with pytest.raises(TypeError):
+            support_atom_forms(d, scm, support, gamma_sub, sigma2, rows=None)
 
 
 @pytest.mark.parametrize(

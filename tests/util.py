@@ -98,17 +98,26 @@ def dense_atom_forms(atoms, H):
     return np.array([np.vdot(a, H @ a).real for a in np.asarray(atoms).T])
 
 
-def one_pass_support_forms(rows, gamma, sigma2):
-    """(q, r) of support_atom_forms from the Gram rows it returned, in one
-    pass over the whole stack: its j x M passes as written before they ran
-    over groups of rows, the operands in the same order, so the groups must
-    give these bits."""
-    support, sq, s, P, H = rows
+def one_pass_support_forms(dictionary, scm, support, gamma, sigma2, forms):
+    """(q, r) of support_atom_forms for a stack of S rows, in one pass over
+    the whole stack: its j x M passes as written before they ran over groups
+    of rows, the operands in the same order, so the groups must give these
+    bits. The Gram rows are formed here, one lone (1, N) by (N, M) product
+    per row and support atom."""
+    A = dictionary.atoms
+    support = np.asarray(support, dtype=np.intp)
+    P = np.empty((*support.shape, A.shape[1]), dtype=np.complex128)
+    H = np.empty_like(P)
+    for s, row in enumerate(support):
+        for at, i in enumerate(row):
+            b = A.T[[i]]  # the atom as a contiguous (1, N) row
+            P[s, at] = (b.conj() @ A)[0]
+            H[s, at] = ((scm[s] @ b.T).conj().T @ A)[0]
     gamma = np.asarray(gamma, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     d = np.sqrt(gamma)[..., None]
     dT = d.swapaxes(-1, -2)
-    idx = np.asarray(support)[..., None, :]
+    idx = support[..., None, :]
     G = d * np.take_along_axis(P, idx, axis=-1) * dT
     diagonal = np.einsum("...ii->...i", G)
     diagonal += sigma2[..., None]
@@ -117,14 +126,14 @@ def one_pass_support_forms(rows, gamma, sigma2):
     W = np.conjugate(P)
     W *= CP
     q = W.real.sum(axis=-2)
-    np.subtract(sq, q, out=q)
+    np.subtract(dictionary._norms2, q, out=q)
     q /= sigma2
     HC = np.take_along_axis(H, idx, axis=-1) @ CP
     HC -= np.multiply(H, 2.0, out=W)
     np.conjugate(CP, out=W)
     W *= HC
     r = W.real.sum(axis=-2)
-    np.add(s, r, out=r)
+    np.add(forms, r, out=r)
     r /= sigma2**2
     return q, r
 
